@@ -13,10 +13,10 @@ up to an explicit table isomorphism, on ``laplace_algebra(n)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg
+from ._record import Record
 from .scalars import Scalar
 from .weil import (
     Polynomial,
@@ -176,17 +176,15 @@ def leibniz_expand(d: Distribution, f: Polynomial, g: Polynomial) -> Scalar:
 # generated subcoalgebras
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Subcoalgebra:
+class Subcoalgebra(Record):
     """Span of distributions closed under comultiplication.
 
-    ``comult[i]`` expands the comultiplication of ``basis[i]`` in basis-pair
-    coordinates: a map (j, k) -> coefficient.
+    Fields ``n``, ``basis`` and ``comult``; ``comult[i]`` expands the
+    comultiplication of ``basis[i]`` in basis-pair coordinates: a map
+    (j, k) -> coefficient.
     """
 
-    n: int
-    basis: tuple
-    comult: tuple
+    __slots__ = ("n", "basis", "comult")
 
     @property
     def dimension(self):

@@ -3,10 +3,14 @@
 An Expr is a tree over constants, variables x1..xn, field operations,
 integer powers, and the analytic primitives exp/log/sin/cos/sqrt.  Exact
 mode restricts to the rational-function fragment; primitives require float
-mode.  Evaluation at nilpotent arguments goes through the truncated Taylor
-expansion at the base point (``jet_eval``): the algebra's degree bound cuts
-the sum off, so the result is the exact image of the function model in the
-Weil algebra.
+mode.  Evaluation at nilpotent arguments (``jet_eval``) runs the expression
+with the Weil algebra's own arithmetic: ring operations directly, division
+and the primitives as Taylor series in the nilpotent part of their
+argument, which the algebra's degree bound makes finite.  The result is the
+exact image of the function model in the Weil algebra, the truncated Taylor
+expansion at the base point, obtained without symbolic derivatives; Taylor
+coefficients, Jacobians and metric derivatives are read off such jets.
+``diff`` remains as a public symbolic derivative.
 
 No simplification happens beyond constant folding; expressions are never
 compared structurally, only through evaluation.
@@ -16,11 +20,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .scalars import EXACT, FLOAT, check_mode, format_scalar, to_scalar
-from .weil import Polynomial, WeilElement, all_monomials, mono_degree
+from .weil import Polynomial, WeilElement, mono_degree, truncated_algebra
 
 PRIMITIVES = ("exp", "log", "sin", "cos", "sqrt")
 
@@ -239,10 +243,6 @@ def diff(e: Expr, i: int) -> Expr:
     raise TypeError(f"cannot differentiate {e!r}")
 
 
-def gradient(e: Expr, n: int) -> list:
-    return [diff(e, i) for i in range(n)]
-
-
 # -- evaluation ---------------------------------------------------------------
 
 _MATH = {"exp": math.exp, "log": math.log, "sin": math.sin, "cos": math.cos, "sqrt": math.sqrt}
@@ -275,11 +275,7 @@ def evaluate(e: Expr, point, mode: str = EXACT):
     if isinstance(e, Call):
         if mode == EXACT:
             raise ValueError(f"primitive {e.name!r} requires float mode")
-        x = evaluate(e.arg, point, mode)
-        try:
-            return _MATH[e.name](x)
-        except ValueError as exc:
-            raise ArithmeticError(f"{e.name}({x}) out of domain") from exc
+        return _math(e.name, evaluate(e.arg, point, mode))
     raise TypeError(f"cannot evaluate {e!r}")
 
 
@@ -308,32 +304,34 @@ def compose(e: Expr, replacements) -> Expr:
 
 def taylor_coefficients(e: Expr, base, order: int, mode: str = EXACT) -> dict:
     """Coefficients of the Taylor polynomial at ``base`` up to total degree
-    ``order``, keyed by exponent vector: derivative value over factorial."""
+    ``order``, keyed by exponent vector: derivative value over factorial.
+
+    They are the coordinates of the jet of ``e`` at the universal point of
+    ``truncated_algebra(len(base), order)``, whose basis is exactly these
+    exponent vectors.
+    """
     check_mode(mode)
-    n = len(base)
-    derivs = {(0,) * n: e}
-    coeffs = {}
-    for alpha in all_monomials(n, order):
-        if alpha not in derivs:
-            i = next(k for k, a in enumerate(alpha) if a > 0)
-            parent = tuple(a - (1 if k == i else 0) for k, a in enumerate(alpha))
-            derivs[alpha] = diff(derivs[parent], i)
-        value = evaluate(derivs[alpha], base, mode)
-        fact = 1
-        for a in alpha:
-            fact *= math.factorial(a)
-        value = value / fact
-        if value != 0:
-            coeffs[alpha] = value
-    return coeffs
+    algebra = truncated_algebra(len(base), order)
+    jet = jet_eval(e, base, algebra.generators(), mode)
+    return {m: c for m, c in zip(algebra.basis, jet.coords) if c != 0}
 
 
 def jet_eval(e: Expr, base, offsets, mode: str = EXACT) -> WeilElement:
     """Evaluate the function model at base + offsets, offsets nilpotent.
 
-    The offsets must share one Weil algebra; the Taylor sum truncates at the
-    algebra's degree bound, making this a ring homomorphism in ``e``.
+    The expression is evaluated with the arithmetic of the offsets' Weil
+    algebra: variable i becomes base[i] + offsets[i], ``+ - * ^`` are ring
+    operations, and division and the primitives are finite Taylor series in
+    the nilpotent part u of their argument a0 + u, cut off at the algebra's
+    degree bound or as soon as u^k = 0.  The result is the image of the
+    truncated Taylor expansion at ``base``, and the map is a ring
+    homomorphism in ``e``.
+
+    A pole at the base point, or sqrt at 0 in an algebra of order >= 1,
+    raises ZeroDivisionError; log or sqrt of a negative number raises
+    ArithmeticError; a primitive in exact mode raises ValueError.
     """
+    check_mode(mode)
     offsets = list(offsets)
     if not offsets:
         raise ValueError("need at least one offset coordinate")
@@ -348,33 +346,117 @@ def jet_eval(e: Expr, base, offsets, mode: str = EXACT) -> WeilElement:
     used = variables(e)
     if used and max(used) >= len(offsets):
         raise ValueError("expression uses more variables than offsets provided")
-    coeffs = taylor_coefficients(e, base, algebra.degree_bound, mode)
-    powers = [[algebra.one()] for _ in offsets]
-    result = algebra.zero()
-    for alpha, c in sorted(coeffs.items(), key=lambda kv: kv[0]):
-        term = algebra.scalar(c)
-        for i, a in enumerate(alpha):
-            while len(powers[i]) <= a:
-                powers[i].append(powers[i][-1] * offsets[i])
-            if a:
-                term = term * powers[i][a]
-        result = result + term
-    return result
+    point = [z + (float(b) if mode == FLOAT else to_scalar(b)) for b, z in zip(base, offsets)]
+    value = _jet(e, point, mode)
+    if not isinstance(value, WeilElement):
+        value = algebra.scalar(value)
+    if mode == FLOAT:
+        return algebra.element(tuple(float(c) for c in value.coords))
+    return value
 
 
 def _has_float(z):
     return any(isinstance(c, float) for c in z.coords)
 
 
+def _jet(e, point, mode):
+    """Recursive evaluator behind ``jet_eval``; constant subtrees stay plain
+    scalars, everything else is a Weil element."""
+    if isinstance(e, Const):
+        return float(e.value) if mode == FLOAT else e.value
+    if isinstance(e, Var):
+        if e.index >= len(point):
+            raise ValueError(f"expression uses x{e.index + 1} but the point has {len(point)} coordinates")
+        return point[e.index]
+    if isinstance(e, Add):
+        return _jet(e.left, point, mode) + _jet(e.right, point, mode)
+    if isinstance(e, Sub):
+        return _jet(e.left, point, mode) - _jet(e.right, point, mode)
+    if isinstance(e, Mul):
+        return _jet(e.left, point, mode) * _jet(e.right, point, mode)
+    if isinstance(e, Div):
+        num = _jet(e.left, point, mode)
+        return num * _reciprocal(_jet(e.right, point, mode))
+    if isinstance(e, Pow):
+        return _jet(e.base, point, mode) ** e.exponent
+    if isinstance(e, Call):
+        if mode == EXACT:
+            raise ValueError(f"primitive {e.name!r} requires float mode")
+        return _primitive(e.name, _jet(e.arg, point, mode))
+    raise TypeError(f"cannot evaluate {e!r}")
+
+
+def _reciprocal(a):
+    """1/(a0 + u) = sum over k of (-u)^k / a0^(k+1)."""
+    a0 = a.coords[0] if isinstance(a, WeilElement) else a
+    if a0 == 0:
+        raise ZeroDivisionError("denominator vanishes at the evaluation point")
+    inv = 1 / a0
+    if not isinstance(a, WeilElement):
+        return inv
+    coeffs = [inv]
+    for _ in range(a.algebra.degree_bound):
+        coeffs.append(-coeffs[-1] * inv)
+    return _series(a, coeffs)
+
+
+def _primitive(name, a):
+    """exp/log/sin/cos/sqrt of a0 + u as the Taylor series at a0 in u."""
+    if not isinstance(a, WeilElement):
+        return _math(name, a)
+    a0 = a.coords[0]
+    bound = a.algebra.degree_bound
+    value = _math(name, a0)
+    if name == "exp":
+        coeffs = [value]
+        for k in range(1, bound + 1):
+            coeffs.append(coeffs[-1] / k)
+    elif name == "log":
+        coeffs = [value] + [(-1) ** (k + 1) / (k * a0 ** k) for k in range(1, bound + 1)]
+    elif name in ("sin", "cos"):
+        s, c = math.sin(a0), math.cos(a0)
+        cycle = (s, c, -s, -c) if name == "sin" else (c, -s, -c, s)
+        coeffs = [cycle[k % 4] / math.factorial(k) for k in range(bound + 1)]
+    else:  # sqrt
+        if a0 == 0 and bound >= 1:
+            raise ZeroDivisionError("sqrt is not differentiable at 0")
+        coeffs = [value]  # sqrt(a0) * binomial(1/2, k) / a0^k
+        for k in range(1, bound + 1):
+            coeffs.append(coeffs[-1] * (1.5 - k) / (k * a0))
+    return _series(a, coeffs)
+
+
+def _math(name, x):
+    try:
+        return _MATH[name](x)
+    except ValueError as exc:
+        raise ArithmeticError(f"{name}({x}) out of domain") from exc
+
+
+def _series(a, coeffs):
+    """sum of coeffs[k] * u^k, u the nilpotent part of a; stops once u^k = 0."""
+    u = a.nilpotent_part()
+    out = a.algebra.scalar(coeffs[0])
+    power = u
+    for k in range(1, len(coeffs)):
+        if k > 1:
+            power = power * u
+        if power.is_zero():
+            break
+        out = out + power * coeffs[k]
+    return out
+
+
 # -- function models -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class FunctionModel:
-    """A smooth map modeled componentwise by expressions."""
+class FunctionModel(Record):
+    """A smooth map modeled componentwise by expressions.
 
-    n_in: int
-    n_out: int
-    components: tuple
+    Fields ``n_in``, ``n_out`` and ``components``, a tuple of ``n_out``
+    expressions in the variables x1..x{n_in}.
+    """
+
+    __slots__ = ("n_in", "n_out", "components")
 
     def __post_init__(self):
         if len(self.components) != self.n_out:
@@ -388,10 +470,10 @@ class FunctionModel:
         return tuple(evaluate(c, point, mode) for c in self.components)
 
     def jacobian(self, point, mode: str = EXACT):
-        return [
-            [evaluate(diff(c, j), point, mode) for j in range(self.n_in)]
-            for c in self.components
-        ]
+        """First partials at ``point``: coordinates 1..n_in of the jets at the
+        universal first-order point ``truncated_algebra(n_in, 1)``."""
+        jets = self.jet(point, truncated_algebra(self.n_in, 1).generators(), mode)
+        return [list(j.coords[1:self.n_in + 1]) for j in jets]
 
     def jet(self, base, offsets, mode: str = EXACT):
         return tuple(jet_eval(c, base, offsets, mode) for c in self.components)
@@ -476,13 +558,23 @@ def _tokenize(text):
     return out
 
 
+MAX_DEPTH = 100
+"""Deepest expression the parser accepts.  Every operator, unary minus,
+primitive call and pair of parentheses adds one level.  The evaluators,
+printers and derivative code walk trees recursively, so the bound keeps
+them, and the parser itself, well inside Python's recursion limit."""
+
+
 class _Parser:
+    """Recursive descent; each ``parse_*`` method returns (node, depth)."""
+
     def __init__(self, text, prefix="x", n=None):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.prefix = prefix
         self.n = n
         self.max_index = 0
+        self.level = 0  # open parse_unary calls: bounds the recursion
 
     def peek(self):
         return self.tokens[self.pos]
@@ -494,53 +586,66 @@ class _Parser:
         self.pos += 1
         return tok
 
+    @staticmethod
+    def deeper(depth):
+        if depth > MAX_DEPTH:
+            raise ValueError(f"expression nests deeper than {MAX_DEPTH} levels")
+        return depth
+
     def parse_expr(self):
-        node = self.parse_term()
+        node, depth = self.parse_term()
         while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
             op = self.take()[1]
-            rhs = self.parse_term()
+            rhs, d = self.parse_term()
             node = add(node, rhs) if op == "+" else sub(node, rhs)
-        return node
+            depth = self.deeper(max(depth, d) + 1)
+        return node, depth
 
     def parse_term(self):
-        node = self.parse_unary()
+        node, depth = self.parse_unary()
         while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
             op = self.take()[1]
-            rhs = self.parse_unary()
+            rhs, d = self.parse_unary()
             node = mul(node, rhs) if op == "*" else div(node, rhs)
-        return node
+            depth = self.deeper(max(depth, d) + 1)
+        return node, depth
 
     def parse_unary(self):
+        self.level = self.deeper(self.level + 1)
         if self.peek() == ("op", "-"):
             self.take()
-            return mul(Const(Fraction(-1)), self.parse_unary())
-        return self.parse_power()
+            node, depth = self.parse_unary()
+            node, depth = mul(Const(Fraction(-1)), node), self.deeper(depth + 1)
+        else:
+            node, depth = self.parse_power()
+        self.level -= 1
+        return node, depth
 
     def parse_power(self):
-        base = self.parse_atom()
+        base, depth = self.parse_atom()
         if self.peek() == ("op", "^"):
             self.take()
-            exponent = self.parse_unary()
+            exponent, _ = self.parse_unary()
             if not isinstance(exponent, Const):
                 raise ValueError("exponent must be a literal integer")
             k = exponent.value
             if isinstance(k, Fraction) and k.denominator == 1 and k >= 0:
-                return pow_(base, int(k))
+                return pow_(base, int(k)), self.deeper(depth + 1)
             raise ValueError(f"exponent must be a non-negative integer, got {k}")
-        return base
+        return base, depth
 
     def parse_atom(self):
         kind, value = self.peek()
         if kind == "num":
             self.take()
-            return Const(Fraction(value))
+            return Const(Fraction(value)), 1
         if kind == "name":
             self.take()
             if value in PRIMITIVES:
                 self.take("op", "(")
-                arg = self.parse_expr()
+                arg, depth = self.parse_expr()
                 self.take("op", ")")
-                return Call(value, arg)
+                return Call(value, arg), self.deeper(depth + 1)
             m = re.fullmatch(re.escape(self.prefix) + r"(\d+)", value)
             if not m:
                 raise ValueError(f"unknown name {value!r} (variables look like {self.prefix}1)")
@@ -550,19 +655,19 @@ class _Parser:
             if self.n is not None and index > self.n:
                 raise ValueError(f"variable {value} exceeds declared dimension {self.n}")
             self.max_index = max(self.max_index, index)
-            return Var(index - 1)
+            return Var(index - 1), 1
         if (kind, value) == ("op", "("):
             self.take()
-            node = self.parse_expr()
+            node, depth = self.parse_expr()
             self.take("op", ")")
-            return node
+            return node, self.deeper(depth + 1)
         raise ValueError(f"unexpected token {value!r}")
 
 
 def parse_expr(text: str, n=None, prefix: str = "x") -> Expr:
     """Parse one expression in the infix grammar."""
     parser = _Parser(text, prefix, n)
-    node = parser.parse_expr()
+    node, _ = parser.parse_expr()
     parser.take("end")
     return node
 
@@ -570,10 +675,10 @@ def parse_expr(text: str, n=None, prefix: str = "x") -> Expr:
 def parse_function(text: str, n=None, prefix: str = "x") -> FunctionModel:
     """Parse a comma-separated list of component expressions into a map."""
     parser = _Parser(text, prefix, n)
-    components = [parser.parse_expr()]
+    components = [parser.parse_expr()[0]]
     while parser.peek() == ("op", ","):
         parser.take()
-        components.append(parser.parse_expr())
+        components.append(parser.parse_expr()[0])
     parser.take("end")
     n_in = n if n is not None else max(parser.max_index, 1)
     return FunctionModel(n_in, len(components), tuple(components))

@@ -17,10 +17,10 @@ divergence/gradient detour.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg
+from ._record import Record
 from .scalars import DEFAULT_EPS, EXACT, FLOAT, Scalar, check_mode, scalars_equal, to_scalar
 from .expr import (
     Const,
@@ -36,7 +36,7 @@ from .expr import (
     scalar_function,
     taylor_coefficients,
 )
-from .weil import WeilElement, laplace_algebra, satisfies_laplace_relations
+from .weil import WeilElement, laplace_algebra, satisfies_laplace_relations, truncated_algebra
 
 
 class GeometryError(ArithmeticError):
@@ -211,10 +211,9 @@ def christoffel(metric: MetricField, x, mode: str = EXACT):
     n = metric.n
     gm = metric.matrix_at(x, mode)
     ginv = _linalg.invert(gm)
-    dg = [
-        [[evaluate(diff(metric.entry(l, k), j), x, mode) for j in range(n)] for k in range(n)]
-        for l in range(n)
-    ]
+    # dg[l][k][j] = d_j G_lk: first-order jet coordinates
+    jets = metric.jet_matrix(x, truncated_algebra(n, 1).generators(), mode)
+    dg = [[jets[l][k].coords[1:] for k in range(n)] for l in range(n)]
     gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -424,12 +423,13 @@ def parallelogram(chart: GeodesicChart, y, z):
     return chart.from_chart(tuple(a + b for a, b in zip(wy, wz)))
 
 
-@dataclass(frozen=True)
-class TangentVector:
-    """Tangent at a point, determined by its principal part u (t(d) = x + d u)."""
+class TangentVector(Record):
+    """Tangent at a point, determined by its principal part u (t(d) = x + d u).
 
-    base: tuple
-    u: tuple
+    Fields: ``base`` and ``u``, tuples of equal length.
+    """
+
+    __slots__ = ("base", "u")
 
     def __post_init__(self):
         if len(self.base) != len(self.u):
@@ -602,8 +602,8 @@ def laplace_taylor(metric: MetricField, f, x, offsets, mode: str = EXACT) -> Wei
     algebra = offsets[0].algebra
     value = evaluate(expr, x, mode)
     out = algebra.scalar(value)
-    for i in range(n):
-        out = out + offsets[i] * evaluate(diff(expr, i), x, mode)
+    for w, partial in zip(offsets, f.jacobian(x, mode)[0]):
+        out = out + w * partial
     lap = laplacian(metric, f, x, mode=mode)
     norm_sq = algebra.zero()
     for w in offsets:
@@ -652,13 +652,12 @@ def preserves_affine_combinations(
 # conformality, isotropy preservation, and the complex plane
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConformalReport:
-    conformal: bool
-    factor: object = None  # the positive scale k, present iff conformal
-    isometry: bool = False
-    mode: str = EXACT
-    eps: float = None
+class ConformalReport(Record):
+    """Verdict of ``conformal_check``; ``factor`` is the positive scale k,
+    present iff conformal."""
+
+    __slots__ = ("conformal", "factor", "isometry", "mode", "eps")
+    _defaults = {"factor": None, "isometry": False, "mode": EXACT, "eps": None}
 
 
 def conformal_check(
@@ -720,15 +719,14 @@ def preserves_laplace_neighbors(f: FunctionModel, x, mode: str = EXACT, eps: flo
     return satisfies_laplace_relations(offsets, eps if mode == FLOAT else None)
 
 
-@dataclass(frozen=True)
-class CRReport:
-    holomorphic: bool
-    derivative: object = None  # (re, im) of f'(x), present iff also harmonic
-    cr_equations: bool = False
-    orientation_preserving: bool = False
-    harmonic_components: bool = False
-    mode: str = EXACT
-    eps: float = None
+class CRReport(Record):
+    """Verdict of ``cr_check``; ``derivative`` is (re, im) of f'(x), present
+    iff the map is holomorphic and its components harmonic."""
+
+    __slots__ = ("holomorphic", "derivative", "cr_equations", "orientation_preserving",
+                 "harmonic_components", "mode", "eps")
+    _defaults = {"derivative": None, "cr_equations": False, "orientation_preserving": False,
+                 "harmonic_components": False, "mode": EXACT, "eps": None}
 
 
 def cr_check(f: FunctionModel, x, mode: str = EXACT, eps: float = DEFAULT_EPS) -> CRReport:

@@ -239,12 +239,14 @@ class WeilAlgebra:
     Attributes: ``n`` generators, ``degree_bound`` (monomials above it all
     reduce to zero), ``basis`` (ordered monomials, unit first), and the
     multiplication table.  ``relations`` records the defining generators so
-    algebras can be tensored.
+    algebras can be tensored.  The table is built from the normal forms
+    unless one is given (rows of tuples of (basis index, coefficient)
+    pairs, as deserialized); a given table is checked before use.
     """
 
     __slots__ = ("n", "degree_bound", "basis", "relations", "_index", "_nf", "_table")
 
-    def __init__(self, n, degree_bound, basis, normal_form, relations):
+    def __init__(self, n, degree_bound, basis, normal_form, relations, table=None):
         self.n = n
         self.degree_bound = degree_bound
         self.basis = tuple(basis)
@@ -253,7 +255,11 @@ class WeilAlgebra:
         self._nf = normal_form  # monomial -> tuple of (basis index, coeff)
         if self.basis[0] != unit_monomial(n):
             raise AssertionError("quotient lost its unit")
-        self._table = self._build_table()
+        if table is None:
+            self._table = self._build_table()
+        else:
+            self._check_table(table)
+            self._table = table
         self._check_nilpotent()
 
     # -- construction helpers ---------------------------------------------
@@ -274,6 +280,26 @@ class WeilAlgebra:
                 table[i][j] = entry
                 table[j][i] = entry
         return table
+
+    def _check_table(self, table):
+        """Reject a given table that is not square over the basis, names a
+        basis index out of range, is not symmetric or has a wrong unit row."""
+        dim = len(self.basis)
+        if len(self._index) != dim:
+            raise ValueError("basis monomials are not distinct")
+        if len(table) != dim or any(len(row) != dim for row in table):
+            raise ValueError("multiplication table has wrong shape")
+        for i, row in enumerate(table):
+            for j, entry in enumerate(row):
+                for k, _ in entry:
+                    if not 0 <= k < dim:
+                        raise ValueError(
+                            f"table entry ({i}, {j}) names basis index {k}; the dimension is {dim}"
+                        )
+                if entry != table[j][i]:
+                    raise ValueError(f"multiplication table is not symmetric at ({i}, {j})")
+            if table[0][i] != ((i, 1),):
+                raise ValueError(f"unit row of the table does not fix basis element {i}")
 
     def _check_nilpotent(self):
         for i, m in enumerate(self.basis):
@@ -421,10 +447,14 @@ class WeilElement:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power of a Weil element")
-        out = self.algebra.one()
-        for _ in range(k):
-            out = out * self
-        return out
+        out, square = None, self
+        while True:
+            if k & 1:
+                out = square if out is None else out * square
+            k >>= 1
+            if not k:
+                return self.algebra.one() if out is None else out
+            square = square * square
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, float)):
@@ -436,7 +466,7 @@ class WeilElement:
         )
 
     def __hash__(self):
-        return hash((id(self.algebra), self.coords))
+        return hash((self.algebra, self.coords))
 
     def isclose(self, other, eps: float) -> bool:
         other = self._match(other)
@@ -670,22 +700,15 @@ def algebra_from_json(doc: dict) -> WeilAlgebra:
     n = int(doc["n"])
     bound = int(doc["degree_bound"])
     basis = [tuple(int(e) for e in m) for m in doc["basis"]]
-    alg = WeilAlgebra.__new__(WeilAlgebra)
-    alg.n = n
-    alg.degree_bound = bound
-    alg.basis = tuple(basis)
-    alg.relations = ()
-    alg._index = {m: i for i, m in enumerate(basis)}
-    alg._nf = {}
-    alg._table = [
+    if not basis or basis[0] != unit_monomial(n):
+        raise ValueError("serialized algebra has no unit monomial first")
+    if any(len(m) != n for m in basis):
+        raise ValueError(f"serialized basis monomials must have {n} exponents")
+    table = [
         [tuple((int(k), parse_rational(c)) for c, k in entry) for entry in row]
         for row in doc["table"]
     ]
-    if alg.basis[0] != unit_monomial(n):
-        raise ValueError("serialized algebra has no unit monomial first")
-    if len(alg._table) != len(basis) or any(len(row) != len(basis) for row in alg._table):
-        raise ValueError("serialized table has wrong shape")
-    return alg
+    return WeilAlgebra(n, bound, basis, {}, (), table=table)
 
 
 def algebra_isomorphism(src: WeilAlgebra, dst: WeilAlgebra):

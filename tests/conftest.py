@@ -7,10 +7,11 @@ construction (identity plus terms vanishing there).
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
-from nilgeom.expr import Const, Expr, Var, polynomial_to_expr
+from nilgeom.expr import Const, Expr, Var, diff, evaluate, polynomial_to_expr
 from nilgeom.geometry import MetricField
 from nilgeom.weil import Polynomial, all_monomials
 
@@ -53,6 +54,43 @@ def random_metric(rng: random.Random, n: int, base) -> MetricField:
 
 def second_partials_sum(expr, x):
     """Independent flat-Laplacian oracle: sum of pure second partials."""
-    from nilgeom.expr import diff, evaluate
-
     return sum(evaluate(diff(diff(expr, i), i), x) for i in range(len(x)))
+
+
+# -- jets through symbolic derivatives: the reference for nilpotent arithmetic --
+
+def taylor_coefficients_by_diff(e, base, order, mode="exact"):
+    """Taylor coefficients at ``base`` up to total degree ``order``, each a
+    symbolic partial derivative evaluated at the base over its factorial."""
+    n = len(base)
+    derivs = {(0,) * n: e}
+    coeffs = {}
+    for alpha in all_monomials(n, order):
+        if alpha not in derivs:
+            i = next(k for k, a in enumerate(alpha) if a > 0)
+            parent = tuple(a - (1 if k == i else 0) for k, a in enumerate(alpha))
+            derivs[alpha] = diff(derivs[parent], i)
+        value = evaluate(derivs[alpha], base, mode)
+        fact = 1
+        for a in alpha:
+            fact *= math.factorial(a)
+        value = value / fact
+        if value != 0:
+            coeffs[alpha] = value
+    return coeffs
+
+
+def jet_eval_by_diff(e, base, offsets, mode="exact"):
+    """The Taylor sum of ``taylor_coefficients_by_diff`` up to the algebra's
+    degree bound, evaluated on the offsets."""
+    offsets = list(offsets)
+    algebra = offsets[0].algebra
+    coeffs = taylor_coefficients_by_diff(e, base, algebra.degree_bound, mode)
+    result = algebra.zero()
+    for alpha, c in coeffs.items():
+        term = algebra.scalar(c)
+        for z, a in zip(offsets, alpha):
+            for _ in range(a):
+                term = term * z
+        result = result + term
+    return result

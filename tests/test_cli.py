@@ -1,6 +1,8 @@
 """Command-line surface: JSON payloads, determinism, exit codes."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -195,3 +197,36 @@ def test_singular_metric_exits_3(tmp_path, capsys):
 def test_missing_map_exits_2(capsys):
     code, _, _ = run(capsys, "check", "conformal", "--point", "0,0")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["laplacian", "--fn", "1/x1", "--point", "0"],
+        ["--mode", "float", "laplacian", "--fn", "log(x1-1)", "--point", "0"],
+        ["--mode", "float", "laplacian", "--fn", "sqrt(x1)", "--point", "0"],
+    ],
+)
+def test_pole_or_domain_error_at_the_point_exits_3(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "fn",
+    ["+".join(["x1"] * 3000), "(" * 1200 + "x1" + ")" * 1200, "-" * 3000 + "x1"],
+    ids=["3000-term-sum", "1200-parentheses", "3000-minus-signs"],
+)
+def test_too_deep_expression_exits_2(capsys, fn):
+    code, out, err = run(capsys, "laplacian", "--fn=" + fn, "--point", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_import_leaves_dataclasses_out():
+    code = "import sys, nilgeom.cli; print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -59,6 +59,19 @@ def test_parse_rejects_garbage(text):
         parse_expr(text)
 
 
+def test_parse_depth_limit():
+    from nilgeom.expr import MAX_DEPTH
+
+    at_limit = "(" * (MAX_DEPTH - 1) + "x1" + ")" * (MAX_DEPTH - 1)
+    assert evaluate(parse_expr(at_limit), (F(3),)) == 3
+    with pytest.raises(ValueError, match="deeper"):
+        parse_expr("(" + at_limit + ")")
+    chain = "+".join(["x1"] * MAX_DEPTH)  # MAX_DEPTH - 1 additions over depth-1 leaves
+    assert evaluate(parse_expr(chain), (F(1),)) == MAX_DEPTH
+    with pytest.raises(ValueError, match="deeper"):
+        parse_expr(chain + "+x1")
+
+
 def test_parse_respects_declared_dimension():
     parse_expr("x2", n=2)
     with pytest.raises(ValueError):
@@ -232,6 +245,19 @@ def test_function_model_validates_arity():
         FunctionModel(1, 1, (Var(1),))
     with pytest.raises(ValueError):
         FunctionModel(2, 2, (Var(0),))
+
+
+def test_function_model_is_an_immutable_value():
+    f = parse_function("x1^2, x1*x2")
+    g = parse_function("x1^2, x1*x2")
+    same = FunctionModel(f.n_in, n_out=f.n_out, components=f.components)
+    assert same == f and hash(same) == hash(f)
+    assert f != g  # expressions compare by identity, as before
+    assert repr(f).startswith("FunctionModel(n_in=2, n_out=2, components=(")
+    with pytest.raises(AttributeError):
+        f.n_in = 3
+    with pytest.raises(TypeError):
+        FunctionModel(2, 2)
 
 
 def test_jacobian():

@@ -687,6 +687,25 @@ def test_anisotropic_scaling_is_not_conformal():
     assert not report.conformal and report.factor is None
 
 
+def test_reports_are_immutable_values_with_defaults():
+    from nilgeom.geometry import ConformalReport, CRReport
+
+    report = conformal_check(parse_function("x1^2 - x2^2, 2*x1*x2"), MetricField.standard_flat(2),
+                             MetricField.standard_flat(2), (F(1), F(2)))
+    assert report == ConformalReport(True, F(20))
+    assert hash(report) == hash(ConformalReport(True, factor=F(20), isometry=False))
+    assert report != ConformalReport(True, F(20), mode="float")
+    assert repr(report) == "ConformalReport(conformal=True, factor=Fraction(20, 1), isometry=False, mode='exact', eps=None)"
+    assert CRReport(False) == CRReport(False, None, False, False, False, "exact", None)
+    assert len({TangentVector((F(0),), (F(1),)), TangentVector((F(0),), (F(1),))}) == 1
+    with pytest.raises(AttributeError):
+        report.conformal = False
+    with pytest.raises(TypeError):
+        ConformalReport(True, bogus=1)
+    with pytest.raises(ValueError):
+        TangentVector((F(0),), (F(1), F(2)))
+
+
 def test_conformal_float_mode():
     report = conformal_check(
         parse_function("x1^2 - x2^2, 2*x1*x2"), FLAT2, FLAT2, (0.5, 0.25), mode="float"

@@ -273,6 +273,35 @@ def test_json_schema_shape():
     assert all(isinstance(c, str) and isinstance(k, int) for c, k in flat)
 
 
+def _doc_with_entry(i, j, entry):
+    doc = json.loads(json.dumps(algebra_to_json(truncated_algebra(1, 1))))
+    doc["table"][i][j] = entry
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _doc_with_entry(1, 1, [["1", 7]]),  # basis index 7 in a 2-dimensional algebra
+        _doc_with_entry(1, 1, [["1", 1]]),  # Z*Z = Z: not nilpotent
+        _doc_with_entry(0, 1, [["2", 1]]),  # unit row does not fix Z
+        _doc_with_entry(1, 0, [["1", 1], ["1", 0]]),  # not symmetric
+        {**algebra_to_json(truncated_algebra(1, 1)), "table": [[[["1", 0]], [["1", 1]]]]},  # 1 x 2 table
+    ],
+)
+def test_json_rejects_malformed_tables(doc):
+    with pytest.raises(ValueError):
+        algebra_from_json(doc)
+
+
+def test_equal_elements_of_separate_algebras_hash_equal():
+    a = laplace_algebra(3).generators()[0]
+    b = laplace_algebra(3).generators()[0]
+    assert a.algebra is not b.algebra
+    assert a == b
+    assert len({a, b}) == 1
+
+
 # -- explicit table isomorphism ------------------------------------------------------------
 
 def test_isomorphism_found_and_refused():
