@@ -104,73 +104,3 @@ def cholesky(a):
             else:
                 low[i][j] = (float(a[i][j]) - s) / low[j][j]
     return low
-
-
-def nullspace(a):
-    """Basis of the exact kernel of a rectangular matrix (list of vectors)."""
-    rows, cols = len(a), len(a[0]) if a else 0
-    m = [[Fraction(x) for x in row] for row in a]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((rr for rr in range(r, rows) if m[rr][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for rr in range(rows):
-            if rr != r and m[rr][c] != 0:
-                factor = m[rr][c]
-                m[rr] = [x - factor * y for x, y in zip(m[rr], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][fc]
-        basis.append(v)
-    return basis
-
-
-def solve_general(a, b):
-    """Solve a @ x = b for a rectangular exact system.
-
-    Returns one solution vector, or None if inconsistent.  Gauss-Jordan on
-    the augmented matrix; free variables are set to zero.
-    """
-    rows, cols = len(a), len(a[0]) if a else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = None
-        for rr in range(r, rows):
-            if aug[rr][c] != 0:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = aug[r][c]
-        aug[r] = [x / inv for x in aug[r]]
-        for rr in range(rows):
-            if rr != r and aug[rr][c] != 0:
-                factor = aug[rr][c]
-                aug[rr] = [x - factor * y for x, y in zip(aug[rr], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for rr in range(r, rows):
-        if aug[rr][cols] != 0:
-            return None
-    x = [Fraction(0)] * cols
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][cols]
-    return x

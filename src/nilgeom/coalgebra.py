@@ -15,12 +15,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import _linalg
 from ._record import Record
 from .scalars import Scalar
 from .weil import (
     Polynomial,
     WeilAlgebra,
+    _reduce_rows,
     all_monomials,
     mono_degree,
     mono_key,
@@ -211,43 +211,31 @@ def subcoalgebra_generated(d: Distribution) -> Subcoalgebra:
     """Smallest subcoalgebra containing d, with its comultiplication table.
 
     The span of all divided derivatives of the symbol is comultiplication
-    closed; row reduction gives an echelon basis ordered by symbol degree.
+    closed; row reduction gives a reduced echelon basis ordered by lead
+    monomial.  Each lead occurs, with coefficient 1, in its own basis
+    element only, so the coefficient of b_i (x) b_j in the comultiplication
+    of b is the coefficient of (lead_i, lead_j); recomposing the table
+    checks that nothing escaped the span.
     """
-    rows = [dd.terms for dd in divided_derivatives(d)]
-    from .weil import _reduce_rows
-
-    pivots = _reduce_rows([dict(r) for r in rows])
-    basis = [
-        Distribution(d.n, pivots[lead])
-        for lead in sorted(pivots, key=mono_key)
-    ]
-    support = sorted({m for b in basis for m in b.terms}, key=mono_key)
-    pair_index = {(mu, nu): i for i, (mu, nu) in enumerate(
-        (mu, nu) for mu in support for nu in support
-    )}
+    pivots = _reduce_rows([dd.terms for dd in divided_derivatives(d)])
+    leads = sorted(pivots, key=mono_key)
+    basis = [Distribution(d.n, pivots[lead]) for lead in leads]
+    index = {lead: i for i, lead in enumerate(leads)}
     comult_rows = []
     for b in basis:
         tensor = comultiply(b)
-        for key in tensor:
-            if key not in pair_index:
-                raise AssertionError("comultiplication escaped the generated span")
-        rhs = [tensor.get(key, Fraction(0)) for key in pair_index]
-        columns = []
-        for i in range(len(basis)):
-            for j in range(len(basis)):
-                columns.append((i, j))
-        matrix = [
-            [basis[i].terms.get(mu, Fraction(0)) * basis[j].terms.get(nu, Fraction(0))
-             for (i, j) in columns]
-            for (mu, nu) in pair_index
-        ]
-        solution = _linalg.solve_general(matrix, rhs)
-        if solution is None:
+        row = dict(sorted(
+            ((index[mu], index[nu]), c)
+            for (mu, nu), c in tensor.items()
+            if mu in index and nu in index
+        ))
+        recomposed = {}
+        for (i, j), c in row.items():
+            for mu, ci in basis[i].terms.items():
+                for nu, cj in basis[j].terms.items():
+                    recomposed[(mu, nu)] = recomposed.get((mu, nu), Fraction(0)) + c * ci * cj
+        if {key: v for key, v in recomposed.items() if v != 0} != tensor:
             raise AssertionError("comultiplication escaped the generated span")
-        row = {}
-        for (i, j), c in zip(columns, solution):
-            if c != 0:
-                row[(i, j)] = c
         comult_rows.append(row)
     return Subcoalgebra(d.n, tuple(basis), tuple(comult_rows))
 
@@ -259,28 +247,37 @@ def subcoalgebra_generated(d: Distribution) -> Subcoalgebra:
 def dual_algebra(c: Subcoalgebra, degree_bound: int | None = None) -> WeilAlgebra:
     """Quotient of the polynomial ring by the annihilator of the subcoalgebra.
 
-    The annihilator in degrees <= degree_bound is computed by exact linear
-    algebra over the derivative/monomial pairing; the quotient by the ideal
-    it generates must have the subcoalgebra's dimension, otherwise the bound
-    was too small.
+    The pairing of d^alpha with x^beta is alpha! when alpha = beta and 0
+    otherwise.  With the basis in reduced echelon form (b_k with lead
+    monomial lead_k), the annihilator in degrees <= degree_bound is spanned
+    by one relation per non-lead monomial m:
+    x^m - sum over k of b_k[m] * m!/lead_k! * x^lead_k.
+    The quotient by the ideal these generate must have the subcoalgebra's
+    dimension, otherwise the bound was too small.
     """
-    max_deg = max((b.degree() for b in c.basis), default=0)
+    if not c.basis:
+        raise ValueError(
+            "the zero subcoalgebra is annihilated by 1; its dual is not a Weil algebra"
+        )
+    max_deg = max(b.degree() for b in c.basis)
     if degree_bound is None:
         degree_bound = max_deg + 1
     if degree_bound < max_deg + 1:
         raise ValueError(
             f"degree bound {degree_bound} cannot present the dual algebra; need >= {max_deg + 1}"
         )
-    monos = all_monomials(c.n, degree_bound)
-    matrix = [
-        [b.terms.get(m, Fraction(0)) * _factorial(m) for m in monos]
-        for b in c.basis
-    ]
-    kernel = _linalg.nullspace(matrix)
-    relations = [
-        Polynomial(c.n, {monos[i]: v[i] for i in range(len(monos)) if v[i] != 0})
-        for v in kernel
-    ]
+    pivots = _reduce_rows([b.terms for b in c.basis])
+    relations = []
+    for m in all_monomials(c.n, degree_bound):
+        if m in pivots:
+            continue
+        weight = _factorial(m)
+        terms = {m: Fraction(1)}
+        for lead, row in pivots.items():
+            coeff = row.get(m)
+            if coeff:
+                terms[lead] = -coeff * weight / _factorial(lead)
+        relations.append(Polynomial(c.n, terms))
     algebra = quotient_algebra(c.n, degree_bound, relations)
     if algebra.dimension != c.dimension:
         raise ValueError(

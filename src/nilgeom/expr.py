@@ -226,6 +226,8 @@ def diff(e: Expr, i: int) -> Expr:
         num = sub(mul(diff(e.left, i), e.right), mul(e.left, diff(e.right, i)))
         return div(num, pow_(e.right, 2))
     if isinstance(e, Pow):
+        if e.exponent == 0:
+            return Const(Fraction(0))
         return mul(mul(Const(e.exponent), pow_(e.base, e.exponent - 1)), diff(e.base, i))
     if isinstance(e, Call):
         inner = diff(e.arg, i)

@@ -347,8 +347,15 @@ class WeilAlgebra:
         gens = []
         for i in range(self.n):
             mono = tuple(1 if j == i else 0 for j in range(self.n))
+            try:
+                entries = self._reduce_monomial(mono)
+            except KeyError:
+                # algebra_from_json keeps the table only, not the normal forms
+                raise ValueError(
+                    f"serialized algebra does not record the class of generator Z{i + 1}"
+                ) from None
             coords = [Fraction(0)] * self.dimension
-            for k, c in self._reduce_monomial(mono):
+            for k, c in entries:
                 coords[k] = c
             gens.append(self.element(coords))
         return gens
@@ -430,15 +437,17 @@ class WeilElement:
         dim = self.algebra.dimension
         table = self.algebra._table
         out = [Fraction(0)] * dim
+        right = [(j, b) for j, b in enumerate(other.coords) if b != 0]
         for i, a in enumerate(self.coords):
             if a == 0:
                 continue
             row = table[i]
-            for j, b in enumerate(other.coords):
-                if b == 0:
+            for j, b in right:
+                entry = row[j]
+                if not entry:  # the two basis monomials multiply to 0
                     continue
                 ab = a * b
-                for k, c in row[j]:
+                for k, c in entry:
                     out[k] = out[k] + ab * c
         return WeilElement(self.algebra, out)
 

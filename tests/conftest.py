@@ -11,9 +11,10 @@ import math
 import random
 from fractions import Fraction
 
+from nilgeom.coalgebra import Distribution, Subcoalgebra, _factorial, comultiply, divided_derivatives
 from nilgeom.expr import Const, Expr, Var, diff, evaluate, polynomial_to_expr
 from nilgeom.geometry import MetricField
-from nilgeom.weil import Polynomial, all_monomials
+from nilgeom.weil import Polynomial, _reduce_rows, all_monomials, mono_key, quotient_algebra
 
 
 def random_polynomial(rng: random.Random, n: int, degree: int, terms: int = 5) -> Polynomial:
@@ -94,3 +95,113 @@ def jet_eval_by_diff(e, base, offsets, mode="exact"):
                 term = term * z
         result = result + term
     return result
+
+
+# -- coalgebra by dense solves: the reference for the echelon lookups --
+
+def nullspace(a):
+    """Basis of the exact kernel of a rectangular matrix (list of vectors)."""
+    rows, cols = len(a), len(a[0]) if a else 0
+    m = [[Fraction(x) for x in row] for row in a]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = next((rr for rr in range(r, rows) if m[rr][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = m[r][c]
+        m[r] = [x / inv for x in m[r]]
+        for rr in range(rows):
+            if rr != r and m[rr][c] != 0:
+                factor = m[rr][c]
+                m[rr] = [x - factor * y for x, y in zip(m[rr], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    free = [c for c in range(cols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * cols
+        v[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            v[pc] = -m[i][fc]
+        basis.append(v)
+    return basis
+
+
+def solve_general(a, b):
+    """Solve a @ x = b for a rectangular exact system.
+
+    Returns one solution vector, or None if inconsistent.  Gauss-Jordan on
+    the augmented matrix; free variables are set to zero.
+    """
+    rows, cols = len(a), len(a[0]) if a else 0
+    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = None
+        for rr in range(r, rows):
+            if aug[rr][c] != 0:
+                piv = rr
+                break
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = aug[r][c]
+        aug[r] = [x / inv for x in aug[r]]
+        for rr in range(rows):
+            if rr != r and aug[rr][c] != 0:
+                factor = aug[rr][c]
+                aug[rr] = [x - factor * y for x, y in zip(aug[rr], aug[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    for rr in range(r, rows):
+        if aug[rr][cols] != 0:
+            return None
+    x = [Fraction(0)] * cols
+    for i, c in enumerate(pivots):
+        x[c] = aug[i][cols]
+    return x
+
+
+def subcoalgebra_by_solve(d):
+    """``subcoalgebra_generated`` with each comultiplication row found by
+    solving the dense system sum c_ij b_i(mu) b_j(nu) = comultiply(b)(mu, nu)."""
+    pivots = _reduce_rows([dict(dd.terms) for dd in divided_derivatives(d)])
+    basis = [Distribution(d.n, pivots[lead]) for lead in sorted(pivots, key=mono_key)]
+    support = sorted({m for b in basis for m in b.terms}, key=mono_key)
+    pairs = [(mu, nu) for mu in support for nu in support]
+    columns = [(i, j) for i in range(len(basis)) for j in range(len(basis))]
+    matrix = [
+        [basis[i].terms.get(mu, Fraction(0)) * basis[j].terms.get(nu, Fraction(0)) for (i, j) in columns]
+        for (mu, nu) in pairs
+    ]
+    comult_rows = []
+    for b in basis:
+        tensor = comultiply(b)
+        if not set(tensor) <= set(pairs):
+            raise AssertionError("comultiplication escaped the generated span")
+        solution = solve_general(matrix, [tensor.get(key, Fraction(0)) for key in pairs])
+        if solution is None:
+            raise AssertionError("comultiplication escaped the generated span")
+        comult_rows.append({ij: c for ij, c in zip(columns, solution) if c != 0})
+    return Subcoalgebra(d.n, tuple(basis), tuple(comult_rows))
+
+
+def dual_algebra_by_nullspace(c, degree_bound=None):
+    """``dual_algebra`` with the annihilator taken as the dense kernel of the
+    pairing matrix b_k(m) * m!."""
+    if degree_bound is None:
+        degree_bound = max((b.degree() for b in c.basis), default=0) + 1
+    monos = all_monomials(c.n, degree_bound)
+    matrix = [[b.terms.get(m, Fraction(0)) * _factorial(m) for m in monos] for b in c.basis]
+    relations = [
+        Polynomial(c.n, {monos[i]: v[i] for i in range(len(monos)) if v[i] != 0})
+        for v in nullspace(matrix)
+    ]
+    return quotient_algebra(c.n, degree_bound, relations)

@@ -158,6 +158,12 @@ def test_coalgebra_single_derivative(capsys):
     assert doc["dual_algebra"]["basis"] == [[0], [1]]
 
 
+def test_coalgebra_high_power(capsys):
+    doc = run_json(capsys, "coalgebra", "--dist", "d1^40", "--n", "1")
+    assert doc["dimension"] == 41
+    assert doc["dual_algebra"]["basis"] == [[k] for k in range(41)]
+
+
 # -- hygiene -----------------------------------------------------------------------------
 
 def test_identical_runs_are_byte_identical(tmp_path, capsys):

@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from nilgeom import coalgebra
 from nilgeom.coalgebra import (
     Distribution,
     comultiply,
@@ -18,12 +21,29 @@ from nilgeom.coalgebra import (
 from nilgeom.weil import (
     Polynomial,
     algebra_isomorphism,
+    algebra_to_json,
+    all_monomials,
     laplace_algebra,
     truncated_algebra,
 )
-from conftest import random_polynomial
+from conftest import dual_algebra_by_nullspace, random_polynomial, subcoalgebra_by_solve
 
 F = Fraction
+PROPERTY = settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def symbols(draw):
+    """Nonzero distributions with n = 1..3 variables and degree <= 3."""
+    n = draw(st.integers(1, 3))
+    monos = draw(st.lists(st.sampled_from(all_monomials(n, 3)), min_size=1, max_size=4, unique=True))
+    coeffs = st.builds(F, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+    return Distribution(n, {m: draw(coeffs) for m in monos})
 
 
 # -- action on polynomials ------------------------------------------------------
@@ -126,40 +146,92 @@ def test_comult_table_of_laplace_generator():
     assert row == {(3, 0): F(1), (0, 3): F(1), (1, 1): F(2), (2, 2): F(2)}
 
 
-def test_counit_compatibility():
+def _assert_counital(sub):
     # contracting one tensor leg with the counit must give the element back
+    for idx, b in enumerate(sub.basis):
+        left = {}
+        right = {}
+        for (i, j), c in sub.comult[idx].items():
+            for m, cc in sub.basis[j].terms.items():
+                left[m] = left.get(m, F(0)) + c * sub.basis[i].counit() * cc
+            for m, cc in sub.basis[i].terms.items():
+                right[m] = right.get(m, F(0)) + c * sub.basis[j].counit() * cc
+        assert Distribution(sub.n, left) == b
+        assert Distribution(sub.n, right) == b
+
+
+def _assert_coassociative(sub):
+    for idx in range(sub.dimension):
+        lhs = {}
+        for (i, j), c in sub.comult[idx].items():
+            for (a, b), cc in sub.comult[i].items():
+                key = (a, b, j)
+                lhs[key] = lhs.get(key, F(0)) + c * cc
+        rhs = {}
+        for (i, j), c in sub.comult[idx].items():
+            for (a, b), cc in sub.comult[j].items():
+                key = (i, a, b)
+                rhs[key] = rhs.get(key, F(0)) + c * cc
+        lhs = {k: v for k, v in lhs.items() if v != 0}
+        rhs = {k: v for k, v in rhs.items() if v != 0}
+        assert lhs == rhs
+
+
+def test_counit_compatibility():
     for dist in (laplace_distribution(2), Distribution(2, {(2, 1): 1, (1, 0): 4})):
-        sub = subcoalgebra_generated(dist)
-        for idx, b in enumerate(sub.basis):
-            left = {}
-            right = {}
-            for (i, j), c in sub.comult[idx].items():
-                for m, cc in sub.basis[j].terms.items():
-                    left[m] = left.get(m, F(0)) + c * sub.basis[i].counit() * cc
-                for m, cc in sub.basis[i].terms.items():
-                    right[m] = right.get(m, F(0)) + c * sub.basis[j].counit() * cc
-            assert Distribution(2, left) == b
-            assert Distribution(2, right) == b
+        _assert_counital(subcoalgebra_generated(dist))
 
 
 def test_coassociativity_on_generated_basis():
     for dist in (laplace_distribution(2), laplace_distribution(3), Distribution(2, {(2, 2): 1})):
-        sub = subcoalgebra_generated(dist)
-        dim = sub.dimension
-        for idx in range(dim):
-            lhs = {}
-            for (i, j), c in sub.comult[idx].items():
-                for (a, b), cc in sub.comult[i].items():
-                    key = (a, b, j)
-                    lhs[key] = lhs.get(key, F(0)) + c * cc
-            rhs = {}
-            for (i, j), c in sub.comult[idx].items():
-                for (a, b), cc in sub.comult[j].items():
-                    key = (i, a, b)
-                    rhs[key] = rhs.get(key, F(0)) + c * cc
-            lhs = {k: v for k, v in lhs.items() if v != 0}
-            rhs = {k: v for k, v in rhs.items() if v != 0}
-            assert lhs == rhs
+        _assert_coassociative(subcoalgebra_generated(dist))
+
+
+@PROPERTY
+@given(symbols())
+def test_random_tables_are_counital_and_coassociative(dist):
+    sub = subcoalgebra_generated(dist)
+    _assert_counital(sub)
+    _assert_coassociative(sub)
+
+
+@PROPERTY
+@given(symbols())
+def test_lookups_match_dense_oracles(dist):
+    _assert_matches_oracles(dist)
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [Distribution(1, {(k,): 1}) for k in range(1, 10)] + [laplace_distribution(n) for n in range(1, 5)],
+    ids=repr,
+)
+def test_lookups_match_dense_oracles_on_named_symbols(dist):
+    _assert_matches_oracles(dist)
+
+
+def _assert_matches_oracles(dist):
+    sub = subcoalgebra_generated(dist)
+    ref = subcoalgebra_by_solve(dist)
+    assert sub == ref
+    assert algebra_to_json(dual_algebra(sub)) == algebra_to_json(dual_algebra_by_nullspace(ref))
+
+
+@pytest.mark.parametrize("stray", ["outside_support", "inside_support"])
+def test_comultiplication_leaving_the_span_is_caught(monkeypatch, stray):
+    # basis 1, d1, d2, d1^2 + d2^2 (lead d2^2): d1^2 (x) 1 lies in the
+    # support but not in the span of the basis tensors; d1^3 (x) 1 does neither
+    mono = (3, 0) if stray == "outside_support" else (2, 0)
+    honest = coalgebra.comultiply
+
+    def leaky(d):
+        out = dict(honest(d))
+        out[(mono, (0, 0))] = out.get((mono, (0, 0)), F(0)) + 1
+        return out
+
+    monkeypatch.setattr(coalgebra, "comultiply", leaky)
+    with pytest.raises(AssertionError, match="escaped the generated span"):
+        subcoalgebra_generated(laplace_distribution(2))
 
 
 # -- dual algebras ----------------------------------------------------------------------
@@ -195,6 +267,13 @@ def test_dual_dimension_matches_subcoalgebra_corpus():
     for dist in corpus:
         sub = subcoalgebra_generated(dist)
         assert dual_algebra(sub).dimension == sub.dimension
+
+
+def test_dual_of_zero_subcoalgebra_is_rejected():
+    sub = subcoalgebra_generated(Distribution(2))
+    assert sub.dimension == 0
+    with pytest.raises(ValueError, match="zero subcoalgebra"):
+        dual_algebra(sub)
 
 
 def test_dual_rejects_insufficient_bound():

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from nilgeom.expr import (
+    Const,
     FunctionModel,
+    Pow,
     Var,
     compose,
     diff,
@@ -98,6 +100,13 @@ def test_diff_basics():
     e = parse_expr("x1*x2")
     assert evaluate(diff(e, 1), (F(5), F(0))) == 5
     assert evaluate(diff(e, 0), (F(0), F(7))) == 7
+
+
+@pytest.mark.parametrize("base", [Var(0), Const(F(0))])
+def test_diff_of_zeroth_power_is_zero(base):
+    # the parser and pow_ fold x^0 away; only hand-built nodes reach diff
+    d = diff(Pow(base, 0), 0)
+    assert isinstance(d, Const) and d.value == 0
 
 
 def test_diff_primitives_float():

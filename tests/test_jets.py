@@ -76,7 +76,7 @@ def rational_exprs(n_vars):
             st.builds(Sub, children, children),
             st.builds(Mul, children, children),
             st.builds(Div, children, children),
-            st.builds(Pow, children, st.integers(1, 3)),
+            st.builds(Pow, children, st.integers(0, 3)),
         )
 
     return st.recursive(leaves, extend, max_leaves=6)

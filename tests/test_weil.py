@@ -264,6 +264,15 @@ def test_json_round_trip(algebra):
     assert [e.coords for e in x] == [e.coords for e in y]
 
 
+def test_json_round_trip_without_generator_classes():
+    # basis 1, Z1, Z1^2: the class of Z2 is a normal form, which JSON drops
+    q = quotient_algebra(2, 2, [Polynomial(2, {(1, 0): 1, (0, 1): -1})])
+    back = algebra_from_json(json.loads(json.dumps(algebra_to_json(q))))
+    assert back == q
+    with pytest.raises(ValueError, match="does not record the class of generator Z2"):
+        back.generators()
+
+
 def test_json_schema_shape():
     doc = algebra_to_json(laplace_algebra(2))
     assert set(doc) == {"n", "degree_bound", "basis", "table"}
