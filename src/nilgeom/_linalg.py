@@ -87,20 +87,29 @@ def det(a):
     return result
 
 
-def cholesky(a):
-    """Lower-triangular L with L @ L.T = a. Float only; raises if not PD."""
-    import math
-
+def congruence(a):
+    """C and d with C^T a C = diag(d) for symmetric nonsingular a: LDL^T
+    elimination with no square root, so exact stays exact and a may be
+    indefinite.  A zero pivot a_kk (in float mode, one below half of the
+    largest a_jk under it) takes +-column j, the sign making a_kk grow by
+    2|a_kj| + |a_jj| (to 2 a_kj when a_kk = a_jj = 0)."""
     n = len(a)
-    low = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            s = sum(low[i][k] * low[j][k] for k in range(j))
-            if i == j:
-                d = float(a[i][i]) - s
-                if d <= 0.0:
-                    raise ZeroDivisionError("matrix not positive definite")
-                low[i][j] = math.sqrt(d)
-            else:
-                low[i][j] = (float(a[i][j]) - s) / low[j][j]
-    return low
+    exact = not any(isinstance(x, float) for row in a for x in row)
+    m = [list(row) for row in a]
+    c = identity(n, Fraction(1) if exact else 1.0)
+
+    def add_column(dst, src, t):  # column and row dst += t * src in m; column in c
+        for row in (*m, *c):
+            row[dst] += t * row[src]
+        m[dst] = [x + t * y for x, y in zip(m[dst], m[src])]
+
+    for k in range(n):
+        j = _pivot_row(m, k, k + 1, exact)
+        if j is not None and abs(m[k][k]) <= (0 if exact else abs(m[j][k]) / 2):
+            add_column(k, j, -1 if m[k][j] * m[j][j] < 0 else 1)
+        elif m[k][k] == 0:
+            raise ZeroDivisionError("singular matrix")
+        for j in range(k + 1, n):
+            if m[k][j] != 0:
+                add_column(j, k, -m[k][j] / m[k][k])
+    return c, [m[k][k] for k in range(n)]

@@ -14,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .scalars import DEFAULT_EPS, EXACT, FLOAT, format_scalar, parse_rational
+from .scalars import DEFAULT_EPS, EXACT, FLOAT, format_scalar, parse_rational, scalars_equal
 from .weil import algebra_to_json, laplace_algebra, quotient_algebra, truncated_algebra
 from .expr import expr_to_polynomial, parse_expr, parse_function
 from .coalgebra import Distribution, distribution_report
@@ -22,13 +22,11 @@ from .geometry import (
     MetricField,
     conformal_check,
     cr_check,
-    is_harmonic_at,
     is_laplace_neighbor,
     laplacian,
     make_point,
     preserves_affine_combinations,
     preserves_laplace_neighbors,
-    GeometryError,
 )
 
 
@@ -140,17 +138,14 @@ def cmd_check(args) -> dict:
             raise ValueError("check harmonic needs --fn")
         metric = _load_metric(args.metric, n)
         fn = parse_expr(args.fn, n=n)
-        harmonic = is_harmonic_at(metric, fn, point, mode=args.mode, eps=args.epsilon)
+        value = laplacian(metric, fn, point, mode=args.mode, eps=args.epsilon)
         doc.update(
-            harmonic=harmonic,
-            laplacian=_encode(laplacian(metric, fn, point, mode=args.mode, eps=args.epsilon)),
-        )
-        try:
-            doc["affine_preserving"] = preserves_affine_combinations(
+            harmonic=scalars_equal(value, 0, args.epsilon if args.mode == FLOAT else None),
+            laplacian=_encode(value),
+            affine_preserving=preserves_affine_combinations(
                 metric, fn, point, mode=args.mode, eps=args.epsilon
-            )
-        except GeometryError:
-            doc["affine_preserving"] = None
+            ),
+        )
     elif args.kind == "cr":
         fmap = parse_function(args.map, n=2)
         report = cr_check(fmap, point, mode=args.mode, eps=args.epsilon)

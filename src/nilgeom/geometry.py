@@ -9,14 +9,16 @@ check covers every neighbor of the given order.
 
 The central construction is the geodesic chart: a quadratic coordinate
 change after which the metric has no first-order variation at the base.
-In a normalized (orthonormal) chart the isotropic second-order neighbors
-form the laplace_algebra point set, and averaging a function over a point
+In a chart whose linear part diagonalizes G(x) by an exact congruence the
+isotropic second-order neighbors form a weighted laplace_algebra point set
+(the plain one in a normal chart), and averaging a function over a point
 and its mirror image yields the Laplacian with no integration and no
 divergence/gradient detour.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from . import _linalg
@@ -27,16 +29,14 @@ from .expr import (
     Expr,
     FunctionModel,
     Var,
-    compose,
     diff,
     evaluate,
     format_expr,
     jet_eval,
     parse_expr,
     scalar_function,
-    taylor_coefficients,
 )
-from .weil import WeilElement, laplace_algebra, satisfies_laplace_relations, truncated_algebra
+from .weil import WeilElement, _isotropy_algebra, laplace_algebra, satisfies_laplace_relations, truncated_algebra
 
 
 class GeometryError(ArithmeticError):
@@ -207,21 +207,25 @@ def gbar_eval(metric: MetricField, base, z, y=None, mode: str = EXACT) -> WeilEl
 # ---------------------------------------------------------------------------
 
 def christoffel(metric: MetricField, x, mode: str = EXACT):
-    """Gamma^i_{jk} at x from the classical first-derivative formula."""
+    """Gamma^i_{jk} at x from the classical first-derivative formula; each
+    bracket is formed once per j <= k and skipped when it is all zero."""
     n = metric.n
     gm = metric.matrix_at(x, mode)
     ginv = _linalg.invert(gm)
     # dg[l][k][j] = d_j G_lk: first-order jet coordinates
     jets = metric.jet_matrix(x, truncated_algebra(n, 1).generators(), mode)
     dg = [[jets[l][k].coords[1:] for k in range(n)] for l in range(n)]
-    gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                s = 0
-                for l in range(n):
-                    s = s + ginv[i][l] * (dg[l][k][j] + dg[l][j][k] - dg[j][k][l])
-                gamma[i][j][k] = s * Fraction(1, 2)
+    zero = gm[0][0] * 0
+    gamma = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    for j in range(n):
+        for k in range(j, n):
+            bracket = [(l, dg[l][k][j] + dg[l][j][k] - dg[j][k][l]) for l in range(n)]
+            bracket = [(l, b) for l, b in bracket if b != 0]
+            if not bracket:
+                continue
+            for i in range(n):
+                s = sum(ginv[i][l] * b for l, b in bracket) * Fraction(1, 2)
+                gamma[i][j][k] = gamma[i][k][j] = s
     return gamma
 
 
@@ -358,9 +362,9 @@ def geodesic_chart(
     (pushed-forward metric is the identity at 0).
 
     Exact mode can normalize only when G(x) is already the identity or the
-    caller supplies an exact congruence A with A^T G(x) A = I; float mode
-    normalizes through a Cholesky factorization and therefore requires
-    positive definiteness.
+    caller supplies an exact congruence A with A^T G(x) A = I.  Float mode
+    takes the square-root-free congruence C^T G(x) C = diag(d) and scales
+    column i by 1/sqrt(d_i), so it requires positive definiteness.
     """
     check_mode(mode)
     x = tuple(to_scalar(c, mode) for c in x)
@@ -383,10 +387,10 @@ def geodesic_chart(
         a = ident
         normal = True
     elif mode == FLOAT:
-        try:
-            a = _linalg.cholesky(_linalg.invert(g0))
-        except ZeroDivisionError as exc:
-            raise GeometryError("metric is not positive definite at the base point") from exc
+        c, d = _linalg.congruence(g0)
+        if not all(v > 0 for v in d):
+            raise GeometryError("metric is not positive definite at the base point")
+        a = [[v / math.sqrt(dj) for v, dj in zip(row, d)] for row in c]
         normal = True
     else:
         raise GeometryError(
@@ -518,6 +522,20 @@ def _as_scalar_model(f, n):
     raise TypeError("expected an expression or function model")
 
 
+def _universal_point(metric, x, mode, eps):
+    """The geodesic chart at x and its universal isotropic point: chart
+    coordinates C Z, where C^T G(x) C = diag(d) by the square-root-free
+    ``_linalg.congruence`` and the Z_i generate Z_i^2 = (d_1/d_i) Q, so that
+    g(x, z) = sum d_i Z_i^2 = n d_1 Q sees no direction, for any mode and any
+    nondegenerate (also indefinite) G.  Also returns d_1."""
+    chart = geodesic_chart(metric, x, mode=mode, eps=eps)
+    c, d = _linalg.congruence(chart.G0)
+    z = _isotropy_algebra([Fraction(d[0]) / Fraction(v) for v in d]).generators()
+    zero = z[0].algebra.zero()
+    gens = tuple(sum((cij * zj for cij, zj in zip(row, z)), start=zero) for row in c)
+    return chart, gens, d[0]
+
+
 def laplacian(metric: MetricField, f, x, mode: str = EXACT, eps: float = DEFAULT_EPS) -> Scalar:
     """The Laplacian at x by the mirror-image average.
 
@@ -526,27 +544,14 @@ def laplacian(metric: MetricField, f, x, mode: str = EXACT, eps: float = DEFAULT
     survives, and dividing by the matching coordinate of g(x, z) gives the
     eigenvalue L.  The result is n * L.
 
-    Float mode always takes this route through an orthonormalized chart.
-    Exact mode takes it when G(x) is the identity; otherwise it falls back
-    to the trace form trace(G(x)^{-1} Hess(f o chart)) in the unnormalized
-    geodesic chart, which agrees with the mirror route wherever both run.
+    Both modes take this one route, with no square root, on any
+    nondegenerate metric (see ``_universal_point``); an indefinite one gives
+    the wave operator.
     """
-    check_mode(mode)
     f = _as_scalar_model(f, metric.n)
-    if mode == FLOAT:
-        return _laplacian_mirror(metric, f, x, FLOAT, eps)
-    g0 = metric.matrix_at(x, EXACT)
-    n = metric.n
-    if all(g0[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n)):
-        return _laplacian_mirror(metric, f, x, EXACT, eps)
-    return _laplacian_trace(metric, f, x, EXACT, eps)
-
-
-def _laplacian_mirror(metric, f, x, mode, eps):
-    chart = geodesic_chart(metric, x, normalize=True, mode=mode, eps=eps)
+    chart, gens, _ = _universal_point(metric, x, mode, eps)
     x = chart.base
     n = metric.n
-    gens = laplace_algebra(n).generators()
     w_plus = chart.push_offsets(gens)
     w_minus = chart.push_offsets(tuple(-g for g in gens))
     expr = f.components[0]
@@ -561,29 +566,7 @@ def _laplacian_mirror(metric, f, x, mode, eps):
             raise GeometryError("mirror average has a non-isotropic residue; chart is not geodesic")
     q_num = combined.coords[n + 1]
     q_den = g_val.coords[n + 1]
-    if q_den == 0:
-        raise GeometryError("degenerate square distance at the universal point")
     return n * q_num / q_den
-
-
-def _laplacian_trace(metric, f, x, mode, eps):
-    chart = geodesic_chart(metric, x, normalize=False, mode=mode, eps=eps)
-    n = metric.n
-    pushed = compose(f.components[0], chart.forward_model().components)
-    zero = tuple(Fraction(0) if mode == EXACT else 0.0 for _ in range(n))
-    coeffs = taylor_coefficients(pushed, zero, 2, mode)
-    ginv = _linalg.invert(chart.G0)
-    total = 0
-    for j in range(n):
-        for k in range(j, n):
-            key = tuple((2 if i == j else 0) if j == k else (1 if i in (j, k) else 0) for i in range(n))
-            c = coeffs.get(key, 0)
-            if c == 0:
-                continue
-            hess = c * (2 if j == k else 1)
-            weight = ginv[j][k] if j == k else 2 * ginv[j][k]
-            total = total + weight * hess
-    return total
 
 
 def laplace_taylor(metric: MetricField, f, x, offsets, mode: str = EXACT) -> WeilElement:
@@ -629,12 +612,14 @@ def preserves_affine_combinations(
     eps: float = DEFAULT_EPS,
 ) -> bool:
     """Whether f(s*x + (1-s)*z) = s*f(x) + (1-s)*f(z) at the universal
-    isotropic point, for each sampled scale.  Equivalent to harmonicity."""
+    isotropic point (the one ``laplacian`` averages over), for each sampled
+    scale.  Equivalent to harmonicity.  The residue's Q coordinate is read
+    per unit of g(x, z)/n = d_1 Q, as in an orthonormal chart, before the
+    float tolerance applies."""
     f = _as_scalar_model(f, metric.n)
     expr = f.components[0]
-    chart = geodesic_chart(metric, x, normalize=True, mode=mode, eps=eps)
+    chart, gens, d1 = _universal_point(metric, x, mode, eps)
     x = chart.base
-    gens = laplace_algebra(metric.n).generators()
     tol = eps if mode == FLOAT else None
     f_x = evaluate(expr, x, mode)
     f_z = jet_eval(expr, x, chart.push_offsets(gens), mode)
@@ -642,8 +627,8 @@ def preserves_affine_combinations(
         s = to_scalar(s, mode)
         scaled = tuple(g * (1 - s) for g in gens)
         lhs = jet_eval(expr, x, chart.push_offsets(scaled), mode)
-        rhs = f_z * (1 - s) + f_x * s
-        if not (lhs - rhs).is_zero(tol):
+        *low, q = (lhs - f_z * (1 - s) - f_x * s).coords
+        if not all(scalars_equal(c, 0, tol) for c in (*low, q / d1)):
             return False
     return True
 

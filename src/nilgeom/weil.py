@@ -531,37 +531,28 @@ def laplace_algebra(n: int) -> WeilAlgebra:
     """The algebra of relations "Z_i^2 all equal, Z_i Z_j = 0 for i != j".
 
     Dimension n+2 with basis {1, Z_1..Z_n, Q}, Q the common square class
-    (represented by the monomial Z_1^2).  For n = 1 this degenerates to the
-    order-2 truncated algebra on one generator.
+    (represented by the monomial Z_1^2).  For n = 1 this is the order-2
+    truncated algebra on one generator.
     """
     if n < 1:
         raise ValueError("need at least one generator")
-    if n == 1:
-        return truncated_algebra(1, 2)
-    unit = unit_monomial(n)
+    return _isotropy_algebra((Fraction(1),) * n)
+
+
+def _isotropy_algebra(weights) -> WeilAlgebra:
+    """Z_i^2 = weights[i] * Q, Z_i Z_j = 0 on the basis {1, Z_1..Z_n, Q};
+    Q is represented by Z_1^2, so weights[0] must be 1."""
+    n = len(weights)
     gens = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    q_mono = tuple(2 if j == 0 else 0 for j in range(n))  # class of Z_1^2
-    basis = [unit] + gens + [q_mono]
-    nf = {}
-    for i in range(n):
-        for j in range(i, n):
-            mono = mono_mul(gens[i], gens[j])
-            if i == j:
-                nf[mono] = ((n + 1, Fraction(1)),)
-            else:
-                nf[mono] = ()
-    nf[q_mono] = ((n + 1, Fraction(1)),)
+    q_mono = mono_mul(gens[0], gens[0])  # class of Z_1^2
+    basis = [unit_monomial(n)] + gens + [q_mono]
+    nf = {mono_mul(g1, g2): () for g1, g2 in itertools.combinations(gens, 2)}
+    nf.update({mono_mul(g, g): ((n + 1, w),) for g, w in zip(gens, weights)})
     relations = tuple(
-        [_square_diff(n, i) for i in range(1, n)]
+        [Polynomial(n, {q_mono: weights[i], mono_mul(gens[i], gens[i]): -1}) for i in range(1, n)]
         + [Polynomial(n, {mono_mul(g1, g2): 1}) for g1, g2 in itertools.combinations(gens, 2)]
     )
     return WeilAlgebra(n, 2, basis, nf, relations)
-
-
-def _square_diff(n, i):
-    sq0 = tuple(2 if j == 0 else 0 for j in range(n))
-    sqi = tuple(2 if j == i else 0 for j in range(n))
-    return Polynomial(n, {sq0: 1, sqi: -1})
 
 
 def quotient_algebra(n: int, degree_bound: int, relations) -> WeilAlgebra:

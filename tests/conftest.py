@@ -11,9 +11,12 @@ import math
 import random
 from fractions import Fraction
 
+from nilgeom import _linalg
 from nilgeom.coalgebra import Distribution, Subcoalgebra, _factorial, comultiply, divided_derivatives
-from nilgeom.expr import Const, Expr, Var, diff, evaluate, polynomial_to_expr
-from nilgeom.geometry import MetricField
+from nilgeom.expr import Const, Expr, Var, compose, diff, evaluate, polynomial_to_expr, taylor_coefficients
+from nilgeom.geometry import MetricField, geodesic_chart
+from nilgeom.scalars import EXACT
+from nilgeom.weil import truncated_algebra
 from nilgeom.weil import Polynomial, _reduce_rows, all_monomials, mono_key, quotient_algebra
 
 
@@ -205,3 +208,46 @@ def dual_algebra_by_nullspace(c, degree_bound=None):
         for v in nullspace(matrix)
     ]
     return quotient_algebra(c.n, degree_bound, relations)
+
+
+# -- the Laplacian as a trace, and Christoffel symbols by the full loop --
+
+def laplacian_by_trace(metric, f, x, mode=EXACT):
+    """trace(G(x)^-1 Hess(f o chart)) in the unnormalized geodesic chart at x:
+    the Hessian is read off the Taylor coefficients of f composed with the
+    chart's forward model.  ``f`` is an expression."""
+    chart = geodesic_chart(metric, x, mode=mode)
+    n = metric.n
+    pushed = compose(f, chart.forward_model().components)
+    zero = tuple(Fraction(0) if mode == EXACT else 0.0 for _ in range(n))
+    coeffs = taylor_coefficients(pushed, zero, 2, mode)
+    ginv = _linalg.invert(chart.G0)
+    total = 0
+    for j in range(n):
+        for k in range(j, n):
+            key = tuple((2 if i == j else 0) if j == k else (1 if i in (j, k) else 0) for i in range(n))
+            c = coeffs.get(key, 0)
+            if c == 0:
+                continue
+            hess = c * (2 if j == k else 1)
+            weight = ginv[j][k] if j == k else 2 * ginv[j][k]
+            total = total + weight * hess
+    return total
+
+
+def christoffel_by_loop(metric, x, mode=EXACT):
+    """Gamma^i_{jk} = 1/2 sum_l G^il (d_k G_lj + d_j G_lk - d_l G_jk), every
+    (i, j, k, l) term added, zero or not."""
+    n = metric.n
+    ginv = _linalg.invert(metric.matrix_at(x, mode))
+    jets = metric.jet_matrix(x, truncated_algebra(n, 1).generators(), mode)
+    dg = [[jets[l][k].coords[1:] for k in range(n)] for l in range(n)]
+    gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                s = 0
+                for l in range(n):
+                    s = s + ginv[i][l] * (dg[l][k][j] + dg[l][j][k] - dg[j][k][l])
+                gamma[i][j][k] = s * Fraction(1, 2)
+    return gamma

@@ -87,6 +87,15 @@ def test_laplacian_polar_metric(capsys, polar_file):
     assert doc["epsilon"] == 1e-9
 
 
+def test_laplacian_indefinite_metric_both_modes(capsys, tmp_path):
+    # the Laplacian takes no square root, so float mode accepts [[0,1],[1,0]] too
+    path = tmp_path / "hyp.json"
+    path.write_text(json.dumps({"n": 2, "G": [["0", "1"], ["1", "0"]]}))
+    argv = ["laplacian", "--metric", str(path), "--fn", "x1*x2", "--point", "0,0"]
+    assert run_json(capsys, *argv)["value"] == "2"
+    assert run_json(capsys, "--mode", "float", *argv)["value"] == "2"
+
+
 # -- checks -----------------------------------------------------------------------------
 
 def test_check_cr(capsys):
@@ -110,14 +119,25 @@ def test_check_harmonic(capsys):
     assert doc["laplacian"] == "2"
 
 
-def test_check_harmonic_curved_exact_reports_null_affine(capsys, polar_file):
-    # at (2, 0) the polar metric is diag(1, 4): the exact trace route gives the
-    # Laplacian but no exact normal chart exists, so the affine test is absent
+def test_check_harmonic_float_uses_epsilon(capsys):
+    # the Laplacian is 2 - 9/5 = 0.2: harmonic within --epsilon 0.5, not within 0.1,
+    # as is_harmonic_at decides
+    argv = ["check", "harmonic", "--fn", "x1^2 - 9/10*x2^2", "--point", "0.5,0.25"]
+    doc = run_json(capsys, "--mode", "float", "--epsilon", "0.5", *argv)
+    assert doc["harmonic"] is True
+    assert float(doc["laplacian"]) == pytest.approx(0.2)
+    assert run_json(capsys, "--mode", "float", "--epsilon", "0.1", *argv)["harmonic"] is False
+
+
+def test_check_harmonic_curved_exact_reports_affine(capsys, polar_file):
+    # at (2, 0) the polar metric is diag(1, 4): no exact normal chart exists,
+    # but the affine test runs at the weighted universal point the Laplacian
+    # uses, so it is reported (it used to be null here)
     doc = run_json(
         capsys, "check", "harmonic", "--metric", polar_file, "--fn", "x2", "--point", "2,0"
     )
     assert doc["harmonic"] is True
-    assert doc["affine_preserving"] is None
+    assert doc["affine_preserving"] is True
 
 
 def test_check_l_neighbor(capsys):

@@ -43,7 +43,7 @@ from nilgeom.geometry import (
     scalar_component,
 )
 from nilgeom.weil import laplace_algebra, satisfies_laplace_relations, tensor_algebra, truncated_algebra
-from conftest import random_metric, random_point, random_poly_expr, second_partials_sum
+from conftest import laplacian_by_trace, random_metric, random_point, random_poly_expr, second_partials_sum
 
 F = Fraction
 FLAT2 = MetricField.standard_flat(2)
@@ -546,24 +546,21 @@ def test_laplacian_flat_matches_second_partials():
 
 def test_laplacian_polar_exact_and_float():
     f = parse_expr("x1^2")
-    assert laplacian(POLAR, f, (F(1), F(0))) == 4  # mirror route, G(x) = I
-    assert laplacian(POLAR, f, (F(2), F(0))) == 4  # trace route
+    assert laplacian(POLAR, f, (F(1), F(0))) == 4  # G(x) = I
+    assert laplacian(POLAR, f, (F(2), F(0))) == 4  # G(x) = diag(1, 4)
     assert laplacian(POLAR, f, (2.0, 0.0), mode="float") == pytest.approx(4.0)
 
 
 def test_laplacian_routes_agree_on_curved_metric_with_unit_base():
-    # G = diag(1, 1 + x1^2) equals the identity along x1 = 0, so the exact
-    # mirror route runs on a genuinely curved metric and must match both the
-    # exact trace route and the divergence-form hand value
+    # G = diag(1, 1 + x1^2) equals the identity along x1 = 0, so the mirror
+    # average runs in a plain normal chart on a genuinely curved metric and
+    # must match both the trace oracle and the divergence-form hand value
     metric = MetricField.from_strings([["1", "0"], ["0", "1 + x1^2"]])
     x = (F(0), F(5))
     f = parse_expr("x1^2*x2^2")
     mirror_value = laplacian(metric, f, x)
     assert mirror_value == 50
-    from nilgeom.geometry import _laplacian_trace
-    from nilgeom.expr import scalar_function
-
-    trace_value = _laplacian_trace(metric, scalar_function(f, 2), x, "exact", 1e-9)
+    trace_value = laplacian_by_trace(metric, f, x)
     assert trace_value == mirror_value
     float_value = laplacian(metric, f, (0.0, 5.0), mode="float")
     assert float_value == pytest.approx(50.0, abs=1e-9)
@@ -586,8 +583,8 @@ def test_mirror_average_with_exact_normalizer_matches_trace_route():
     g_val = g_eval(metric, x, chart.push_offsets(gens))
     assert g_val.coords[:3] == (0, 0, 0)
     mirror_value = 2 * combined.coords[3] / g_val.coords[3]
-    trace_value = laplacian(metric, f, x)  # dispatches to the trace route
-    assert mirror_value == trace_value == F(9, 2)
+    trace_value = laplacian_by_trace(metric, f, x)
+    assert mirror_value == trace_value == laplacian(metric, f, x) == F(9, 2)
     assert laplacian(metric, f, (0.0, 3.0), mode="float") == pytest.approx(4.5)
 
 

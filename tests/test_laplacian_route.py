@@ -1,0 +1,220 @@
+"""One Laplacian route for every nondegenerate metric.
+
+``_linalg.congruence`` diagonalizes G(x) exactly with no square root, and
+``laplacian`` averages over the universal point of the matching weighted
+isotropy algebra in both modes.  The references in conftest are the trace
+form trace(G^-1 Hess(f o chart)) and the full n^4 Christoffel loop.
+"""
+
+import itertools
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from nilgeom import _linalg
+from nilgeom.expr import Const, Var, parse_expr, polynomial_to_expr
+from nilgeom.geometry import (
+    MetricField,
+    christoffel,
+    geodesic_chart,
+    laplacian,
+    preserves_affine_combinations,
+)
+from nilgeom.weil import Polynomial, all_monomials
+from conftest import christoffel_by_loop, laplacian_by_trace
+
+F = Fraction
+PROPERTY = settings(
+    max_examples=40,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+HYPERBOLIC = MetricField.from_strings([["0", "1"], ["1", "0"]])
+
+
+def _assert_congruence(a):
+    c, d = _linalg.congruence(a)
+    n = len(a)
+    assert _linalg.det(c) != 0
+    assert all(v != 0 for v in d)
+    assert _linalg.mat_mul(_linalg.transpose(c), _linalg.mat_mul(a, c)) == [
+        [d[i] if i == j else 0 for j in range(n)] for i in range(n)
+    ]
+    return c, d
+
+
+@st.composite
+def symmetric_matrices(draw, sizes=(1, 4), entries=st.integers(-3, 3)):
+    """Symmetric nonsingular rational matrices; zero diagonals are common."""
+    n = draw(st.integers(*sizes))
+    m = [[None] * n for _ in range(n)]
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        m[i][j] = m[j][i] = F(draw(entries), draw(st.sampled_from((1, 1, 2, 3))))
+    assume(_linalg.det(m) != 0)
+    return m
+
+
+@given(symmetric_matrices())
+@PROPERTY
+def test_congruence_diagonalizes_exactly(a):
+    _assert_congruence(a)
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 1], [1, 0]],  # zero diagonal: column 2 is added to column 1
+    [[0, 1], [1, -2]],  # adding column 2 would cancel (2*1 - 2); it is subtracted
+    [[1, 1, 0], [1, 1, 1], [0, 1, 0]],  # nonzero first pivot, zero second one
+    [[0, 1, 1], [1, 0, 2], [1, 2, 0]],  # every diagonal zero
+    [[4, 2], [2, 5]],
+])
+def test_congruence_fixed_cases(rows):
+    _assert_congruence([[F(v) for v in row] for row in rows])
+
+
+def test_congruence_pivot_after_first_step():
+    # after eliminating the first column the (2, 2) entry is 1 - 1 = 0
+    c, d = _assert_congruence([[F(1), F(1), F(0)], [F(1), F(1), F(1)], [F(0), F(1), F(0)]])
+    assert d[1] == 2  # 2 * m_23, with m_33 = 0
+
+
+def test_congruence_float_and_singular():
+    c, d = _linalg.congruence([[0.0, 1.0], [1.0, 0.0]])
+    assert d == [2.0, -0.5]
+    assert all(isinstance(v, float) for row in c for v in row)
+    with pytest.raises(ZeroDivisionError):
+        _linalg.congruence([[F(1), F(2)], [F(2), F(4)]])
+
+
+# -- the Laplacian against the trace oracle ---------------------------------------------
+
+@st.composite
+def curved_metrics(draw):
+    """A polynomial metric with G(x) = S at the dyadic point x, for a random
+    symmetric nonsingular S (indefinite ones included), plus linear and
+    quadratic terms vanishing at x so that the metric is curved there."""
+    s = draw(symmetric_matrices(sizes=(2, 4), entries=st.integers(-2, 2)))
+    n = len(s)
+    x = tuple(F(draw(st.integers(-4, 4)), 2) for _ in range(n))
+    vanishing = [Var(k) - Const(x[k]) for k in range(n)]
+    entries = [[None] * n for _ in range(n)]
+    for i, j in itertools.combinations_with_replacement(range(n), 2):
+        e = Const(s[i][j])
+        for k, l in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(-1, n - 1)), max_size=2)):
+            term = Const(F(draw(st.integers(1, 2)) * draw(st.sampled_from((-1, 1))))) * vanishing[k]
+            e = e + (term * vanishing[l] if l >= 0 else term)
+        entries[i][j] = entries[j][i] = e
+    return MetricField(n, entries), x
+
+
+def _polynomial(draw, n, degree=3):
+    monos = all_monomials(n, degree)[1:]
+    chosen = draw(st.lists(st.sampled_from(monos), min_size=1, max_size=4, unique=True))
+    return polynomial_to_expr(Polynomial(n, {m: draw(st.integers(1, 4)) for m in chosen}))
+
+
+@st.composite
+def curved_problems(draw):
+    metric, x = draw(curved_metrics())
+    return metric, x, _polynomial(draw, metric.n)
+
+
+@given(curved_problems())
+@PROPERTY
+def test_laplacian_equals_trace_oracle(problem):
+    metric, x, f = problem
+    exact = laplacian(metric, f, x)
+    assert isinstance(exact, Fraction)
+    assert exact == laplacian_by_trace(metric, f, x)
+    approx = laplacian(metric, f, tuple(float(c) for c in x), mode="float")
+    assert abs(approx - float(exact)) <= 1e-9 * max(1.0, abs(float(exact)))
+
+
+@given(curved_problems())
+@PROPERTY
+def test_christoffel_equals_full_loop(problem):
+    metric, x, _ = problem
+    assert christoffel(metric, x) == christoffel_by_loop(metric, x)
+
+
+def test_christoffel_flat_is_zero_and_matches_loop():
+    flat = MetricField.standard_flat(8)
+    x = tuple(F(k, 3) for k in range(8))
+    gamma = christoffel(flat, x)
+    assert gamma == christoffel_by_loop(flat, x)
+    assert all(isinstance(v, Fraction) and v == 0 for plane in gamma for row in plane for v in row)
+
+
+def test_hyperbolic_metric_both_modes():
+    # zero diagonal: the congruence needs its column pivot; the Laplacian of
+    # [[0, 1], [1, 0]] is the wave operator 2 d1 d2
+    f = parse_expr("x1*x2")
+    assert laplacian(HYPERBOLIC, f, (F(0), F(0))) == 2
+    value = laplacian(HYPERBOLIC, f, (0.0, 0.0), mode="float")
+    assert isinstance(value, float) and value == pytest.approx(2.0, abs=1e-12)
+    assert laplacian(HYPERBOLIC, parse_expr("x1^2 - x2^2"), (F(1), F(2))) == 0
+    assert preserves_affine_combinations(HYPERBOLIC, parse_expr("x1^2 + x2^2"), (F(0), F(0)))
+    assert not preserves_affine_combinations(HYPERBOLIC, f, (F(0), F(0)))
+
+
+def test_float_tiny_pivot_keeps_precision():
+    # G(x) = [[1e-15, 1], [1, 5/4]] is well conditioned, but pivoting on its
+    # 1e-15 corner would put 1e15 into the congruence; float mode adds a
+    # column first when a pivot is below half of its column
+    metric = MetricField.from_strings([["1/1000000000000000", "1"], ["1", "1 + x1^2"]])
+    f = parse_expr("x1^2*x2 + x2^3 + x1*x2")
+    exact = laplacian(metric, f, (F(1, 2), F(1, 4)))
+    assert laplacian(metric, f, (0.5, 0.25), mode="float") == pytest.approx(float(exact), rel=1e-12)
+    c, d = _linalg.congruence([[1e-15, 1.0], [1.0, 1.25]])
+    assert max(abs(v) for row in c for v in row) < 10
+
+
+# -- the affine detector at the weighted universal point ----------------------------------
+
+PROBES = ("x1^2", "x2^2", "x1*x2", "x1^2 + x2^2 + x1*x2")
+
+
+@given(curved_problems())
+@PROPERTY
+def test_affine_detector_equals_vanishing_laplacian(problem):
+    metric, x, f = problem
+    lap = laplacian(metric, f, x)
+    assert preserves_affine_combinations(metric, f, x) is (lap == 0)
+    # f minus a multiple of a probe with nonzero Laplacian is harmonic at x
+    for text in PROBES:
+        h = parse_expr(text, n=metric.n)
+        lap_h = laplacian(metric, h, x)
+        if lap_h != 0:
+            break
+    assert lap_h != 0
+    harmonic = f - Const(lap / lap_h) * h
+    assert laplacian(metric, harmonic, x) == 0
+    assert preserves_affine_combinations(metric, harmonic, x) is True
+
+
+def test_float_affine_detector_ignores_the_scale_of_g11():
+    # the residue's Q coordinate carries d_1 = G_11; read per unit of it, the
+    # float tolerance decides as it does for the Laplacian
+    tiny = MetricField.from_strings([["1/1000000000000", "0"], ["0", "1"]])
+    f = parse_expr("x2^2")
+    assert laplacian(tiny, f, (0.0, 0.0), mode="float") == pytest.approx(2.0)
+    assert preserves_affine_combinations(tiny, f, (0.0, 0.0), mode="float") is False
+    # G_11 = 1e12 with a harmonic f whose terms are of size 1e12: the float
+    # rounding must not be multiplied by d_1
+    big = MetricField.from_strings([["1000000000000", "0"], ["0", "1"]])
+    h = parse_expr("-3000000000000/7*x1^2 + 3/7*x2^2 + 17/6*x1*x2")
+    assert laplacian(big, h, (F(0), F(0))) == 0
+    assert preserves_affine_combinations(big, h, (0.0, 0.0), mode="float") is True
+
+
+def test_float_normal_chart_of_curved_metric():
+    metric = MetricField.from_strings([["2 + x2", "1"], ["1", "3 + x1^2"]])
+    chart = geodesic_chart(metric, (0.5, 0.25), normalize=True, mode="float")
+    assert chart.normal
+    for i in range(2):
+        for j in range(2):
+            assert chart.Ghat0[i][j] == pytest.approx(1.0 if i == j else 0.0, abs=1e-12)
+    assert all(math.isfinite(v) for row in chart.A for v in row)
