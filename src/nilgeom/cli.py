@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -70,6 +71,13 @@ def _load_metric(path: str | None, n: int) -> MetricField:
     if int(doc["n"]) != len(doc["G"]):
         raise ValueError("metric file dimension does not match its matrix")
     return MetricField.from_strings(doc["G"])
+
+
+def _epsilon(text: str) -> float:
+    eps = float(text)
+    if not (math.isfinite(eps) and eps >= 0):
+        raise argparse.ArgumentTypeError(f"epsilon must be finite and >= 0, got {text}")
+    return eps
 
 
 def _mode_fields(args) -> dict:
@@ -199,13 +207,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact infinitesimal geometry: algebras, Laplacians, detectors",
     )
     parser.add_argument("--mode", choices=(EXACT, FLOAT), default=EXACT)
-    parser.add_argument("--epsilon", type=float, default=DEFAULT_EPS)
+    parser.add_argument("--epsilon", type=_epsilon, default=DEFAULT_EPS)
     parser.add_argument("--output", default=None, help="write JSON here instead of stdout")
     # the same flags are accepted after the subcommand; SUPPRESS keeps the
     # subparser from clobbering values given before it
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--mode", choices=(EXACT, FLOAT), default=argparse.SUPPRESS)
-    shared.add_argument("--epsilon", type=float, default=argparse.SUPPRESS)
+    shared.add_argument("--epsilon", type=_epsilon, default=argparse.SUPPRESS)
     shared.add_argument("--output", default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -20,11 +20,12 @@ from .scalars import Scalar
 from .weil import (
     Polynomial,
     WeilAlgebra,
+    _check_dimension,
+    _presentation,
     _reduce_rows,
     all_monomials,
     mono_degree,
     mono_key,
-    quotient_algebra,
     unit_monomial,
 )
 
@@ -195,6 +196,7 @@ def divided_derivatives(d: Distribution) -> list:
     """All nonzero divided (Hasse) derivatives of the symbol, d included."""
     out = []
     max_deg = d.degree()
+    _check_dimension(d.n, max_deg)
     for beta in all_monomials(d.n, max_deg):
         terms = {}
         for alpha, c in d.terms.items():
@@ -252,8 +254,19 @@ def dual_algebra(c: Subcoalgebra, degree_bound: int | None = None) -> WeilAlgebr
     monomial lead_k), the annihilator in degrees <= degree_bound is spanned
     by one relation per non-lead monomial m:
     x^m - sum over k of b_k[m] * m!/lead_k! * x^lead_k.
-    The quotient by the ideal these generate must have the subcoalgebra's
-    dimension, otherwise the bound was too small.
+    These relations are linearly independent, so their span has
+    codimension dim c.  When c is closed under comultiplication its
+    annihilator is an ideal, and this span is all of its part up to the
+    bound; the ideal the relations generate adds nothing, so reducing the
+    relations alone gives the reduced echelon form, and with it the basis
+    and normal forms, that ``quotient_algebra`` would.
+
+    A hand-built ``Subcoalgebra`` need not be closed, and then the span is
+    no ideal.  The guard multiplies every reduced relation by every
+    generator and requires the product, truncated at the bound, to reduce
+    to zero; a basis without the counit (evaluation at 0) would put 1 in
+    the annihilator.  Both raise ValueError, as does a linearly dependent
+    basis, which leaves the quotient too large.
     """
     if not c.basis:
         raise ValueError(
@@ -266,9 +279,15 @@ def dual_algebra(c: Subcoalgebra, degree_bound: int | None = None) -> WeilAlgebr
         raise ValueError(
             f"degree bound {degree_bound} cannot present the dual algebra; need >= {max_deg + 1}"
         )
+    _check_dimension(c.n, degree_bound)
     pivots = _reduce_rows([b.terms for b in c.basis])
+    if unit_monomial(c.n) not in pivots:
+        raise ValueError(
+            "the basis does not span the counit, so 1 annihilates it; its dual is not a Weil algebra"
+        )
+    monomials = all_monomials(c.n, degree_bound)
     relations = []
-    for m in all_monomials(c.n, degree_bound):
+    for m in monomials:
         if m in pivots:
             continue
         weight = _factorial(m)
@@ -278,13 +297,40 @@ def dual_algebra(c: Subcoalgebra, degree_bound: int | None = None) -> WeilAlgebr
             if coeff:
                 terms[lead] = -coeff * weight / _factorial(lead)
         relations.append(Polynomial(c.n, terms))
-    algebra = quotient_algebra(c.n, degree_bound, relations)
-    if algebra.dimension != c.dimension:
+    kernel = _reduce_rows([r.terms for r in relations])
+    dimension = len(monomials) - len(kernel)
+    if dimension != c.dimension:
         raise ValueError(
-            f"dual algebra came out {algebra.dimension}-dimensional, expected {c.dimension};"
+            f"dual algebra came out {dimension}-dimensional, expected {c.dimension};"
             " inconsistent degree bound"
         )
-    return algebra
+    _check_ideal(kernel, c.n, degree_bound)
+    return _presentation(c.n, degree_bound, kernel, relations)
+
+
+def _check_ideal(kernel, n, degree_bound):
+    """ValueError unless the span of the reduced echelon rows ``kernel`` is
+    closed under multiplication by each generator in the ring truncated at
+    the bound.  Row tails hold no lead, so one pass of subtraction reduces
+    a product; what is left on the non-lead monomials must vanish."""
+    for row in kernel.values():
+        for i in range(n):
+            product = {}
+            for m, coeff in row.items():
+                if mono_degree(m) < degree_bound:
+                    product[m[:i] + (m[i] + 1,) + m[i + 1:]] = coeff
+            rest = {m: v for m, v in product.items() if m not in kernel}
+            for lead, factor in product.items():
+                if lead not in kernel:
+                    continue
+                for m, v in kernel[lead].items():
+                    if m != lead:
+                        rest[m] = rest.get(m, Fraction(0)) - factor * v
+            if any(rest.values()):
+                raise ValueError(
+                    f"the basis is not closed under comultiplication: x{i + 1} times an"
+                    " annihilating relation leaves the annihilator"
+                )
 
 
 def distribution_report(d: Distribution) -> dict:

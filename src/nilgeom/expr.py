@@ -567,6 +567,12 @@ printers and derivative code walk trees recursively, so the bound keeps
 them, and the parser itself, well inside Python's recursion limit."""
 
 
+MAX_EXPONENT = 1000
+"""Largest exponent literal the parser accepts.  Exact powers of rationals
+grow by digits proportional to the exponent, so an unbounded literal can
+keep an evaluation running indefinitely."""
+
+
 class _Parser:
     """Recursive descent; each ``parse_*`` method returns (node, depth)."""
 
@@ -631,9 +637,11 @@ class _Parser:
             if not isinstance(exponent, Const):
                 raise ValueError("exponent must be a literal integer")
             k = exponent.value
-            if isinstance(k, Fraction) and k.denominator == 1 and k >= 0:
-                return pow_(base, int(k)), self.deeper(depth + 1)
-            raise ValueError(f"exponent must be a non-negative integer, got {k}")
+            if not (isinstance(k, Fraction) and k.denominator == 1 and k >= 0):
+                raise ValueError(f"exponent must be a non-negative integer, got {k}")
+            if k > MAX_EXPONENT:
+                raise ValueError(f"exponent exceeds MAX_EXPONENT = {MAX_EXPONENT}")
+            return pow_(base, int(k)), self.deeper(depth + 1)
         return base, depth
 
     def parse_atom(self):

@@ -50,7 +50,8 @@ class GeometryError(ArithmeticError):
 
 class MetricField:
     """Symmetric n x n matrix of expressions; only the upper triangle is
-    stored, the rest is mirrored."""
+    stored.  Mirrored entries must print alike (``format_expr``), so that
+    an asymmetric matrix is rejected rather than read by its upper half."""
 
     __slots__ = ("n", "_upper")
 
@@ -58,15 +59,19 @@ class MetricField:
         self.n = n
         if len(entries) != n or any(len(row) != n for row in entries):
             raise ValueError("metric matrix must be n x n")
+        if not all(isinstance(e, Expr) for row in entries for e in row):
+            raise TypeError("metric entries must be expressions")
         self._upper = {}
         for i in range(n):
             for j in range(i, n):
                 e = entries[i][j]
-                if not isinstance(e, Expr):
-                    raise TypeError("metric entries must be expressions")
                 bad = [v for v in _expr_vars(e) if v >= n]
                 if bad:
                     raise ValueError(f"metric entry uses x{bad[0] + 1} beyond dimension {n}")
+                if i < j and format_expr(e) != format_expr(entries[j][i]):
+                    raise ValueError(
+                        f"metric is not symmetric: entries ({i + 1}, {j + 1}) and ({j + 1}, {i + 1}) differ"
+                    )
                 self._upper[(i, j)] = e
 
     @classmethod
@@ -656,6 +661,8 @@ def conformal_check(
     """Test whether the pullback of the target metric along df_x is a single
     positive multiple of the source metric at x."""
     check_mode(mode)
+    if f.n_in != f.n_out:
+        raise ValueError("conformality needs a map between spaces of one dimension")
     if f.n_in != g_src.n or f.n_out != g_dst.n:
         raise ValueError("map dimensions do not match the metrics")
     x = tuple(to_scalar(c, mode) for c in x)

@@ -12,8 +12,14 @@ the library needs:
   "all generator squares equal, distinct-generator products vanish"; the
   natural support of the mirror-average Laplacian.
 * ``quotient_algebra(n, degree_bound, relations)``: generic quotient by a
-  relation list, computed by exact row reduction.  Used as the oracle for
-  the hand-written tables and by the distribution/coalgebra pipeline.
+  relation list, computed by exact row reduction of the ideal the
+  relations generate.  Used as the oracle for the hand-written tables and
+  by ``tensor_algebra``.  The coalgebra pipeline does not call it: the
+  annihilator it presents is already an ideal, so ``dual_algebra`` reduces
+  its relations once and shares only the last step, ``_presentation``.
+
+Every constructor counts its monomials before building anything and
+refuses more than ``MAX_DIMENSION`` of them.
 
 Everything is immutable after construction and safe to share.
 """
@@ -55,6 +61,31 @@ def all_monomials(n: int, max_degree: int) -> list:
     for total in range(max_degree + 1):
         result.extend(_homogeneous(n, total))
     return sorted(result, key=mono_key)
+
+
+MAX_DIMENSION = 500
+"""Most monomials an algebra constructor or the coalgebra pipeline may work
+with: C(n + k, k) for n generators up to degree k (``truncated_algebra``,
+``quotient_algebra``, ``divided_derivatives``, ``dual_algebra``) and n + 2
+for ``laplace_algebra``.  A multiplication table holds the square of the
+dimension, and building ``laplace_algebra(n)`` costs about n^3 steps: at
+the cap a truncated algebra builds in about half a second and the Laplace
+algebra in about 20 s (2-core VM, Python 3.11)."""
+
+
+def _check_dimension(n: int, degree: int) -> None:
+    """ValueError when C(n + degree, degree), the number of monomials of
+    degree <= degree in n variables, exceeds ``MAX_DIMENSION``.  Counts up
+    along the smaller argument and stops once past the cap, so huge inputs
+    cost a few steps."""
+    count, high = 1, max(n, degree)
+    for i in range(1, min(n, degree) + 1):
+        count = count * (high + i) // i
+        if count > MAX_DIMENSION:
+            raise ValueError(
+                f"{n} generators up to degree {degree} give more than"
+                f" MAX_DIMENSION = {MAX_DIMENSION} monomials"
+            )
 
 
 def _homogeneous(n, total):
@@ -523,6 +554,7 @@ def truncated_algebra(n: int, order: int) -> WeilAlgebra:
         raise ValueError("need at least one generator")
     if order < 0:
         raise ValueError("truncation order must be >= 0")
+    _check_dimension(n, order)
     basis = all_monomials(n, order)
     return WeilAlgebra(n, order, basis, {}, relations=())
 
@@ -536,6 +568,8 @@ def laplace_algebra(n: int) -> WeilAlgebra:
     """
     if n < 1:
         raise ValueError("need at least one generator")
+    if n + 2 > MAX_DIMENSION:
+        raise ValueError(f"laplace_algebra({n}) has dimension {n + 2} > MAX_DIMENSION = {MAX_DIMENSION}")
     return _isotropy_algebra((Fraction(1),) * n)
 
 
@@ -567,6 +601,7 @@ def quotient_algebra(n: int, degree_bound: int, relations) -> WeilAlgebra:
         raise ValueError("need at least one generator")
     if degree_bound < 0:
         raise ValueError("degree bound must be >= 0")
+    _check_dimension(n, degree_bound)
     relations = [r if isinstance(r, Polynomial) else Polynomial(n, r) for r in relations]
     for r in relations:
         if r.n != n:
@@ -585,7 +620,14 @@ def quotient_algebra(n: int, degree_bound: int, relations) -> WeilAlgebra:
             }
             if truncated:
                 rows.append(truncated)
-    pivots = _reduce_rows(rows)
+    return _presentation(n, degree_bound, _reduce_rows(rows), relations)
+
+
+def _presentation(n, degree_bound, pivots, relations) -> WeilAlgebra:
+    """The quotient whose kernel in degrees <= degree_bound has the reduced
+    echelon rows ``pivots`` (lead monomial -> row, as ``_reduce_rows``
+    returns them): the monomials that lead no row form the basis, and a
+    lead's normal form is minus the tail of its row."""
     assert unit_monomial(n) not in pivots, "zero-constant-term relations cannot kill the unit"
     basis = [m for m in all_monomials(n, degree_bound) if m not in pivots]
     index = {m: i for i, m in enumerate(basis)}

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -247,6 +248,51 @@ def test_pole_or_domain_error_at_the_point_exits_3(capsys, argv):
 )
 def test_too_deep_expression_exits_2(capsys, fn):
     code, out, err = run(capsys, "laplacian", "--fn=" + fn, "--point", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["algebra", "dk", "--n", "12", "--k", "6"], ["coalgebra", "--dist", "d1^6", "--n", "30"]],
+    ids=["dk-dimension-18564", "coalgebra-1947792-monomials"],
+)
+def test_oversized_algebra_exits_2_at_once(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_asymmetric_metric_exits_2(capsys, tmp_path):
+    path = tmp_path / "asym.json"
+    path.write_text(json.dumps({"n": 2, "G": [["1", "0"], ["1", "1"]]}))
+    code, out, err = run(capsys, "laplacian", "--metric", str(path), "--fn", "x1^2", "--point", "0,0")
+    assert code == 2
+    assert out == ""
+    assert "not symmetric" in err and "(1, 2)" in err and err.count("\n") == 1
+
+
+def test_huge_exponent_literal_exits_2(capsys):
+    code, out, err = run(capsys, "laplacian", "--fn", "x1^99999999999", "--point", "2")
+    assert code == 2
+    assert out == ""
+    assert "MAX_EXPONENT" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("eps", ["nan", "inf", "-1e-9"])
+def test_epsilon_must_be_finite_and_nonnegative(capsys, eps):
+    with pytest.raises(SystemExit) as exc:
+        main(["--mode", "float", f"--epsilon={eps}", "laplacian", "--fn", "x1^2", "--point", "1"])
+    assert exc.value.code == 2
+    assert "epsilon must be finite and >= 0" in capsys.readouterr().err
+
+
+def test_conformal_check_of_non_square_map_exits_2(capsys):
+    code, out, err = run(capsys, "check", "conformal", "--map", "x1", "--point", "1,2")
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

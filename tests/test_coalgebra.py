@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from nilgeom import coalgebra
 from nilgeom.coalgebra import (
     Distribution,
+    Subcoalgebra,
     comultiply,
     coordinate_derivative,
     dirac,
@@ -24,6 +25,7 @@ from nilgeom.weil import (
     algebra_to_json,
     all_monomials,
     laplace_algebra,
+    quotient_algebra,
     truncated_algebra,
 )
 from conftest import dual_algebra_by_nullspace, random_polynomial, subcoalgebra_by_solve
@@ -35,6 +37,11 @@ PROPERTY = settings(
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+NAMED_SYMBOLS = [Distribution(1, {(k,): 1}) for k in range(1, 10)] + [
+    laplace_distribution(n) for n in range(1, 6)
+]
 
 
 @st.composite
@@ -201,11 +208,7 @@ def test_lookups_match_dense_oracles(dist):
     _assert_matches_oracles(dist)
 
 
-@pytest.mark.parametrize(
-    "dist",
-    [Distribution(1, {(k,): 1}) for k in range(1, 10)] + [laplace_distribution(n) for n in range(1, 5)],
-    ids=repr,
-)
+@pytest.mark.parametrize("dist", NAMED_SYMBOLS, ids=repr)
 def test_lookups_match_dense_oracles_on_named_symbols(dist):
     _assert_matches_oracles(dist)
 
@@ -286,3 +289,59 @@ def test_dual_accepts_larger_bound():
     sub = subcoalgebra_generated(coordinate_derivative(1, 0))
     algebra = dual_algebra(sub, degree_bound=4)
     assert algebra.dimension == 2
+
+
+# -- the dual straight from the annihilator span, against the ideal it generates ----------
+
+def _assert_matches_quotient(sub, degree_bound=None):
+    dual = dual_algebra(sub, degree_bound)
+    ref = quotient_algebra(sub.n, dual.degree_bound, dual.relations)
+    assert algebra_to_json(dual) == algebra_to_json(ref)
+    assert dual._nf == ref._nf
+    assert [g.coords for g in dual.generators()] == [g.coords for g in ref.generators()]
+
+
+def _bounds(sub):
+    return (None, max(b.degree() for b in sub.basis) + 3)
+
+
+@PROPERTY
+@given(symbols())
+def test_dual_matches_quotient_of_generated_ideal(dist):
+    sub = subcoalgebra_generated(dist)
+    for bound in _bounds(sub):
+        _assert_matches_quotient(sub, bound)
+
+
+@pytest.mark.parametrize("dist", NAMED_SYMBOLS, ids=repr)
+def test_dual_matches_quotient_of_generated_ideal_on_named_symbols(dist):
+    sub = subcoalgebra_generated(dist)
+    for bound in _bounds(sub):
+        _assert_matches_quotient(sub, bound)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_dual_rejects_basis_not_closed_under_comultiplication(n):
+    # psi(dn^2) has the term 2 dn (x) dn, and dn is not in the span; for
+    # n = 2 only multiplying by x2 leaves the annihilator
+    square = tuple(2 if i == n - 1 else 0 for i in range(n))
+    sub = Subcoalgebra(n, (dirac(n), Distribution(n, {square: 1})), ({}, {}))
+    with pytest.raises(ValueError, match=f"not closed under comultiplication: x{n} times"):
+        dual_algebra(sub)
+
+
+def test_dual_rejects_basis_without_counit():
+    sub = Subcoalgebra(1, (Distribution(1, {(2,): 1}),), ({},))
+    with pytest.raises(ValueError, match="counit"):
+        dual_algebra(sub)
+
+
+def test_pipeline_refuses_too_many_monomials():
+    from nilgeom.weil import MAX_DIMENSION
+
+    with pytest.raises(ValueError, match="MAX_DIMENSION"):
+        subcoalgebra_generated(Distribution(30, {(6,) + (0,) * 29: 1}))
+    # one variable up to degree MAX_DIMENSION has MAX_DIMENSION + 1 monomials
+    sub = subcoalgebra_generated(Distribution(1, {(2,): 1}))
+    with pytest.raises(ValueError, match="MAX_DIMENSION"):
+        dual_algebra(sub, degree_bound=MAX_DIMENSION)

@@ -74,6 +74,16 @@ def test_parse_depth_limit():
         parse_expr(chain + "+x1")
 
 
+def test_parse_exponent_limit():
+    from nilgeom.expr import MAX_EXPONENT
+
+    assert evaluate(parse_expr(f"x1^{MAX_EXPONENT}"), (F(2),)) == 2 ** MAX_EXPONENT
+    assert evaluate(parse_expr(f"2^{MAX_EXPONENT}"), ()) == 2 ** MAX_EXPONENT
+    for text in (f"x1^{MAX_EXPONENT + 1}", f"3^{MAX_EXPONENT + 1}", "x1^99999999999", "x1^2^9999"):
+        with pytest.raises(ValueError, match="MAX_EXPONENT"):
+            parse_expr(text)
+
+
 def test_parse_respects_declared_dimension():
     parse_expr("x2", n=2)
     with pytest.raises(ValueError):

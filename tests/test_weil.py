@@ -9,7 +9,9 @@ from fractions import Fraction
 import pytest
 
 from nilgeom.weil import (
+    MAX_DIMENSION,
     Polynomial,
+    _check_dimension,
     algebra_from_json,
     algebra_isomorphism,
     algebra_to_json,
@@ -60,6 +62,23 @@ def test_constructor_rejects_bad_parameters():
         truncated_algebra(2, -1)
     with pytest.raises(ValueError):
         laplace_algebra(0)
+
+
+def test_dimension_cap_at_the_boundary():
+    _check_dimension(1, MAX_DIMENSION - 1)  # C(MAX, MAX - 1) = MAX monomials
+    _check_dimension(MAX_DIMENSION - 1, 1)
+    for n, k in ((1, MAX_DIMENSION), (MAX_DIMENSION, 1), (12, 6), (10**9, 10**9)):
+        with pytest.raises(ValueError, match="MAX_DIMENSION"):
+            _check_dimension(n, k)
+
+
+def test_constructors_refuse_oversized_algebras():
+    with pytest.raises(ValueError, match="MAX_DIMENSION"):
+        truncated_algebra(12, 6)
+    with pytest.raises(ValueError, match="MAX_DIMENSION"):
+        quotient_algebra(30, 6, [])
+    with pytest.raises(ValueError, match="MAX_DIMENSION"):
+        laplace_algebra(MAX_DIMENSION - 1)
 
 
 # -- the hand-written table against the generic quotient ----------------------
