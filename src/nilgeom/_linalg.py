@@ -2,7 +2,10 @@
 
 Matrices are lists of row lists.  Sizes here never exceed a few dozen, so
 plain Gaussian elimination is all we need; keeping one code path for
-Fraction and float avoids dtype surprises.
+Fraction and float avoids dtype surprises.  Two eliminations live here:
+``congruence`` diagonalizes a symmetric matrix (every metric quantity is
+read off it), and ``det`` serves the non-symmetric Jacobians and
+``weil.algebra_isomorphism``.
 """
 
 from __future__ import annotations
@@ -40,31 +43,6 @@ def _pivot_row(rows, col, start, exact):
             if exact:
                 break
     return best
-
-
-def solve(a, b):
-    """Solve a @ x = b for square a; b is a vector. Raises on singular a."""
-    n = len(a)
-    exact = not any(isinstance(x, float) for row in a for x in row)
-    aug = [list(row) + [b[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = _pivot_row(aug, col, col, exact)
-        if piv is None or aug[piv][col] == 0:
-            raise ZeroDivisionError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col]
-        aug[col] = [x / inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
-def invert(a):
-    n = len(a)
-    cols = [solve(a, [Fraction(1) if i == j else Fraction(0) for i in range(n)]) for j in range(n)]
-    return transpose(cols)
 
 
 def det(a):

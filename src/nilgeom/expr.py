@@ -568,9 +568,10 @@ them, and the parser itself, well inside Python's recursion limit."""
 
 
 MAX_EXPONENT = 1000
-"""Largest exponent literal the parser accepts.  Exact powers of rationals
-grow by digits proportional to the exponent, so an unbounded literal can
-keep an evaluation running indefinitely."""
+"""Largest exponent the parser accepts, for a literal and for the product
+of nested exponents, as in (x1^10)^100 or a constant-folded (7^10)^100.
+Exact powers of rationals grow by digits proportional to the exponent, so
+an unbounded one can keep an evaluation running indefinitely."""
 
 
 class _Parser:
@@ -583,6 +584,7 @@ class _Parser:
         self.n = n
         self.max_index = 0
         self.level = 0  # open parse_unary calls: bounds the recursion
+        self.power = 1  # largest product of nested exponents parsed so far
 
     def peek(self):
         return self.tokens[self.pos]
@@ -630,7 +632,9 @@ class _Parser:
         return node, depth
 
     def parse_power(self):
+        outer, self.power = self.power, 1
         base, depth = self.parse_atom()
+        power = self.power
         if self.peek() == ("op", "^"):
             self.take()
             exponent, _ = self.parse_unary()
@@ -641,7 +645,11 @@ class _Parser:
                 raise ValueError(f"exponent must be a non-negative integer, got {k}")
             if k > MAX_EXPONENT:
                 raise ValueError(f"exponent exceeds MAX_EXPONENT = {MAX_EXPONENT}")
-            return pow_(base, int(k)), self.deeper(depth + 1)
+            power *= int(k)
+            if power > MAX_EXPONENT:
+                raise ValueError(f"nested exponents multiply to {power} > MAX_EXPONENT = {MAX_EXPONENT}")
+            base, depth = pow_(base, int(k)), self.deeper(depth + 1)
+        self.power = max(outer, power)
         return base, depth
 
     def parse_atom(self):

@@ -7,13 +7,20 @@ elements whose unit coordinates hold the base; identities are verified on
 *universal* points (generic nilpotent coordinates), so a single equation
 check covers every neighbor of the given order.
 
+Everything the metric gives at one base point comes from one record,
+``_MetricAt``: a first-order jet of each entry of G yields G(x) and its
+first partials, and one square-root-free congruence C^T G(x) C = diag(d)
+yields G(x)^-1 = C diag(1/d) C^T and the Christoffel symbols.
+
 The central construction is the geodesic chart: a quadratic coordinate
 change after which the metric has no first-order variation at the base.
-In a chart whose linear part diagonalizes G(x) by an exact congruence the
-isotropic second-order neighbors form a weighted laplace_algebra point set
-(the plain one in a normal chart), and averaging a function over a point
-and its mirror image yields the Laplacian with no integration and no
-divergence/gradient detour.
+In the plain chart (linear part I) a neighbor is isotropic exactly when its
+chart coordinates satisfy zeta_i zeta_j = lam (G(x)^-1)_ij for one lam, a
+test with no square root, so exact mode decides it on every nondegenerate
+metric.  The universal isotropic point has chart coordinates C Z, with Z
+generating a weighted laplace_algebra (the plain one in a normal chart),
+and averaging a function over it and its mirror image yields the
+Laplacian with no integration and no divergence/gradient detour.
 """
 
 from __future__ import annotations
@@ -29,14 +36,23 @@ from .expr import (
     Expr,
     FunctionModel,
     Var,
-    diff,
     evaluate,
     format_expr,
     jet_eval,
     parse_expr,
     scalar_function,
+    variables,
 )
-from .weil import WeilElement, _isotropy_algebra, laplace_algebra, satisfies_laplace_relations, truncated_algebra
+from .weil import (
+    Polynomial,
+    WeilElement,
+    _isotropy_algebra,
+    _satisfies_isotropy,
+    laplace_algebra,
+    satisfies_laplace_relations,
+    tensor_algebra,
+    truncated_algebra,
+)
 
 
 class GeometryError(ArithmeticError):
@@ -65,7 +81,7 @@ class MetricField:
         for i in range(n):
             for j in range(i, n):
                 e = entries[i][j]
-                bad = [v for v in _expr_vars(e) if v >= n]
+                bad = [v for v in variables(e) if v >= n]
                 if bad:
                     raise ValueError(f"metric entry uses x{bad[0] + 1} beyond dimension {n}")
                 if i < j and format_expr(e) != format_expr(entries[j][i]):
@@ -94,26 +110,69 @@ class MetricField:
 
     def matrix_at(self, x, mode: str = EXACT):
         """Numeric G(x); raises GeometryError when singular."""
-        m = [[evaluate(self.entry(i, j), x, mode) for j in range(self.n)] for i in range(self.n)]
-        if _linalg.det(m) == 0:
-            raise GeometryError(f"metric is singular at {tuple(x)}")
-        return m
-
-    def jet_matrix(self, base, offsets, mode: str = EXACT):
-        """G evaluated at base + offsets inside the offsets' algebra."""
-        return [
-            [jet_eval(self.entry(i, j), base, offsets, mode) for j in range(self.n)]
-            for i in range(self.n)
-        ]
+        return _MetricAt(self, x, mode, derivatives=False).G
 
     def to_strings(self):
         return [[format_expr(self.entry(i, j)) for j in range(self.n)] for i in range(self.n)]
 
 
-def _expr_vars(e):
-    from .expr import variables
+class _MetricAt:
+    """Everything the metric gives at one base point x.
 
-    return variables(e)
+    A first-order jet of each upper entry of G yields G(x) and its first
+    partials; one ``_linalg.congruence`` call yields C and d with
+    C^T G(x) C = diag(d), a zero pivot meaning G(x) is singular.  Then
+    G(x)^-1 = C diag(1/d) C^T, and det G(x) = prod d since C is a product
+    of column additions; the Christoffel symbols follow from G(x)^-1 and
+    the partials.  Without ``derivatives`` (``matrix_at``) G is only
+    evaluated and ``gamma`` is None.  Built once per call and passed down;
+    nothing is cached.
+    """
+
+    __slots__ = ("x", "mode", "G", "C", "d", "ginv", "gamma")
+
+    def __init__(self, metric: MetricField, x, mode: str, derivatives: bool = True):
+        check_mode(mode)
+        n = metric.n
+        where = tuple(x)
+        self.x = x = tuple(to_scalar(c, mode) for c in x)
+        self.mode = mode
+        gens = truncated_algebra(n, 1).generators() if derivatives else None
+        g = [[None] * n for _ in range(n)]
+        dg = [[None] * n for _ in range(n)]  # dg[l][k][j] = d_j G_lk
+        for (i, j), e in metric._upper.items():
+            if derivatives:
+                g[i][j], *dg[i][j] = jet_eval(e, x, gens, mode).coords
+                dg[j][i] = dg[i][j]
+            else:
+                g[i][j] = evaluate(e, x, mode)
+            g[j][i] = g[i][j]
+        try:
+            c, d = _linalg.congruence(g)
+        except ZeroDivisionError:
+            raise GeometryError(f"metric is singular at {where}") from None
+        ginv = [[sum(c[i][k] * c[j][k] / d[k] for k in range(n)) for j in range(n)] for i in range(n)]
+        self.G, self.C, self.d, self.ginv = g, c, d, ginv
+        self.gamma = _christoffel(dg, ginv) if derivatives else None
+
+
+def _christoffel(dg, ginv):
+    """Gamma^i_jk = 1/2 sum_l G^il (d_k G_lj + d_j G_lk - d_l G_jk) from
+    dg[l][k][j] = d_j G_lk; each bracket is formed once per j <= k and
+    skipped when it is all zero."""
+    n = len(ginv)
+    zero = ginv[0][0] * 0
+    gamma = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    for j in range(n):
+        for k in range(j, n):
+            bracket = [(l, dg[l][k][j] + dg[l][j][k] - dg[j][k][l]) for l in range(n)]
+            bracket = [(l, b) for l, b in bracket if b != 0]
+            if not bracket:
+                continue
+            for i in range(n):
+                s = sum(ginv[i][l] * b for l, b in bracket) * Fraction(1, 2)
+                gamma[i][j][k] = gamma[i][k][j] = s
+    return gamma
 
 
 # ---------------------------------------------------------------------------
@@ -164,47 +223,45 @@ def g_eval(metric: MetricField, base, z, y=None, mode: str = EXACT) -> WeilEleme
     only sees the degree-zero part G(base).
     """
     z = tuple(z)
-    algebra = z[0].algebra
-    if algebra.degree_bound < 2:
+    if z[0].algebra.degree_bound < 2:
         raise GeometryError("square distance needs an ambient algebra of order >= 2")
     if y is None:
         gm = metric.matrix_at(base, mode)
-        d = z
-    else:
-        gm = metric.jet_matrix(base, tuple(y), mode)
-        d = tuple(zz - yy for zz, yy in zip(z, y))
-    total = algebra.zero()
-    for i in range(metric.n):
-        for j in range(metric.n):
-            total = total + d[i] * gm[i][j] * d[j]
-    return total
+        return _square(z, {(i, j): gm[i][j] for i, j in metric._upper})
+    y = tuple(y)
+    d = tuple(zz - yy for zz, yy in zip(z, y))
+    return _square(d, {ij: jet_eval(e, base, y, mode) for ij, e in metric._upper.items()})
+
+
+def _square(d, upper):
+    """d^T G d from the upper triangle {(i, j): G_ij} of a symmetric G."""
+    return sum(d[i] * g * d[j] * (1 if i == j else 2) for (i, j), g in upper.items())
 
 
 def gbar_eval(metric: MetricField, base, z, y=None, mode: str = EXACT) -> WeilElement:
     """The symmetric extension of g to third-order neighbor pairs:
-    (z-y)^T (G(p) + 1/2 D_{z-y}G(p)) (z-y) with p = base + y."""
+    (z-y)^T (G(p) + 1/2 D_{z-y}G(p)) (z-y) with p = base + y.
+
+    One jet of G at y + e (z-y) in the ambient algebra tensored with a
+    square-zero e gives G(p) + e D_{z-y}G(p); the sum is formed there and
+    its e-part is halved on the way back to the ambient algebra."""
     z = tuple(z)
     algebra = z[0].algebra
     if algebra.degree_bound < 3:
         raise GeometryError("extended square distance needs an ambient algebra of order >= 3")
     y = tuple(y) if y is not None else tuple(algebra.zero() for _ in z)
     d = tuple(zz - yy for zz, yy in zip(z, y))
-    gm = metric.jet_matrix(base, y, mode)
-    n = metric.n
-    correction = [[algebra.zero() for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            acc = algebra.zero()
-            for k in range(n):
-                acc = acc + jet_eval(diff(metric.entry(i, j), k), base, y, mode) * d[k]
-            correction[i][j] = acc
-            correction[j][i] = acc
-    total = algebra.zero()
-    half = Fraction(1, 2)
-    for i in range(n):
-        for j in range(n):
-            total = total + d[i] * (gm[i][j] + correction[i][j] * half) * d[j]
-    return total
+    line = truncated_algebra(1, 1)
+    pair, embed, embed_e = tensor_algebra(algebra, line)
+    e = embed_e(line.generators()[0])
+    dd = [embed(w) for w in d]
+    offsets = [embed(w) + v * e for w, v in zip(y, dd)]
+    total = _square(dd, {ij: jet_eval(e, base, offsets, mode) for ij, e in metric._upper.items()})
+    back = [
+        algebra.from_polynomial(Polynomial(algebra.n, {m[:-1]: Fraction(1, 2) if m[-1] else 1}))
+        for m in pair.basis
+    ]
+    return sum((v * c for v, c in zip(back, total.coords) if c != 0), start=algebra.zero())
 
 
 # ---------------------------------------------------------------------------
@@ -212,52 +269,45 @@ def gbar_eval(metric: MetricField, base, z, y=None, mode: str = EXACT) -> WeilEl
 # ---------------------------------------------------------------------------
 
 def christoffel(metric: MetricField, x, mode: str = EXACT):
-    """Gamma^i_{jk} at x from the classical first-derivative formula; each
-    bracket is formed once per j <= k and skipped when it is all zero."""
-    n = metric.n
-    gm = metric.matrix_at(x, mode)
-    ginv = _linalg.invert(gm)
-    # dg[l][k][j] = d_j G_lk: first-order jet coordinates
-    jets = metric.jet_matrix(x, truncated_algebra(n, 1).generators(), mode)
-    dg = [[jets[l][k].coords[1:] for k in range(n)] for l in range(n)]
-    zero = gm[0][0] * 0
-    gamma = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for j in range(n):
-        for k in range(j, n):
-            bracket = [(l, dg[l][k][j] + dg[l][j][k] - dg[j][k][l]) for l in range(n)]
-            bracket = [(l, b) for l, b in bracket if b != 0]
-            if not bracket:
-                continue
-            for i in range(n):
-                s = sum(ginv[i][l] * b for l, b in bracket) * Fraction(1, 2)
-                gamma[i][j][k] = gamma[i][k][j] = s
-    return gamma
+    """Gamma^i_{jk} at x from the classical first-derivative formula (see
+    ``_MetricAt``)."""
+    return _MetricAt(metric, x, mode).gamma
 
 
 class GeodesicChart:
     """Quadratic coordinate change that is geodesic at its base point.
 
     The forward map sends chart coordinates y to
-    base + A y - 1/2 Gamma(Ay, Ay); its linear part A defaults to the
-    identity and is an orthonormalizer when the chart is normal.  The
+    base + A y - 1/2 Gamma(Ay, Ay); its linear part A is the identity (the
+    plain chart) or an orthonormal frame with A^T G(x) A = I (a normal
+    chart), so A^-1 is I or A^T G(x) and needs no solve.  The
     pushed-forward metric has vanishing first partials at 0, so mirror
     images, affine combinations and geodesic prolongations become plain
-    coordinate algebra.
+    coordinate algebra.  ``frame`` holds C and d with
+    C^T Ghat0 C = diag(d), the weights of ``laplace_point``.
     """
 
-    __slots__ = ("metric", "base", "mode", "eps", "A", "A_inv", "gamma", "G0", "Ghat0", "normal")
+    __slots__ = ("metric", "base", "mode", "eps", "A", "A_inv", "gamma", "G0", "Ghat0", "normal", "frame")
 
-    def __init__(self, metric, base, mode, eps, A, gamma, G0, normal):
+    def __init__(self, metric: MetricField, at: _MetricAt, eps, A=None):
+        ident = _linalg.identity(metric.n)
         self.metric = metric
-        self.base = tuple(base)
-        self.mode = mode
+        self.base = at.x
+        self.mode = at.mode
         self.eps = eps
-        self.A = A
-        self.A_inv = _linalg.invert(A)
-        self.gamma = gamma
-        self.G0 = G0
-        self.Ghat0 = _linalg.mat_mul(_linalg.transpose(A), _linalg.mat_mul(G0, A))
-        self.normal = normal
+        self.gamma = at.gamma
+        self.G0 = at.G
+        if A is None:
+            self.A = self.A_inv = ident
+            self.Ghat0 = at.G
+            self.frame = (at.C, at.d)
+            self.normal = at.G == ident
+        else:
+            self.A = A
+            self.A_inv = _linalg.mat_mul(_linalg.transpose(A), at.G)
+            self.Ghat0 = ident
+            self.frame = (ident, [Fraction(1)] * metric.n)
+            self.normal = True
 
     @property
     def n(self):
@@ -265,39 +315,22 @@ class GeodesicChart:
 
     # -- point transport ---------------------------------------------------
 
+    def _half_gamma(self, w):
+        """1/2 Gamma(w, w), componentwise, for Weil elements or expressions."""
+        return [
+            sum(w[j] * w[k] * g for j, row in enumerate(plane) for k, g in enumerate(row) if g != 0) * Fraction(1, 2)
+            for plane in self.gamma
+        ]
+
     def push_offsets(self, zeta):
         """Chart coordinates (nilpotent) -> manifold offsets from the base."""
-        zeta = tuple(zeta)
-        n = self.n
-        az = [sum((self.A[i][j] * zeta[j] for j in range(n)), start=zeta[0].algebra.zero()) for i in range(n)]
-        out = []
-        for i in range(n):
-            corr = zeta[0].algebra.zero()
-            for j in range(n):
-                for k in range(n):
-                    gjk = self.gamma[i][j][k]
-                    if gjk != 0:
-                        corr = corr + az[j] * az[k] * gjk
-            out.append(az[i] - corr * Fraction(1, 2))
-        return tuple(out)
+        az = _apply(self.A, zeta)
+        return tuple(a - c for a, c in zip(az, self._half_gamma(az)))
 
     def pull_offsets(self, w):
         """Manifold offsets from the base -> chart coordinates."""
         w = tuple(w)
-        n = self.n
-        corrected = []
-        for i in range(n):
-            corr = w[0].algebra.zero()
-            for j in range(n):
-                for k in range(n):
-                    gjk = self.gamma[i][j][k]
-                    if gjk != 0:
-                        corr = corr + w[j] * w[k] * gjk
-            corrected.append(w[i] + corr * Fraction(1, 2))
-        return tuple(
-            sum((self.A_inv[i][j] * corrected[j] for j in range(n)), start=w[0].algebra.zero())
-            for i in range(n)
-        )
+        return _apply(self.A_inv, [a + c for a, c in zip(w, self._half_gamma(w))])
 
     def from_chart(self, zeta):
         return make_point(self.base, self.push_offsets(zeta))
@@ -313,46 +346,19 @@ class GeodesicChart:
     # -- expression models ---------------------------------------------------
 
     def forward_model(self) -> FunctionModel:
-        n = self.n
-        comps = []
-        for i in range(n):
-            e = Const(self.base[i])
-            for j in range(n):
-                e = e + Const(self.A[i][j]) * Var(j)
-            for j in range(n):
-                for k in range(n):
-                    if self.gamma[i][j][k] != 0:
-                        az_j = _linear_expr(self.A, j)
-                        az_k = _linear_expr(self.A, k)
-                        e = e - Const(Fraction(1, 2) * self.gamma[i][j][k]) * az_j * az_k
-            comps.append(e)
-        return FunctionModel(n, n, tuple(comps))
+        """The forward map as expressions in the chart coordinates."""
+        offsets = self.push_offsets([Var(i) for i in range(self.n)])
+        return FunctionModel(self.n, self.n, tuple(Const(b) + w for b, w in zip(self.base, offsets)))
 
     def inverse_model(self) -> FunctionModel:
-        n = self.n
-        w = [Var(i) - Const(self.base[i]) for i in range(n)]
-        corrected = []
-        for i in range(n):
-            e = w[i]
-            for j in range(n):
-                for k in range(n):
-                    if self.gamma[i][j][k] != 0:
-                        e = e + Const(Fraction(1, 2) * self.gamma[i][j][k]) * w[j] * w[k]
-            corrected.append(e)
-        comps = []
-        for i in range(n):
-            e = Const(Fraction(0))
-            for j in range(n):
-                e = e + Const(self.A_inv[i][j]) * corrected[j]
-            comps.append(e)
-        return FunctionModel(n, n, tuple(comps))
+        """The inverse map as expressions in the manifold coordinates."""
+        offsets = [Var(i) - Const(b) for i, b in enumerate(self.base)]
+        return FunctionModel(self.n, self.n, self.pull_offsets(offsets))
 
 
-def _linear_expr(a, row):
-    e = Const(Fraction(0))
-    for j in range(len(a)):
-        e = e + Const(a[row][j]) * Var(j)
-    return e
+def _apply(m, v):
+    """The matrix m times a vector v of Weil elements or expressions."""
+    return tuple(sum(mij * vj for mij, vj in zip(row, v)) for row in m)
 
 
 def geodesic_chart(
@@ -361,47 +367,28 @@ def geodesic_chart(
     normalize: bool = False,
     mode: str = EXACT,
     eps: float = DEFAULT_EPS,
-    normalizer=None,
 ) -> GeodesicChart:
-    """Build a chart geodesic at x; with ``normalize`` the chart is normal
-    (pushed-forward metric is the identity at 0).
+    """Build a chart geodesic at x.
 
-    Exact mode can normalize only when G(x) is already the identity or the
-    caller supplies an exact congruence A with A^T G(x) A = I.  Float mode
-    takes the square-root-free congruence C^T G(x) C = diag(d) and scales
-    column i by 1/sqrt(d_i), so it requires positive definiteness.
+    The plain chart (linear part I) exists on every nondegenerate metric,
+    and ``laplace_point`` and ``is_laplace_neighbor`` need nothing more.
+    With ``normalize`` the chart is normal (pushed-forward metric I at 0):
+    exact mode allows that only when G(x) is already the identity; float
+    mode scales column i of the congruence C^T G(x) C = diag(d) by
+    1/sqrt(d_i), so it requires positive definiteness.
     """
     check_mode(mode)
-    x = tuple(to_scalar(c, mode) for c in x)
-    g0 = metric.matrix_at(x, mode)
-    gamma = christoffel(metric, x, mode)
-    n = metric.n
-    ident = _linalg.identity(n)
+    at = _MetricAt(metric, x, mode)
+    ident = _linalg.identity(metric.n)
     if not normalize:
-        a = ident
-        normal = all(g0[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n))
-    elif normalizer is not None:
-        a = [[to_scalar(v, mode) for v in row] for row in normalizer]
-        congruent = _linalg.mat_mul(_linalg.transpose(a), _linalg.mat_mul(g0, a))
-        for i in range(n):
-            for j in range(n):
-                if not scalars_equal(congruent[i][j], 1 if i == j else 0, eps if mode == FLOAT else None):
-                    raise GeometryError("supplied normalizer is not a congruence to the identity")
-        normal = True
-    elif all(g0[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n)):
-        a = ident
-        normal = True
-    elif mode == FLOAT:
-        c, d = _linalg.congruence(g0)
-        if not all(v > 0 for v in d):
-            raise GeometryError("metric is not positive definite at the base point")
-        a = [[v / math.sqrt(dj) for v, dj in zip(row, d)] for row in c]
-        normal = True
-    else:
-        raise GeometryError(
-            "exact normalization needs G(x) = I or an explicit exact congruence; use float mode"
-        )
-    return GeodesicChart(metric, x, mode, eps, a, gamma, g0, normal)
+        return GeodesicChart(metric, at, eps)
+    if at.G == ident:
+        return GeodesicChart(metric, at, eps, ident)
+    if mode == EXACT:
+        raise GeometryError("exact normalization needs G(x) = I; use the plain chart or float mode")
+    if not all(v > 0 for v in at.d):
+        raise GeometryError("metric is not positive definite at the base point")
+    return GeodesicChart(metric, at, eps, [[v / math.sqrt(dj) for v, dj in zip(row, at.d)] for row in at.C])
 
 
 # ---------------------------------------------------------------------------
@@ -495,26 +482,51 @@ def orthogonal_projection(chart: GeodesicChart, z, t: TangentVector):
 # ---------------------------------------------------------------------------
 
 def laplace_point(chart: GeodesicChart):
-    """The universal isotropic second-order neighbor of the chart base.
+    """The universal isotropic second-order neighbor of the chart base, on
+    any chart of any nondegenerate metric.
 
-    Its coordinates generate the laplace algebra, so an identity verified on
-    this single point holds for every isotropic neighbor.
+    Its chart coordinates are C Z, where C^T Ghat0 C = diag(d) is the
+    chart's ``frame`` and the Z_i generate Z_i^2 = (d_1/d_i) Q, Z_i Z_j = 0,
+    so that g(x, z) = sum d_i Z_i^2 = n d_1 Q sees no direction.  In a
+    normal chart C = I, d = 1 and the Z_i generate ``laplace_algebra(n)``.
+    An identity verified on this single point holds for every isotropic
+    neighbor.
     """
-    if not chart.normal:
-        raise GeometryError("the universal isotropic point needs a normal chart")
-    gens = laplace_algebra(chart.n).generators()
-    return chart.from_chart(gens)
+    return chart.from_chart(_weighted_point(*chart.frame))
+
+
+def _weighted_point(c, d):
+    """Chart coordinates C Z of the universal isotropic point of diag(d)."""
+    return _apply(c, _isotropy_algebra([Fraction(d[0]) / Fraction(v) for v in d]).generators())
 
 
 def is_laplace_neighbor(metric: MetricField, x, z, mode: str = EXACT, eps: float = DEFAULT_EPS) -> bool:
     """Whether the point model z is an isotropic second-order neighbor of x:
-    square distance blind to every direction (all chart squares equal, all
-    chart cross-products zero)."""
-    chart = geodesic_chart(metric, x, normalize=True, mode=mode, eps=eps)
+    square distance blind to every direction.  In the plain geodesic chart
+    that means coordinates with zeta_i zeta_j = lam (G(x)^-1)_ij for one
+    lam (``weil._satisfies_isotropy``), which needs no square root, so both
+    modes answer on every nondegenerate metric.
+
+    Float mode reads the residue per unit of lam, in an orthonormal frame
+    so that one tolerance fits every entry (those of G^-1 may differ by
+    orders of magnitude): it tests eta = |d|^(-1/2) C^T G(x) zeta, where
+    G^-1 becomes diag(sign d), scaled so that its largest square has
+    coordinates of size 1, against ``eps``.
+    """
+    at = _MetricAt(metric, x, mode)
+    chart = GeodesicChart(metric, at, eps)
     tol = eps if mode == FLOAT else None
     zeta = chart.to_chart(z)
     _check_order(zeta, 2, tol)
-    return satisfies_laplace_relations(zeta, tol)
+    if mode == EXACT:
+        return _satisfies_isotropy(zeta, at.ginv)
+    frame = _linalg.mat_mul(_linalg.transpose(at.C), at.G)
+    eta = _apply([[f / math.sqrt(abs(dk)) for f in row] for row, dk in zip(frame, at.d)], zeta)
+    unit = max(abs(c) for w in eta for c in (w * w).coords)
+    if unit > 0:
+        eta = [w * (1 / math.sqrt(unit)) for w in eta]
+    signs = [[math.copysign(1.0, dk) if i == k else 0.0 for k in range(len(at.d))] for i, dk in enumerate(at.d)]
+    return _satisfies_isotropy(eta, signs, tol)
 
 
 def _as_scalar_model(f, n):
@@ -528,17 +540,11 @@ def _as_scalar_model(f, n):
 
 
 def _universal_point(metric, x, mode, eps):
-    """The geodesic chart at x and its universal isotropic point: chart
-    coordinates C Z, where C^T G(x) C = diag(d) by the square-root-free
-    ``_linalg.congruence`` and the Z_i generate Z_i^2 = (d_1/d_i) Q, so that
-    g(x, z) = sum d_i Z_i^2 = n d_1 Q sees no direction, for any mode and any
-    nondegenerate (also indefinite) G.  Also returns d_1."""
+    """The plain geodesic chart at x, the chart coordinates of its universal
+    isotropic point (see ``laplace_point``) and d_1, for any mode and any
+    nondegenerate (also indefinite) G."""
     chart = geodesic_chart(metric, x, mode=mode, eps=eps)
-    c, d = _linalg.congruence(chart.G0)
-    z = _isotropy_algebra([Fraction(d[0]) / Fraction(v) for v in d]).generators()
-    zero = z[0].algebra.zero()
-    gens = tuple(sum((cij * zj for cij, zj in zip(row, z)), start=zero) for row in c)
-    return chart, gens, d[0]
+    return chart, _weighted_point(*chart.frame), chart.frame[1][0]
 
 
 def laplacian(metric: MetricField, f, x, mode: str = EXACT, eps: float = DEFAULT_EPS) -> Scalar:
@@ -546,15 +552,15 @@ def laplacian(metric: MetricField, f, x, mode: str = EXACT, eps: float = DEFAULT
 
     Evaluate f at the universal isotropic point z and at its mirror image,
     form f(z) + f(z') - 2 f(x); only the isotropic square-class coordinate
-    survives, and dividing by the matching coordinate of g(x, z) gives the
-    eigenvalue L.  The result is n * L.
+    survives, and dividing by the matching coordinate of g(x, z) = n d_1 Q
+    gives the eigenvalue L.  The result is n * L.
 
     Both modes take this one route, with no square root, on any
     nondegenerate metric (see ``_universal_point``); an indefinite one gives
     the wave operator.
     """
     f = _as_scalar_model(f, metric.n)
-    chart, gens, _ = _universal_point(metric, x, mode, eps)
+    chart, gens, d1 = _universal_point(metric, x, mode, eps)
     x = chart.base
     n = metric.n
     w_plus = chart.push_offsets(gens)
@@ -564,14 +570,11 @@ def laplacian(metric: MetricField, f, x, mode: str = EXACT, eps: float = DEFAULT
     f_mirror = jet_eval(expr, x, w_minus, mode)
     f_x = evaluate(expr, x, mode)
     combined = f_z + f_mirror - f_x * 2
-    g_val = g_eval(metric, x, w_plus, mode=mode)
     tol = eps if mode == FLOAT else None
     for c in combined.coords[: n + 1]:
         if not scalars_equal(c, 0, tol):
             raise GeometryError("mirror average has a non-isotropic residue; chart is not geodesic")
-    q_num = combined.coords[n + 1]
-    q_den = g_val.coords[n + 1]
-    return n * q_num / q_den
+    return combined.coords[n + 1] / d1
 
 
 def laplace_taylor(metric: MetricField, f, x, offsets, mode: str = EXACT) -> WeilElement:

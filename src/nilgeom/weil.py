@@ -694,7 +694,19 @@ def _shift_mono(m, n_total, offset):
 def satisfies_laplace_relations(zs, eps=None) -> bool:
     """True iff the tuple of nilpotents satisfies the isotropy relations:
     all squares equal, distinct products vanish, and (one generator only)
-    the cube vanishes."""
+    the cube vanishes.  The G^-1 = I case of ``_satisfies_isotropy``."""
+    zs = list(zs)
+    n = len(zs)
+    return _satisfies_isotropy(zs, [[int(i == j) for j in range(n)] for i in range(n)], eps)
+
+
+def _satisfies_isotropy(zs, ginv, eps=None) -> bool:
+    """True iff z_i z_j = lam * ginv[i][j] for one lam (and, one generator
+    only, z^3 = 0): the coordinates of an isotropic neighbor in a chart
+    where the inverse metric is ``ginv``.  Tested by cross-multiplication
+    against the largest entry ginv[p][q], z_i z_j ginv[p][q] = z_p z_q
+    ginv[i][j], so nothing is divided; with ``eps`` each residue
+    coordinate is compared against it."""
     zs = list(zs)
     n = len(zs)
     if n == 0:
@@ -705,19 +717,16 @@ def satisfies_laplace_relations(zs, eps=None) -> bool:
             raise ValueError("point coordinates live in different algebras")
         if not z.is_nilpotent(eps):
             raise ValueError("point coordinates must be nilpotent")
-    squares = [z * z for z in zs]
-    for i in range(1, n):
-        diff = squares[i] - squares[0]
-        if not diff.is_zero(eps):
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    p, q = max(pairs, key=lambda ij: abs(ginv[ij[0]][ij[1]]))
+    pivot, pivot_product = ginv[p][q], zs[p] * zs[q]
+    for i, j in pairs:
+        residue = zs[i] * zs[j] * pivot
+        if ginv[i][j] != 0:
+            residue = residue - pivot_product * ginv[i][j]
+        if not residue.is_zero(eps):
             return False
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not (zs[i] * zs[j]).is_zero(eps):
-                return False
-    if n == 1:
-        if not (zs[0] * squares[0]).is_zero(eps):
-            return False
-    return True
+    return n > 1 or (zs[0] * zs[0] * zs[0]).is_zero(eps)
 
 
 # ---------------------------------------------------------------------------

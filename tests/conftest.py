@@ -13,11 +13,11 @@ from fractions import Fraction
 
 from nilgeom import _linalg
 from nilgeom.coalgebra import Distribution, Subcoalgebra, _factorial, comultiply, divided_derivatives
-from nilgeom.expr import Const, Expr, Var, compose, diff, evaluate, polynomial_to_expr, taylor_coefficients
-from nilgeom.geometry import MetricField, geodesic_chart
-from nilgeom.scalars import EXACT
+from nilgeom.expr import Const, Expr, Var, compose, diff, evaluate, jet_eval, polynomial_to_expr, taylor_coefficients
+from nilgeom.geometry import MetricField, _check_order, geodesic_chart
+from nilgeom.scalars import DEFAULT_EPS, EXACT, FLOAT
 from nilgeom.weil import truncated_algebra
-from nilgeom.weil import Polynomial, _reduce_rows, all_monomials, mono_key, quotient_algebra
+from nilgeom.weil import Polynomial, _reduce_rows, all_monomials, mono_key, quotient_algebra, satisfies_laplace_relations
 
 
 def random_polynomial(rng: random.Random, n: int, degree: int, terms: int = 5) -> Polynomial:
@@ -210,7 +210,33 @@ def dual_algebra_by_nullspace(c, degree_bound=None):
     return quotient_algebra(c.n, degree_bound, relations)
 
 
-# -- the Laplacian as a trace, and Christoffel symbols by the full loop --
+# -- dense solves, the Laplacian as a trace, and Christoffel symbols by the full loop --
+
+def solve(a, b):
+    """Solve a @ x = b for square a by Gauss-Jordan; b is a vector.  Raises
+    on singular a."""
+    n = len(a)
+    exact = not any(isinstance(x, float) for row in a for x in row)
+    aug = [list(row) + [b[i]] for i, row in enumerate(a)]
+    for col in range(n):
+        piv = _linalg._pivot_row(aug, col, col, exact)
+        if piv is None or aug[piv][col] == 0:
+            raise ZeroDivisionError("singular matrix")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = aug[col][col]
+        aug[col] = [x / inv for x in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col] != 0:
+                factor = aug[r][col]
+                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
+    return [aug[i][n] for i in range(n)]
+
+
+def invert(a):
+    n = len(a)
+    cols = [solve(a, [Fraction(1) if i == j else Fraction(0) for i in range(n)]) for j in range(n)]
+    return _linalg.transpose(cols)
+
 
 def laplacian_by_trace(metric, f, x, mode=EXACT):
     """trace(G(x)^-1 Hess(f o chart)) in the unnormalized geodesic chart at x:
@@ -221,7 +247,7 @@ def laplacian_by_trace(metric, f, x, mode=EXACT):
     pushed = compose(f, chart.forward_model().components)
     zero = tuple(Fraction(0) if mode == EXACT else 0.0 for _ in range(n))
     coeffs = taylor_coefficients(pushed, zero, 2, mode)
-    ginv = _linalg.invert(chart.G0)
+    ginv = invert(chart.G0)
     total = 0
     for j in range(n):
         for k in range(j, n):
@@ -239,8 +265,8 @@ def christoffel_by_loop(metric, x, mode=EXACT):
     """Gamma^i_{jk} = 1/2 sum_l G^il (d_k G_lj + d_j G_lk - d_l G_jk), every
     (i, j, k, l) term added, zero or not."""
     n = metric.n
-    ginv = _linalg.invert(metric.matrix_at(x, mode))
-    jets = metric.jet_matrix(x, truncated_algebra(n, 1).generators(), mode)
+    ginv = invert(metric.matrix_at(x, mode))
+    jets = jet_matrix(metric, x, truncated_algebra(n, 1).generators(), mode)
     dg = [[jets[l][k].coords[1:] for k in range(n)] for l in range(n)]
     gamma = [[[None] * n for _ in range(n)] for _ in range(n)]
     for i in range(n):
@@ -251,3 +277,44 @@ def christoffel_by_loop(metric, x, mode=EXACT):
                     s = s + ginv[i][l] * (dg[l][k][j] + dg[l][j][k] - dg[j][k][l])
                 gamma[i][j][k] = s * Fraction(1, 2)
     return gamma
+
+
+# -- metric derivatives by symbolic diff, isotropy in a float normal chart --
+
+def jet_matrix(metric, base, offsets, mode=EXACT):
+    """Every entry of G, both triangles, evaluated at base + offsets."""
+    n = metric.n
+    return [[jet_eval(metric.entry(i, j), base, offsets, mode) for j in range(n)] for i in range(n)]
+
+
+def gbar_eval_by_diff(metric, base, z, y=None, mode=EXACT):
+    """``gbar_eval`` with D_{z-y}G(p) summed from symbolic partials
+    d_k G evaluated as jets at y."""
+    z = tuple(z)
+    algebra = z[0].algebra
+    y = tuple(y) if y is not None else tuple(algebra.zero() for _ in z)
+    d = tuple(zz - yy for zz, yy in zip(z, y))
+    gm = jet_matrix(metric, base, y, mode)
+    n = metric.n
+    total = algebra.zero()
+    for i in range(n):
+        for j in range(n):
+            correction = algebra.zero()
+            for k in range(n):
+                correction = correction + jet_eval(diff(metric.entry(i, j), k), base, y, mode) * d[k]
+            total = total + d[i] * (gm[i][j] + correction * Fraction(1, 2)) * d[j]
+    return total
+
+
+def is_laplace_neighbor_by_normal_chart(metric, x, z, eps=DEFAULT_EPS):
+    """Float isotropy test in an orthonormal chart: coordinates A^-1 zeta,
+    A^T G(x) A = I and A^-1 by dense solves, must satisfy the plain Laplace
+    relations with absolute tolerance ``eps``.  Needs G(x) positive definite."""
+    x = tuple(float(c) for c in x)
+    normal = geodesic_chart(metric, x, normalize=True, mode=FLOAT, eps=eps)
+    zeta = geodesic_chart(metric, x, mode=FLOAT, eps=eps).to_chart(z)
+    a_inv = invert(normal.A)
+    zero = zeta[0].algebra.zero()
+    eta = [sum((w * a for a, w in zip(row, zeta)), start=zero) for row in a_inv]
+    _check_order(eta, 2, eps)
+    return satisfies_laplace_relations(eta, eps)

@@ -302,3 +302,41 @@ def test_cli_import_leaves_dataclasses_out():
     code = "import sys, nilgeom.cli; print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))"
     out = subprocess.run([sys.executable, "-c", code], check=True, capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "fn", ["((x1^1000)^1000)^1000", "(x1^1000)^1000", "(7^1000)^1000"],
+    ids=["three-levels", "two-levels", "constant-folded"],
+)
+def test_nested_exponents_exit_2_at_once(capsys, fn):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "laplacian", "--fn", fn, "--point", "2")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err == "error: nested exponents multiply to 1000000 > MAX_EXPONENT = 1000\n"
+
+
+def test_nested_exponent_boundary(capsys):
+    assert run_json(capsys, "laplacian", "--fn", "(x1^10)^100", "--point", "1")["value"] == "999000"
+    code, _, err = run(capsys, "laplacian", "--fn", "(x1^10)^101", "--point", "1")
+    assert code == 2
+    assert "1010 > MAX_EXPONENT" in err
+
+
+HYPERBOLIC_DOC = {"n": 2, "G": [["0", "1"], ["1", "0"]]}
+
+
+def test_l_neighbor_answers_where_g_is_not_the_identity(capsys, polar_file, tmp_path):
+    # exact normalization used to need G(x) = I (polar at 2,0 has diag(1, 4))
+    # and float normalization a positive definite G(x); neither is needed now
+    doc = run_json(capsys, "check", "l-neighbor", "--metric", polar_file, "--point", "2,0", "--z", "d1^2,d1*d2")
+    assert doc["l_neighbor"] is True
+    doc = run_json(capsys, "check", "l-neighbor", "--metric", polar_file, "--point", "2,0", "--z", "d1,d2")
+    assert doc["l_neighbor"] is False
+    path = tmp_path / "hyperbolic.json"
+    path.write_text(json.dumps(HYPERBOLIC_DOC))
+    for z, want in (("d1^2,d1*d2", True), ("d1,d2", False)):
+        doc = run_json(capsys, "--mode", "float", "check", "l-neighbor", "--metric", str(path), "--point", "0,0",
+                       "--z", z)
+        assert doc["l_neighbor"] is want

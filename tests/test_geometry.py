@@ -260,11 +260,6 @@ def test_exact_normalization_constraints():
     stretched = MetricField.from_strings([["4", "0"], ["0", "1"]])
     with pytest.raises(GeometryError):
         geodesic_chart(stretched, ORIGIN2, normalize=True)
-    chart = geodesic_chart(stretched, ORIGIN2, normalize=True, normalizer=[[F(1, 2), 0], [0, 1]])
-    assert chart.normal
-    assert chart.Ghat0 == [[1, 0], [0, 1]]
-    with pytest.raises(GeometryError):
-        geodesic_chart(stretched, ORIGIN2, normalize=True, normalizer=[[1, 0], [0, 1]])
 
 
 def test_float_normalization_needs_positive_definite():
@@ -485,10 +480,12 @@ def test_laplace_point_flat_is_generic_generator_tuple():
 
 
 def test_laplace_point_requires_normal_chart():
+    # the plain chart of a non-identity G(x) carries the weighted point
     stretched = MetricField.from_strings([["4", "0"], ["0", "1"]])
     chart = geodesic_chart(stretched, ORIGIN2)
-    with pytest.raises(GeometryError):
-        laplace_point(chart)
+    z = laplace_point(chart)
+    assert is_laplace_neighbor(stretched, ORIGIN2, z)
+    assert is_laplace_neighbor(stretched, (0.0, 0.0), z, mode="float")
 
 
 def test_first_order_points_are_isotropic_neighbors():
@@ -568,19 +565,19 @@ def test_laplacian_routes_agree_on_curved_metric_with_unit_base():
 
 def test_mirror_average_with_exact_normalizer_matches_trace_route():
     # anisotropic curved metric; G(x) = diag(4, 1) at the base, so the exact
-    # mirror average runs through a user-supplied congruence to the identity
+    # mirror average runs over the weighted point of the plain chart
     metric = MetricField.from_strings([["4", "0"], ["0", "1 + x1^2"]])
     x = (F(0), F(3))
     f = parse_expr("x1^2*x2^2")
-    chart = geodesic_chart(metric, x, normalize=True, normalizer=[[F(1, 2), 0], [0, 1]])
-    gens = laplace_algebra(2).generators()
-    f_plus = jet_eval(f, x, chart.push_offsets(gens))
-    f_minus = jet_eval(f, x, chart.push_offsets([-g for g in gens]))
+    chart = geodesic_chart(metric, x)
+    z = laplace_point(chart)
+    f_plus = jet_eval(f, x, point_offsets(z, x))
+    f_minus = jet_eval(f, x, point_offsets(mirror(chart, z), x))
     from nilgeom.expr import evaluate
 
     combined = f_plus + f_minus - evaluate(f, x) * 2
     assert combined.coords[:3] == (0, 0, 0)
-    g_val = g_eval(metric, x, chart.push_offsets(gens))
+    g_val = g_eval(metric, x, point_offsets(z, x))
     assert g_val.coords[:3] == (0, 0, 0)
     mirror_value = 2 * combined.coords[3] / g_val.coords[3]
     trace_value = laplacian_by_trace(metric, f, x)
