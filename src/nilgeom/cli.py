@@ -201,8 +201,20 @@ def cmd_coalgebra(args) -> dict:
 # argument wiring
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reads a token that starts with a single '-' and is no option (only
+    ``-h`` is) as a value, so that ``--point -1,0`` and ``--fn "-x1^2"``
+    parse; argparse alone takes them for unknown options.  Subparsers
+    inherit the class."""
+
+    def _parse_optional(self, arg_string):
+        if arg_string[:1] == "-" and arg_string[1:2] != "-" and arg_string not in self._option_string_actions:
+            return None
+        return super()._parse_optional(arg_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nilgeom",
         description="exact infinitesimal geometry: algebras, Laplacians, detectors",
     )

@@ -122,7 +122,8 @@ class _MetricAt:
     A first-order jet of each upper entry of G yields G(x) and its first
     partials; one ``_linalg.congruence`` call yields C and d with
     C^T G(x) C = diag(d), a zero pivot meaning G(x) is singular.  Then
-    G(x)^-1 = C diag(1/d) C^T, and det G(x) = prod d since C is a product
+    G(x)^-1 = C diag(1/d) C^T, summed over the nonzero entries of C (C = I
+    on a diagonal G(x)), and det G(x) = prod d since C is a product
     of column additions; the Christoffel symbols follow from G(x)^-1 and
     the partials.  Without ``derivatives`` (``matrix_at``) G is only
     evaluated and ``gamma`` is None.  Built once per call and passed down;
@@ -151,7 +152,11 @@ class _MetricAt:
             c, d = _linalg.congruence(g)
         except ZeroDivisionError:
             raise GeometryError(f"metric is singular at {where}") from None
-        ginv = [[sum(c[i][k] * c[j][k] / d[k] for k in range(n)) for j in range(n)] for i in range(n)]
+        zero = d[0] - d[0]
+        ginv = [
+            [sum((c[i][k] * c[j][k] / d[k] for k in range(n) if c[i][k] and c[j][k]), zero) for j in range(n)]
+            for i in range(n)
+        ]
         self.G, self.C, self.d, self.ginv = g, c, d, ginv
         self.gamma = _christoffel(dg, ginv) if derivatives else None
 
@@ -287,7 +292,8 @@ class GeodesicChart:
     C^T Ghat0 C = diag(d), the weights of ``laplace_point``.
     """
 
-    __slots__ = ("metric", "base", "mode", "eps", "A", "A_inv", "gamma", "G0", "Ghat0", "normal", "frame")
+    __slots__ = ("metric", "base", "mode", "eps", "A", "A_inv", "gamma", "G0", "Ghat0", "normal", "frame",
+                 "_plain", "_gamma_vanishes")
 
     def __init__(self, metric: MetricField, at: _MetricAt, eps, A=None):
         ident = _linalg.identity(metric.n)
@@ -297,6 +303,8 @@ class GeodesicChart:
         self.eps = eps
         self.gamma = at.gamma
         self.G0 = at.G
+        self._plain = A is None
+        self._gamma_vanishes = not any(any(row) for plane in at.gamma for row in plane)
         if A is None:
             self.A = self.A_inv = ident
             self.Ghat0 = at.G
@@ -323,14 +331,19 @@ class GeodesicChart:
         ]
 
     def push_offsets(self, zeta):
-        """Chart coordinates (nilpotent) -> manifold offsets from the base."""
-        az = _apply(self.A, zeta)
+        """Chart coordinates (nilpotent) -> manifold offsets from the base.
+        The plain chart applies no matrix, and vanishing Gamma adds nothing."""
+        az = tuple(zeta) if self._plain else _apply(self.A, zeta)
+        if self._gamma_vanishes:
+            return az
         return tuple(a - c for a, c in zip(az, self._half_gamma(az)))
 
     def pull_offsets(self, w):
         """Manifold offsets from the base -> chart coordinates."""
         w = tuple(w)
-        return _apply(self.A_inv, [a + c for a, c in zip(w, self._half_gamma(w))])
+        if not self._gamma_vanishes:
+            w = tuple(a + c for a, c in zip(w, self._half_gamma(w)))
+        return w if self._plain else _apply(self.A_inv, w)
 
     def from_chart(self, zeta):
         return make_point(self.base, self.push_offsets(zeta))
@@ -357,8 +370,20 @@ class GeodesicChart:
 
 
 def _apply(m, v):
-    """The matrix m times a vector v of Weil elements or expressions."""
-    return tuple(sum(mij * vj for mij, vj in zip(row, v)) for row in m)
+    """The matrix m times a vector v of Weil elements or expressions.  Zero
+    entries are skipped and an exact entry 1 contributes v_j itself; other
+    entries, float 1.0 included, multiply, so float coordinates come out as
+    a dense product gives them."""
+    out = []
+    for row in m:
+        total = None
+        for mij, vj in zip(row, v):
+            if not mij:
+                continue
+            term = vj if mij == 1 and not isinstance(mij, float) else mij * vj
+            total = term if total is None else total + term
+        out.append(row[0] * v[0] if total is None else total)  # a zero row: a zero of its type
+    return tuple(out)
 
 
 def geodesic_chart(

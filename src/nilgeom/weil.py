@@ -19,19 +19,32 @@ the library needs:
   its relations once and shares only the last step, ``_presentation``.
 
 Every constructor counts its monomials before building anything and
-refuses more than ``MAX_DIMENSION`` of them.
+refuses more than ``MAX_DIMENSION`` of them.  ``laplace_algebra`` writes
+its table down directly, in O(n^2) steps, and builds its n^2 relation
+polynomials only when they are read.
+
+Element arithmetic is coordinate vectors times structure constants, with
+short paths for the operands the Laplacian mostly meets: an exact scalar
+(``int`` or ``Fraction``) added or subtracted changes coordinate 0 only,
+multiplying by one touches only the nonzero coordinates, ``w + 0`` and
+``w * 1`` return ``w`` itself, and products skip zero coordinates and
+vanishing table entries.  Float scalars act on every coordinate, so float
+results are those of the dense arithmetic.
 
 Everything is immutable after construction and safe to share.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
 from .scalars import Scalar, format_scalar, parse_rational, to_scalar
 
 Monomial = tuple  # exponent vector, length n
+
+_EXACT = (int, Fraction)  # scalars that take the short paths of WeilElement
 
 
 # ---------------------------------------------------------------------------
@@ -68,9 +81,9 @@ MAX_DIMENSION = 500
 with: C(n + k, k) for n generators up to degree k (``truncated_algebra``,
 ``quotient_algebra``, ``divided_derivatives``, ``dual_algebra``) and n + 2
 for ``laplace_algebra``.  A multiplication table holds the square of the
-dimension, and building ``laplace_algebra(n)`` costs about n^3 steps: at
-the cap a truncated algebra builds in about half a second and the Laplace
-algebra in about 20 s (2-core VM, Python 3.11)."""
+dimension, and so does the cost of building it: at the cap a truncated
+algebra builds in 0.6-1.2 s and the Laplace algebra in about 0.3 s
+(2-core VM, Python 3.11)."""
 
 
 def _check_dimension(n: int, degree: int) -> None:
@@ -270,18 +283,20 @@ class WeilAlgebra:
     Attributes: ``n`` generators, ``degree_bound`` (monomials above it all
     reduce to zero), ``basis`` (ordered monomials, unit first), and the
     multiplication table.  ``relations`` records the defining generators so
-    algebras can be tensored.  The table is built from the normal forms
-    unless one is given (rows of tuples of (basis index, coefficient)
-    pairs, as deserialized); a given table is checked before use.
+    algebras can be tensored; a constructor may pass a function instead,
+    called on first use.  The table is built from the normal forms unless
+    one is given (rows of tuples of (basis index, coefficient) pairs, as
+    deserialized); a given table is checked before use, and the normal
+    forms then serve only ``generators``.
     """
 
-    __slots__ = ("n", "degree_bound", "basis", "relations", "_index", "_nf", "_table")
+    __slots__ = ("n", "degree_bound", "basis", "_relations", "_index", "_nf", "_table")
 
     def __init__(self, n, degree_bound, basis, normal_form, relations, table=None):
         self.n = n
         self.degree_bound = degree_bound
         self.basis = tuple(basis)
-        self.relations = tuple(relations)
+        self._relations = relations if callable(relations) else tuple(relations)
         self._index = {m: i for i, m in enumerate(self.basis)}
         self._nf = normal_form  # monomial -> tuple of (basis index, coeff)
         if self.basis[0] != unit_monomial(n):
@@ -292,6 +307,12 @@ class WeilAlgebra:
             self._check_table(table)
             self._table = table
         self._check_nilpotent()
+
+    @property
+    def relations(self):
+        if callable(self._relations):
+            self._relations = tuple(self._relations())
+        return self._relations
 
     # -- construction helpers ---------------------------------------------
 
@@ -422,7 +443,17 @@ class WeilAlgebra:
 
 
 class WeilElement:
-    """Coefficient vector over a WeilAlgebra basis; a nilpotent-augmented scalar."""
+    """Coefficient vector over a WeilAlgebra basis; a nilpotent-augmented scalar.
+
+    An exact scalar operand (``int`` or ``Fraction``) takes a short path:
+    adding or subtracting it changes coordinate 0 only, multiplying by it
+    touches only the nonzero coordinates, and ``w + 0``, ``w - 0`` and
+    ``w * 1`` return ``w`` itself (elements are immutable).  A float scalar
+    takes the general path: it is added as a full scalar element, or it
+    multiplies every coordinate, so float results are those of the dense
+    arithmetic.  Products of two elements skip zero coordinates on both
+    sides and table entries that vanish.
+    """
 
     __slots__ = ("algebra", "coords")
 
@@ -439,7 +470,16 @@ class WeilElement:
             return self.algebra.scalar(other)
         return NotImplemented
 
+    def _shift(self, value):
+        """Self plus the exact scalar ``value``: coordinate 0 only."""
+        if not value:
+            return self
+        coords = self.coords
+        return WeilElement(self.algebra, (coords[0] + value,) + coords[1:])
+
     def __add__(self, other):
+        if isinstance(other, _EXACT):
+            return self._shift(other)
         other = self._match(other)
         if other is NotImplemented:
             return NotImplemented
@@ -448,6 +488,8 @@ class WeilElement:
     __radd__ = __add__
 
     def __sub__(self, other):
+        if isinstance(other, _EXACT):
+            return self._shift(-other)
         other = self._match(other)
         if other is NotImplemented:
             return NotImplemented
@@ -460,7 +502,11 @@ class WeilElement:
         return WeilElement(self.algebra, tuple(-a for a in self.coords))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, float)):
+        if isinstance(other, _EXACT):
+            if other == 1:
+                return self
+            return WeilElement(self.algebra, tuple(a * other if a else a for a in self.coords))
+        if isinstance(other, float):
             return WeilElement(self.algebra, tuple(a * other for a in self.coords))
         other = self._match(other)
         if other is NotImplemented:
@@ -468,9 +514,9 @@ class WeilElement:
         dim = self.algebra.dimension
         table = self.algebra._table
         out = [Fraction(0)] * dim
-        right = [(j, b) for j, b in enumerate(other.coords) if b != 0]
+        right = [(j, b) for j, b in enumerate(other.coords) if b]
         for i, a in enumerate(self.coords):
-            if a == 0:
+            if not a:
                 continue
             row = table[i]
             for j, b in right:
@@ -521,7 +567,8 @@ class WeilElement:
         return self.coords[0]
 
     def nilpotent_part(self) -> "WeilElement":
-        return self - self.algebra.scalar(self.coords[0])
+        coords = self.coords
+        return WeilElement(self.algebra, (coords[0] - coords[0],) + coords[1:])
 
     def is_nilpotent(self, eps=None):
         if eps is None:
@@ -575,18 +622,33 @@ def laplace_algebra(n: int) -> WeilAlgebra:
 
 def _isotropy_algebra(weights) -> WeilAlgebra:
     """Z_i^2 = weights[i] * Q, Z_i Z_j = 0 on the basis {1, Z_1..Z_n, Q};
-    Q is represented by Z_1^2, so weights[0] must be 1."""
+    Q is represented by Z_1^2, so weights[0] must be 1.
+
+    The table is written down directly, in O(n^2) steps: the unit row and
+    column, Z_i Z_i = weights[i] Q, and 0 everywhere else.  The n^2
+    relation polynomials, n^3 exponents in all, are built only if asked
+    for (``tensor_algebra`` does)."""
     n = len(weights)
     gens = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    q_mono = mono_mul(gens[0], gens[0])  # class of Z_1^2
+    q_mono = (2,) + (0,) * (n - 1)  # class of Z_1^2
     basis = [unit_monomial(n)] + gens + [q_mono]
-    nf = {mono_mul(g1, g2): () for g1, g2 in itertools.combinations(gens, 2)}
-    nf.update({mono_mul(g, g): ((n + 1, w),) for g, w in zip(gens, weights)})
-    relations = tuple(
-        [Polynomial(n, {q_mono: weights[i], mono_mul(gens[i], gens[i]): -1}) for i in range(1, n)]
-        + [Polynomial(n, {mono_mul(g1, g2): 1}) for g1, g2 in itertools.combinations(gens, 2)]
-    )
-    return WeilAlgebra(n, 2, basis, nf, relations)
+    dim = n + 2
+    table = [[()] * dim for _ in range(dim)]
+    for k in range(dim):
+        table[0][k] = table[k][0] = ((k, Fraction(1)),)
+    for i, w in enumerate(weights, start=1):
+        table[i][i] = ((n + 1, w),)
+    return WeilAlgebra(n, 2, basis, {}, functools.partial(_isotropy_relations, tuple(weights)), table=table)
+
+
+def _isotropy_relations(weights):
+    """Z_1^2 weights[i] - Z_i^2 for i > 0, then Z_i Z_j for i < j."""
+    n = len(weights)
+    gens = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    q_mono = mono_mul(gens[0], gens[0])
+    return [Polynomial(n, {q_mono: weights[i], mono_mul(gens[i], gens[i]): -1}) for i in range(1, n)] + [
+        Polynomial(n, {mono_mul(g1, g2): 1}) for g1, g2 in itertools.combinations(gens, 2)
+    ]
 
 
 def quotient_algebra(n: int, degree_bound: int, relations) -> WeilAlgebra:

@@ -17,7 +17,7 @@ from nilgeom.expr import Const, Expr, Var, compose, diff, evaluate, jet_eval, po
 from nilgeom.geometry import MetricField, _check_order, geodesic_chart
 from nilgeom.scalars import DEFAULT_EPS, EXACT, FLOAT
 from nilgeom.weil import truncated_algebra
-from nilgeom.weil import Polynomial, _reduce_rows, all_monomials, mono_key, quotient_algebra, satisfies_laplace_relations
+from nilgeom.weil import Polynomial, WeilElement, _reduce_rows, all_monomials, mono_key, quotient_algebra, satisfies_laplace_relations
 
 
 def random_polynomial(rng: random.Random, n: int, degree: int, terms: int = 5) -> Polynomial:
@@ -59,6 +59,35 @@ def random_metric(rng: random.Random, n: int, base) -> MetricField:
 def second_partials_sum(expr, x):
     """Independent flat-Laplacian oracle: sum of pure second partials."""
     return sum(evaluate(diff(diff(expr, i), i), x) for i in range(len(x)))
+
+
+# -- scalar operations coordinate by coordinate: the reference for the short paths --
+
+def add_scalar_dense(w, s):
+    """w + s: s made a full scalar element, then every coordinate added."""
+    return WeilElement(w.algebra, tuple(a + b for a, b in zip(w.coords, w.algebra.scalar(s).coords)))
+
+
+def sub_scalar_dense(w, s):
+    return WeilElement(w.algebra, tuple(a - b for a, b in zip(w.coords, w.algebra.scalar(s).coords)))
+
+
+def rsub_scalar_dense(s, w):
+    """s - w as (-w) + s, every coordinate added."""
+    return add_scalar_dense(WeilElement(w.algebra, tuple(-a for a in w.coords)), s)
+
+
+def mul_scalar_dense(w, s):
+    return WeilElement(w.algebra, tuple(a * s for a in w.coords))
+
+
+def nilpotent_part_dense(w):
+    return sub_scalar_dense(w, w.coords[0])
+
+
+def apply_dense(m, v):
+    """The matrix m times the vector v, every entry multiplied and summed."""
+    return tuple(sum(mij * vj for mij, vj in zip(row, v)) for row in m)
 
 
 # -- jets through symbolic derivatives: the reference for nilpotent arithmetic --

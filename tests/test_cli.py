@@ -340,3 +340,58 @@ def test_l_neighbor_answers_where_g_is_not_the_identity(capsys, polar_file, tmp_
         doc = run_json(capsys, "--mode", "float", "check", "l-neighbor", "--metric", str(path), "--point", "0,0",
                        "--z", z)
         assert doc["l_neighbor"] is want
+
+
+# -- values that start with '-' ----------------------------------------------------------
+
+def test_negative_point_parses(capsys):
+    doc = run_json(capsys, "laplacian", "--fn", "x1^3", "--point", "-1,0")
+    assert doc["value"] == "-6"
+    assert doc["point"] == ["-1", "0"]
+    assert run_json(capsys, "laplacian", "--fn", "x1^3", "--point=-1,0") == doc
+
+
+def test_negative_fn_parses(capsys):
+    doc = run_json(capsys, "laplacian", "--fn", "-x1^2", "--point", "1,0")
+    assert doc["value"] == "-2"
+    assert doc["function"] == "-x1^2"
+    assert run_json(capsys, "check", "harmonic", "--fn", "-x1*x2", "--point", "-3,5")["harmonic"] is True
+
+
+def test_negative_map_parses(capsys):
+    doc = run_json(capsys, "check", "conformal", "--map", "-x1, x2", "--point", "-1,2")
+    assert doc["conformal"] is True
+    assert doc["factor"] == "1"
+    doc = run_json(capsys, "check", "cr", "--map", "-x1^2+x2^2, -2*x1*x2", "--point", "1,0")
+    assert doc["holomorphic"] is True
+    assert doc["derivative"] == ["-2", "0"]
+
+
+def test_negative_z_parses(capsys):
+    argv = ["check", "l-neighbor", "--point", "-1,0", "--z", "-d1, d2"]
+    assert run_json(capsys, *argv)["l_neighbor"] is False
+    assert run_json(capsys, *argv, "--ambient-order", "1")["l_neighbor"] is True
+
+
+def test_negative_relations_parse(capsys):
+    argv = ["algebra", "quotient", "--n", "2", "--bound", "2"]
+    negated = run_json(capsys, *argv, "--rel", "-x1^2+x2^2", "--rel", "-x1*x2")
+    assert negated == run_json(capsys, *argv, "--rel", "x1^2-x2^2", "--rel", "x1*x2")
+
+
+def test_negative_distribution_parses(capsys):
+    doc = run_json(capsys, "coalgebra", "--dist", "-d1^2-d2^2", "--n", "2")
+    assert doc["distribution"] == "-d1^2 - d2^2"
+    assert doc["basis"] == ["1", "d1", "d2", "d1^2 + d2^2"]
+
+
+def test_options_are_still_read_as_options(capsys):
+    # a missing value is still reported, and -h is still help
+    with pytest.raises(SystemExit) as exc:
+        main(["laplacian", "--fn", "--point", "1"])
+    assert exc.value.code == 2
+    assert "argument --fn: expected one argument" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["laplacian", "-h"])
+    assert exc.value.code == 0
+    assert "--point POINT" in capsys.readouterr().out

@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from nilgeom.weil import (
     MAX_DIMENSION,
     Polynomial,
     _check_dimension,
+    _isotropy_algebra,
     algebra_from_json,
     algebra_isomorphism,
     algebra_to_json,
@@ -89,6 +91,30 @@ def test_quotient_reproduces_laplace_table(n):
     hand = laplace_algebra(n)
     assert generic.basis == hand.basis
     assert generic == hand
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_direct_isotropy_tables_match_the_quotient(n):
+    """laplace_algebra and the weighted _isotropy_algebra write their tables
+    directly; the generic quotient by their relations gives the same basis,
+    table and JSON, and the plain relations are those of dl_relations."""
+    weights = [Fraction(1)] + [Fraction(k + 2, 3) for k in range(n - 1)]
+    for hand in (laplace_algebra(n), _isotropy_algebra(weights)):
+        generic = quotient_algebra(n, 2, hand.relations)
+        assert generic.basis == hand.basis
+        assert generic._table == hand._table
+        assert json.dumps(algebra_to_json(generic)) == json.dumps(algebra_to_json(hand))
+    assert laplace_algebra(n).relations == tuple(dl_relations(n))
+
+
+def test_laplace_algebra_at_the_cap_builds_in_seconds():
+    start = time.perf_counter()
+    a = laplace_algebra(MAX_DIMENSION - 2)
+    assert time.perf_counter() - start < 5
+    assert a.dimension == MAX_DIMENSION
+    z = a.generators()
+    assert z[0] * z[0] == z[-1] * z[-1] != a.zero()
+    assert (z[0] * z[-1]).is_zero()
 
 
 def test_quotient_with_no_relations_is_truncation():
