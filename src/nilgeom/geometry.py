@@ -293,7 +293,7 @@ class GeodesicChart:
     """
 
     __slots__ = ("metric", "base", "mode", "eps", "A", "A_inv", "gamma", "G0", "Ghat0", "normal", "frame",
-                 "_plain", "_gamma_vanishes")
+                 "_gamma_terms")
 
     def __init__(self, metric: MetricField, at: _MetricAt, eps, A=None):
         ident = _linalg.identity(metric.n)
@@ -303,8 +303,9 @@ class GeodesicChart:
         self.eps = eps
         self.gamma = at.gamma
         self.G0 = at.G
-        self._plain = A is None
-        self._gamma_vanishes = not any(any(row) for plane in at.gamma for row in plane)
+        self._gamma_terms = [
+            [(j, k, g) for j, row in enumerate(plane) for k, g in enumerate(row) if g != 0] for plane in at.gamma
+        ]
         if A is None:
             self.A = self.A_inv = ident
             self.Ghat0 = at.G
@@ -324,26 +325,18 @@ class GeodesicChart:
     # -- point transport ---------------------------------------------------
 
     def _half_gamma(self, w):
-        """1/2 Gamma(w, w), componentwise, for Weil elements or expressions."""
-        return [
-            sum(w[j] * w[k] * g for j, row in enumerate(plane) for k, g in enumerate(row) if g != 0) * Fraction(1, 2)
-            for plane in self.gamma
-        ]
+        """1/2 Gamma(w, w), componentwise, for Weil elements or expressions;
+        only the nonzero symbols are visited, so a plane of zeros gives 0."""
+        return [sum(w[j] * w[k] * g for j, k, g in terms) * Fraction(1, 2) for terms in self._gamma_terms]
 
     def push_offsets(self, zeta):
-        """Chart coordinates (nilpotent) -> manifold offsets from the base.
-        The plain chart applies no matrix, and vanishing Gamma adds nothing."""
-        az = tuple(zeta) if self._plain else _apply(self.A, zeta)
-        if self._gamma_vanishes:
-            return az
+        """Chart coordinates (nilpotent) -> manifold offsets from the base."""
+        az = _apply(self.A, zeta)
         return tuple(a - c for a, c in zip(az, self._half_gamma(az)))
 
     def pull_offsets(self, w):
         """Manifold offsets from the base -> chart coordinates."""
-        w = tuple(w)
-        if not self._gamma_vanishes:
-            w = tuple(a + c for a, c in zip(w, self._half_gamma(w)))
-        return w if self._plain else _apply(self.A_inv, w)
+        return _apply(self.A_inv, [a + c for a, c in zip(w, self._half_gamma(w))])
 
     def from_chart(self, zeta):
         return make_point(self.base, self.push_offsets(zeta))
@@ -371,17 +364,20 @@ class GeodesicChart:
 
 def _apply(m, v):
     """The matrix m times a vector v of Weil elements or expressions.  Zero
-    entries are skipped and an exact entry 1 contributes v_j itself; other
-    entries, float 1.0 included, multiply, so float coordinates come out as
-    a dense product gives them."""
+    entries are skipped and an entry 1 contributes v_j itself.  A float in
+    m or in a coordinate of v takes the dense sum instead, so that float
+    results stay those of the dense product: its 0.0 * v_j terms make a
+    coordinate float wherever another component holds a float there, and
+    its sum fixes the sign of a float zero."""
+    if any(float in map(type, row) for row in m) or any(float in map(type, getattr(w, "coords", ())) for w in v):
+        return tuple(sum(mij * vj for mij, vj in zip(row, v)) for row in m)
     out = []
     for row in m:
         total = None
         for mij, vj in zip(row, v):
-            if not mij:
-                continue
-            term = vj if mij == 1 and not isinstance(mij, float) else mij * vj
-            total = term if total is None else total + term
+            if mij:
+                term = vj if mij == 1 else mij * vj
+                total = term if total is None else total + term
         out.append(row[0] * v[0] if total is None else total)  # a zero row: a zero of its type
     return tuple(out)
 

@@ -25,11 +25,12 @@ polynomials only when they are read.
 
 Element arithmetic is coordinate vectors times structure constants, with
 short paths for the operands the Laplacian mostly meets: an exact scalar
-(``int`` or ``Fraction``) added or subtracted changes coordinate 0 only,
-multiplying by one touches only the nonzero coordinates, ``w + 0`` and
-``w * 1`` return ``w`` itself, and products skip zero coordinates and
-vanishing table entries.  Float scalars act on every coordinate, so float
-results are those of the dense arithmetic.
+(``int`` or ``Fraction``) added to or subtracted from an exact element
+changes coordinate 0 only, multiplying by one touches only the nonzero
+coordinates, ``w + 0`` and ``w * 1`` return ``w`` itself, and products
+skip zero coordinates and vanishing table entries.  A float scalar, or an
+element with a float coordinate, acts on every coordinate, so float
+results are those of the dense arithmetic, down to the sign of a zero.
 
 Everything is immutable after construction and safe to share.
 """
@@ -44,7 +45,7 @@ from .scalars import Scalar, format_scalar, parse_rational, to_scalar
 
 Monomial = tuple  # exponent vector, length n
 
-_EXACT = (int, Fraction)  # scalars that take the short paths of WeilElement
+_EXACT = (int, Fraction)  # scalars that may take the short paths of WeilElement
 
 
 # ---------------------------------------------------------------------------
@@ -445,14 +446,16 @@ class WeilAlgebra:
 class WeilElement:
     """Coefficient vector over a WeilAlgebra basis; a nilpotent-augmented scalar.
 
-    An exact scalar operand (``int`` or ``Fraction``) takes a short path:
-    adding or subtracting it changes coordinate 0 only, multiplying by it
-    touches only the nonzero coordinates, and ``w + 0``, ``w - 0`` and
-    ``w * 1`` return ``w`` itself (elements are immutable).  A float scalar
-    takes the general path: it is added as a full scalar element, or it
+    An exact scalar operand (``int`` or ``Fraction``) of an element with no
+    float coordinate takes a short path: adding or subtracting it changes
+    coordinate 0 only, multiplying by it touches only the nonzero
+    coordinates, and ``w + 0``, ``w - 0`` and ``w * 1`` return ``w`` itself
+    (elements are immutable).  Every other scalar operation takes the
+    general path: the scalar is added as a full scalar element, or it
     multiplies every coordinate, so float results are those of the dense
-    arithmetic.  Products of two elements skip zero coordinates on both
-    sides and table entries that vanish.
+    arithmetic (the dense sum turns a coordinate -0.0 into 0.0, and a
+    negative factor turns 0.0 into -0.0).  Products of two elements skip
+    zero coordinates on both sides and table entries that vanish.
     """
 
     __slots__ = ("algebra", "coords")
@@ -470,6 +473,11 @@ class WeilElement:
             return self.algebra.scalar(other)
         return NotImplemented
 
+    def _short(self, other):
+        """Whether ``other`` takes a short path: an exact scalar, and no
+        float coordinate here."""
+        return isinstance(other, _EXACT) and float not in map(type, self.coords)
+
     def _shift(self, value):
         """Self plus the exact scalar ``value``: coordinate 0 only."""
         if not value:
@@ -478,7 +486,7 @@ class WeilElement:
         return WeilElement(self.algebra, (coords[0] + value,) + coords[1:])
 
     def __add__(self, other):
-        if isinstance(other, _EXACT):
+        if self._short(other):
             return self._shift(other)
         other = self._match(other)
         if other is NotImplemented:
@@ -488,7 +496,7 @@ class WeilElement:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, _EXACT):
+        if self._short(other):
             return self._shift(-other)
         other = self._match(other)
         if other is NotImplemented:
@@ -502,11 +510,11 @@ class WeilElement:
         return WeilElement(self.algebra, tuple(-a for a in self.coords))
 
     def __mul__(self, other):
-        if isinstance(other, _EXACT):
+        if self._short(other):
             if other == 1:
                 return self
             return WeilElement(self.algebra, tuple(a * other if a else a for a in self.coords))
-        if isinstance(other, float):
+        if isinstance(other, (int, Fraction, float)):
             return WeilElement(self.algebra, tuple(a * other for a in self.coords))
         other = self._match(other)
         if other is NotImplemented:

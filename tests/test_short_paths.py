@@ -1,10 +1,12 @@
 """Short paths of Weil arithmetic against the coordinate-by-coordinate oracles.
 
-Exact scalar operands touch one coordinate or only the nonzero ones, and
-``_apply`` skips zero matrix entries; every form must agree with the dense
-computation in ``conftest``, keep exact coordinates exact and hash like it.
+Exact scalar operands of exact elements touch one coordinate or only the
+nonzero ones, and ``_apply`` skips zero matrix entries; every form must
+agree with the dense computation in ``conftest`` (float zeros down to
+their sign), keep exact coordinates exact and hash like it.
 """
 
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -13,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nilgeom.expr import Var, format_expr
-from nilgeom.geometry import MetricField, _apply, geodesic_chart, make_point
+from nilgeom.geometry import MetricField, _apply, geodesic_chart, make_point, point_offsets
 from nilgeom.weil import laplace_algebra, tensor_algebra, truncated_algebra
 from conftest import (
     add_scalar_dense,
@@ -66,9 +68,16 @@ def _is_exact(value):
     return not isinstance(value, float)
 
 
+def _signs(w):
+    """The sign of every float coordinate: == and hash see 0.0 = -0.0,
+    ``format_scalar`` does not."""
+    return [math.copysign(1, c) if isinstance(c, float) else None for c in w.coords]
+
+
 def _same(got, want):
     assert got == want
     assert hash(got) == hash(want)
+    assert _signs(got) == _signs(want), (got.coords, want.coords)
 
 
 @PROPERTY
@@ -92,8 +101,20 @@ def test_scalar_operations_equal_the_dense_oracle(w, s):
 @PROPERTY
 @given(elements())
 def test_neutral_exact_scalars_return_the_element_itself(w):
-    for same in (w + 0, 0 + w, w - 0, w + F(0), w * 1, 1 * w, w * F(1)):
-        assert same is w
+    neutral = [
+        (w + 0, add_scalar_dense(w, 0)),
+        (0 + w, add_scalar_dense(w, 0)),
+        (w + F(0), add_scalar_dense(w, 0)),
+        (w - 0, sub_scalar_dense(w, 0)),
+        (w * 1, mul_scalar_dense(w, 1)),
+        (1 * w, mul_scalar_dense(w, 1)),
+        (w * F(1), mul_scalar_dense(w, 1)),
+    ]
+    for same, want in neutral:
+        if all(map(_is_exact, w.coords)):
+            assert same is w
+        else:  # the dense sum turns -0.0 into 0.0, so a float element is rebuilt
+            _same(same, want)
     # a float 1.0 is not neutral for the coordinate types: it makes them float
     assert all(isinstance(c, float) for c in (w * 1.0).coords)
 
@@ -107,6 +128,14 @@ def test_nilpotent_part_keeps_exact_coordinates_exact(w):
         assert u.coords[0] == 0 and isinstance(u.coords[0], Fraction)
 
 
+def _same_vectors(got, want):
+    """Equal vectors of elements, coordinate types and zero signs alike."""
+    assert got == want
+    for a, b in zip(got, want):
+        assert [type(c) for c in a.coords] == [type(c) for c in b.coords], (a.coords, b.coords)
+        assert _signs(a) == _signs(b), (a.coords, b.coords)
+
+
 def _sparse_matrix(rng, rows, cols, entry):
     return [[rng.choice((0, 0, 0, 1, 1, entry(rng))) for _ in range(cols)] for _ in range(rows)]
 
@@ -117,10 +146,11 @@ def test_apply_equals_the_dense_sum():
     for trial in range(60):
         n = rng.randint(1, 4)
         algebra = ALGEBRAS[trial % len(ALGEBRAS)]
-        vectors = [
-            [algebra.element([Fraction(rng.randint(-2, 2)) for _ in range(algebra.dimension)]) for _ in range(n)],
-            [algebra.element([rng.uniform(-2, 2) for _ in range(algebra.dimension)]) for _ in range(n)],
-        ]
+        exact_v = [algebra.element([Fraction(rng.randint(-2, 2)) for _ in range(algebra.dimension)]) for _ in range(n)]
+        float_v = [algebra.element([rng.choice((rng.uniform(-2, 2), 0.0, -0.0)) for _ in range(algebra.dimension)])
+                   for _ in range(n)]
+        # float mode mixes them: exact offsets beside float ones
+        vectors = [exact_v, float_v, exact_v[:-1] + float_v[-1:]]
         for m in (
             _sparse_matrix(rng, n, n, exact),
             [[float(x) for x in row] for row in _sparse_matrix(rng, n, n, exact)],
@@ -128,26 +158,33 @@ def test_apply_equals_the_dense_sum():
         ):
             for v in vectors:
                 got, want = _apply(m, v), apply_dense(m, v)
-                assert got == want
-                assert [type(c) for w in got for c in w.coords] == [type(c) for w in want for c in w.coords]
+                _same_vectors(got, want)
                 if all(_is_exact(x) for row in m for x in row) and all(_is_exact(c) for w in v for c in w.coords):
                     assert all(_is_exact(c) for w in got for c in w.coords)
             exprs = [Var(i) for i in range(n)]
             assert [format_expr(e) for e in _apply(m, exprs)] == [format_expr(e) for e in apply_dense(m, exprs)]
 
 
+def _half_gamma_dense(chart, w):
+    """1/2 Gamma(w, w) read off the full Christoffel array."""
+    return [
+        sum(w[j] * w[k] * g for j, row in enumerate(plane) for k, g in enumerate(row) if g != 0) * F(1, 2)
+        for plane in chart.gamma
+    ]
+
+
 def _push_dense(chart, zeta):
     az = apply_dense(chart.A, zeta)
-    return tuple(a - c for a, c in zip(az, chart._half_gamma(az)))
+    return tuple(a - c for a, c in zip(az, _half_gamma_dense(chart, az)))
 
 
 def _pull_dense(chart, w):
-    return apply_dense(chart.A_inv, [a + c for a, c in zip(w, chart._half_gamma(w))])
+    return apply_dense(chart.A_inv, [a + c for a, c in zip(w, _half_gamma_dense(chart, w))])
 
 
 def test_chart_transport_equals_the_dense_route():
-    """Plain charts apply no matrix and vanishing Gamma adds nothing; the
-    results are those of the full matrix product and correction."""
+    """Transport through the sparse matrix product and the nonzero
+    Christoffel symbols equals the full product and correction."""
     rng = random.Random(21)
     for n in (1, 2, 3):
         algebra = truncated_algebra(n, 2)
@@ -168,12 +205,17 @@ def test_chart_transport_equals_the_dense_route():
             charts = [geodesic_chart(metric, x)]
             if metric.is_standard_flat():
                 charts.append(geodesic_chart(metric, x, normalize=True))
-            charts.append(geodesic_chart(metric, tuple(map(float, x)), normalize=True, mode="float"))
+            xf = tuple(map(float, x))
+            charts += [geodesic_chart(metric, xf, mode="float"), geodesic_chart(metric, xf, normalize=True, mode="float")]
             for chart in charts:
-                assert chart.push_offsets(zeta) == _push_dense(chart, zeta)
+                eps = chart.eps if chart.mode == "float" else None
+                _same_vectors(chart.push_offsets(zeta), _push_dense(chart, zeta))
                 w = chart.push_offsets(zeta)
-                assert chart.pull_offsets(w) == _pull_dense(chart, w)
-                assert chart.to_chart(make_point(chart.base, w)) == _pull_dense(chart, w)
+                _same_vectors(chart.pull_offsets(w), _pull_dense(chart, w))
+                # exact offsets, alone and beside a float one, as a caller may pass them
+                for offsets in (w, zeta, tuple(zeta[:-1]) + (zeta[-1] * 0.5,)):
+                    point = make_point(chart.base, offsets)
+                    _same_vectors(chart.to_chart(point), _pull_dense(chart, point_offsets(point, chart.base, eps)))
 
 
 def test_laplace_relations_survive_pickling():
