@@ -34,9 +34,7 @@ from .geometry import (
 def _encode(value):
     if isinstance(value, bool) or value is None:
         return value
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, (int, Fraction, float)):
         return format_scalar(value)
     if isinstance(value, (tuple, list)):
         return [_encode(v) for v in value]

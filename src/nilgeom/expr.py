@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from ._record import Record
 from .scalars import EXACT, FLOAT, check_mode, format_scalar, to_scalar
-from .weil import Polynomial, WeilElement, mono_degree, truncated_algebra
+from .weil import Polynomial, WeilElement, _in_mode, mono_degree, truncated_algebra
 
 PRIMITIVES = ("exp", "log", "sin", "cos", "sqrt")
 
@@ -343,7 +343,7 @@ def jet_eval(e: Expr, base, offsets, mode: str = EXACT) -> WeilElement:
             raise TypeError("offsets must be Weil elements")
         if z.algebra != algebra:
             raise ValueError("offsets live in mixed algebras")
-        if not z.is_nilpotent(None if not _has_float(z) else 0.0):
+        if not z.is_nilpotent():
             raise ValueError("offsets must be nilpotent (zero unit coordinate)")
     used = variables(e)
     if used and max(used) >= len(offsets):
@@ -352,13 +352,7 @@ def jet_eval(e: Expr, base, offsets, mode: str = EXACT) -> WeilElement:
     value = _jet(e, point, mode)
     if not isinstance(value, WeilElement):
         value = algebra.scalar(value)
-    if mode == FLOAT:
-        return algebra.element(tuple(float(c) for c in value.coords))
-    return value
-
-
-def _has_float(z):
-    return any(isinstance(c, float) for c in z.coords)
+    return _in_mode(value, mode)
 
 
 def _jet(e, point, mode):

@@ -46,6 +46,7 @@ from .expr import (
 from .weil import (
     Polynomial,
     WeilElement,
+    _in_mode,
     _isotropy_algebra,
     _satisfies_isotropy,
     laplace_algebra,
@@ -197,9 +198,7 @@ def point_offsets(point, base, eps=None):
         if not w.is_nilpotent(eps):
             raise GeometryError("point is not infinitesimally near the base")
         if eps is not None and w.coords[0] != 0:
-            coords = list(w.coords)
-            coords[0] = Fraction(0)
-            w = w.algebra.element(coords)
+            w = w.nilpotent_part()
         out.append(w)
     return tuple(out)
 
@@ -232,10 +231,10 @@ def g_eval(metric: MetricField, base, z, y=None, mode: str = EXACT) -> WeilEleme
         raise GeometryError("square distance needs an ambient algebra of order >= 2")
     if y is None:
         gm = metric.matrix_at(base, mode)
-        return _square(z, {(i, j): gm[i][j] for i, j in metric._upper})
+        return _in_mode(_square(z, {(i, j): gm[i][j] for i, j in metric._upper}), mode)
     y = tuple(y)
     d = tuple(zz - yy for zz, yy in zip(z, y))
-    return _square(d, {ij: jet_eval(e, base, y, mode) for ij, e in metric._upper.items()})
+    return _in_mode(_square(d, {ij: jet_eval(e, base, y, mode) for ij, e in metric._upper.items()}), mode)
 
 
 def _square(d, upper):
@@ -266,7 +265,7 @@ def gbar_eval(metric: MetricField, base, z, y=None, mode: str = EXACT) -> WeilEl
         algebra.from_polynomial(Polynomial(algebra.n, {m[:-1]: Fraction(1, 2) if m[-1] else 1}))
         for m in pair.basis
     ]
-    return sum((v * c for v, c in zip(back, total.coords) if c != 0), start=algebra.zero())
+    return _in_mode(sum((v * c for v, c in zip(back, total.coords) if c != 0), start=algebra.zero()), mode)
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +338,11 @@ class GeodesicChart:
         return _apply(self.A_inv, [a + c for a, c in zip(w, self._half_gamma(w))])
 
     def from_chart(self, zeta):
-        return make_point(self.base, self.push_offsets(zeta))
+        return tuple(_in_mode(w, self.mode) for w in make_point(self.base, self.push_offsets(zeta)))
 
     def to_chart(self, point):
         eps = self.eps if self.mode == FLOAT else None
-        return self.pull_offsets(point_offsets(point, self.base, eps))
+        return tuple(_in_mode(w, self.mode) for w in self.pull_offsets(point_offsets(point, self.base, eps)))
 
     def principal_in_chart(self, u):
         """Chart principal part of a manifold tangent principal part."""
@@ -363,14 +362,9 @@ class GeodesicChart:
 
 
 def _apply(m, v):
-    """The matrix m times a vector v of Weil elements or expressions.  Zero
-    entries are skipped and an entry 1 contributes v_j itself.  A float in
-    m or in a coordinate of v takes the dense sum instead, so that float
-    results stay those of the dense product: its 0.0 * v_j terms make a
-    coordinate float wherever another component holds a float there, and
-    its sum fixes the sign of a float zero."""
-    if any(float in map(type, row) for row in m) or any(float in map(type, getattr(w, "coords", ())) for w in v):
-        return tuple(sum(mij * vj for mij, vj in zip(row, v)) for row in m)
+    """The matrix m times a vector v of Weil elements or expressions, one
+    path for exact and float entries alike: zero entries are skipped and an
+    entry 1 contributes v_j itself."""
     out = []
     for row in m:
         total = None
@@ -489,7 +483,7 @@ def scalar_component(chart: GeodesicChart, z, t: TangentVector) -> WeilElement:
     acc = zeta[0].algebra.zero()
     for c, w in zip(gu, zeta):
         acc = acc + w * c
-    return acc * (Fraction(1) / norm if chart.mode == EXACT else 1.0 / norm)
+    return acc * (1 / norm)  # all float in float mode: zeta comes from to_chart
 
 
 def orthogonal_projection(chart: GeodesicChart, z, t: TangentVector):
@@ -620,7 +614,7 @@ def laplace_taylor(metric: MetricField, f, x, offsets, mode: str = EXACT) -> Wei
     norm_sq = algebra.zero()
     for w in offsets:
         norm_sq = norm_sq + w * w
-    return out + norm_sq * (lap / (2 * n))
+    return _in_mode(out + norm_sq * (lap / (2 * n)), mode)
 
 
 def is_harmonic_at(metric: MetricField, f, x, mode: str = EXACT, eps: float = DEFAULT_EPS) -> bool:

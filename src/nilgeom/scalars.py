@@ -54,10 +54,6 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"bad rational literal {text!r}") from exc
 
 
-def is_exact(value) -> bool:
-    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
-
-
 def scalars_equal(a, b, eps: float | None = None) -> bool:
     """Equality of scalars: exact when ``eps`` is None, else |a-b| <= eps."""
     if eps is None:
@@ -66,7 +62,8 @@ def scalars_equal(a, b, eps: float | None = None) -> bool:
 
 
 def format_scalar(value) -> str:
-    """Canonical printed form: rationals as p/q, floats at 17 significant digits."""
+    """Canonical printed form: rationals as p/q, floats at 17 significant
+    digits, and a float zero of either sign as 0."""
     if isinstance(value, float):
-        return format(value, ".17g")
+        return format(value, ".17g") if value else "0"
     return str(Fraction(value))

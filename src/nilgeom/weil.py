@@ -13,8 +13,9 @@ the library needs:
   natural support of the mirror-average Laplacian.
 * ``quotient_algebra(n, degree_bound, relations)``: generic quotient by a
   relation list, computed by exact row reduction of the ideal the
-  relations generate.  Used as the oracle for the hand-written tables and
-  by ``tensor_algebra``.  The coalgebra pipeline does not call it: the
+  relations generate.  The tests use it as the oracle for the hand-written
+  tables and for ``tensor_algebra``, which multiplies the factors' tables
+  instead.  The coalgebra pipeline does not call it either: the
   annihilator it presents is already an ideal, so ``dual_algebra`` reduces
   its relations once and shares only the last step, ``_presentation``.
 
@@ -24,13 +25,13 @@ its table down directly, in O(n^2) steps, and builds its n^2 relation
 polynomials only when they are read.
 
 Element arithmetic is coordinate vectors times structure constants, with
-short paths for the operands the Laplacian mostly meets: an exact scalar
-(``int`` or ``Fraction``) added to or subtracted from an exact element
-changes coordinate 0 only, multiplying by one touches only the nonzero
-coordinates, ``w + 0`` and ``w * 1`` return ``w`` itself, and products
-skip zero coordinates and vanishing table entries.  A float scalar, or an
-element with a float coordinate, acts on every coordinate, so float
-results are those of the dense arithmetic, down to the sign of a zero.
+one path for every scalar (``int``, ``Fraction`` or ``float``): a scalar
+added or subtracted changes coordinate 0 only, multiplying by one touches
+only the nonzero coordinates, ``w + 0`` and ``w * 1`` return ``w`` itself,
+and products skip zero coordinates and vanishing table entries.  A float
+element may therefore hold exact zeros, and a float zero either sign;
+``_in_mode`` makes every coordinate of a float-mode result a float where it
+leaves the library.
 
 Everything is immutable after construction and safe to share.
 """
@@ -41,11 +42,11 @@ import functools
 import itertools
 from fractions import Fraction
 
-from .scalars import Scalar, format_scalar, parse_rational, to_scalar
+from .scalars import FLOAT, format_scalar, parse_rational, to_scalar
 
 Monomial = tuple  # exponent vector, length n
 
-_EXACT = (int, Fraction)  # scalars that may take the short paths of WeilElement
+_SCALARS = (int, Fraction, float)
 
 
 # ---------------------------------------------------------------------------
@@ -198,16 +199,6 @@ class Polynomial:
     def __hash__(self):
         return hash((self.n, tuple(sorted(self.terms.items()))))
 
-    def shift_into(self, n_total: int, offset: int) -> "Polynomial":
-        """Reinterpret in a larger variable set, variables moved by offset."""
-        out = {}
-        for m, c in self.terms.items():
-            new = [0] * n_total
-            for i, e in enumerate(m):
-                new[offset + i] = e
-            out[tuple(new)] = c
-        return Polynomial(n_total, out)
-
     def to_string(self, prefix: str = "x") -> str:
         if not self.terms:
             return "0"
@@ -283,8 +274,9 @@ class WeilAlgebra:
 
     Attributes: ``n`` generators, ``degree_bound`` (monomials above it all
     reduce to zero), ``basis`` (ordered monomials, unit first), and the
-    multiplication table.  ``relations`` records the defining generators so
-    algebras can be tensored; a constructor may pass a function instead,
+    multiplication table.  ``relations`` records the defining relations of
+    a quotient or Laplace algebra (empty for tensor products and
+    deserialized algebras); a constructor may pass a function instead,
     called on first use.  The table is built from the normal forms unless
     one is given (rows of tuples of (basis index, coefficient) pairs, as
     deserialized); a given table is checked before use, and the normal
@@ -336,7 +328,8 @@ class WeilAlgebra:
 
     def _check_table(self, table):
         """Reject a given table that is not square over the basis, names a
-        basis index out of range, is not symmetric or has a wrong unit row."""
+        basis index out of range, is not symmetric, has a wrong unit row or
+        is not associative."""
         dim = len(self.basis)
         if len(self._index) != dim:
             raise ValueError("basis monomials are not distinct")
@@ -353,6 +346,40 @@ class WeilAlgebra:
                     raise ValueError(f"multiplication table is not symmetric at ({i}, {j})")
             if table[0][i] != ((i, 1),):
                 raise ValueError(f"unit row of the table does not fix basis element {i}")
+        self._check_associative(table)
+
+    def _check_associative(self, table):
+        """Light's test: the b_g with (b_x b_g) b_y = b_x (b_g b_y) for all x, y
+        span a subalgebra, so testing generators suffices: the degree-1 basis
+        elements if each other basis monomial m is a nonzero multiple of
+        b_g b_(m/Z_g), Z_g the first variable of m (as in every table the
+        constructors write), else all.  By commutativity b_x (b_g b_y) =
+        (b_y b_g) b_x; only nonzero products are visited."""
+        index, dim = self._index, len(table)
+
+        def chained(t, m):
+            g = next(v for v, e in enumerate(m) if e)
+            z, s = tuple(int(v == g) for v in range(self.n)), tuple(e - (v == g) for v, e in enumerate(m))
+            entry = table[index[z]][index[s]] if z in index and s in index else ()
+            return len(entry) == 1 and entry[0][0] == t and entry[0][1] != 0
+
+        def times(entry, k):
+            out = {}
+            for p, v in entry:
+                for q, w in table[p][k]:
+                    out[q] = out[q] + v * w if q in out else v * w
+            return {q: v for q, v in out.items() if v}
+
+        gens = [t for t, m in enumerate(self.basis) if sum(m) == 1]
+        if not all(chained(t, m) for t, m in enumerate(self.basis) if t and sum(m) != 1):
+            gens = range(1, dim)
+        nonzero = [[k for k, entry in enumerate(row) if entry] for row in table]
+        for g in gens:
+            for x in nonzero[g][1:]:
+                xg = table[x][g]
+                for y in sorted({y for p, _ in xg for y in nonzero[p]} - {0}):
+                    if times(xg, y) != times(table[y][g], x):
+                        raise ValueError(f"multiplication table is not associative on basis triple ({x}, {g}, {y})")
 
     def _check_nilpotent(self):
         for i, m in enumerate(self.basis):
@@ -446,16 +473,13 @@ class WeilAlgebra:
 class WeilElement:
     """Coefficient vector over a WeilAlgebra basis; a nilpotent-augmented scalar.
 
-    An exact scalar operand (``int`` or ``Fraction``) of an element with no
-    float coordinate takes a short path: adding or subtracting it changes
-    coordinate 0 only, multiplying by it touches only the nonzero
-    coordinates, and ``w + 0``, ``w - 0`` and ``w * 1`` return ``w`` itself
-    (elements are immutable).  Every other scalar operation takes the
-    general path: the scalar is added as a full scalar element, or it
-    multiplies every coordinate, so float results are those of the dense
-    arithmetic (the dense sum turns a coordinate -0.0 into 0.0, and a
-    negative factor turns 0.0 into -0.0).  Products of two elements skip
-    zero coordinates on both sides and table entries that vanish.
+    Every scalar operand (``int``, ``Fraction`` or ``float``) takes one
+    path: adding or subtracting it changes coordinate 0 only, multiplying
+    by it touches only the nonzero coordinates, and ``w + 0``, ``w - 0`` and
+    ``w * 1`` return ``w`` itself (elements are immutable).  Products of two
+    elements skip zero coordinates on both sides and table entries that
+    vanish.  A coordinate no operation touched keeps its type, so float
+    mode fixes its results with ``_in_mode``.
     """
 
     __slots__ = ("algebra", "coords")
@@ -469,24 +493,17 @@ class WeilElement:
             if other.algebra is not self.algebra and other.algebra != self.algebra:
                 raise ValueError("operands live in different algebras")
             return other
-        if isinstance(other, (int, Fraction, float)):
-            return self.algebra.scalar(other)
         return NotImplemented
 
-    def _short(self, other):
-        """Whether ``other`` takes a short path: an exact scalar, and no
-        float coordinate here."""
-        return isinstance(other, _EXACT) and float not in map(type, self.coords)
-
     def _shift(self, value):
-        """Self plus the exact scalar ``value``: coordinate 0 only."""
+        """Self plus the scalar ``value``: coordinate 0 only."""
         if not value:
             return self
         coords = self.coords
         return WeilElement(self.algebra, (coords[0] + value,) + coords[1:])
 
     def __add__(self, other):
-        if self._short(other):
+        if isinstance(other, _SCALARS):
             return self._shift(other)
         other = self._match(other)
         if other is NotImplemented:
@@ -496,7 +513,7 @@ class WeilElement:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if self._short(other):
+        if isinstance(other, _SCALARS):
             return self._shift(-other)
         other = self._match(other)
         if other is NotImplemented:
@@ -510,12 +527,10 @@ class WeilElement:
         return WeilElement(self.algebra, tuple(-a for a in self.coords))
 
     def __mul__(self, other):
-        if self._short(other):
+        if isinstance(other, _SCALARS):
             if other == 1:
                 return self
             return WeilElement(self.algebra, tuple(a * other if a else a for a in self.coords))
-        if isinstance(other, (int, Fraction, float)):
-            return WeilElement(self.algebra, tuple(a * other for a in self.coords))
         other = self._match(other)
         if other is NotImplemented:
             return NotImplemented
@@ -551,7 +566,7 @@ class WeilElement:
             square = square * square
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, float)):
+        if isinstance(other, _SCALARS):
             other = self.algebra.scalar(other)
         return (
             isinstance(other, WeilElement)
@@ -562,17 +577,10 @@ class WeilElement:
     def __hash__(self):
         return hash((self.algebra, self.coords))
 
-    def isclose(self, other, eps: float) -> bool:
-        other = self._match(other)
-        return all(abs(a - b) <= eps for a, b in zip(self.coords, other.coords))
-
     def is_zero(self, eps=None):
         if eps is None:
             return all(c == 0 for c in self.coords)
         return all(abs(c) <= eps for c in self.coords)
-
-    def unit_part(self) -> Scalar:
-        return self.coords[0]
 
     def nilpotent_part(self) -> "WeilElement":
         coords = self.coords
@@ -583,9 +591,6 @@ class WeilElement:
             return self.coords[0] == 0
         return abs(self.coords[0]) <= eps
 
-    def coefficient(self, i) -> Scalar:
-        return self.coords[i]
-
     def __repr__(self):
         parts = []
         for m, c in zip(self.algebra.basis, self.coords):
@@ -594,6 +599,12 @@ class WeilElement:
             name = Polynomial(self.algebra.n, {m: 1}).to_string("Z") if sum(m) else "1"
             parts.append(f"{format_scalar(c)}*{name}" if name != "1" else format_scalar(c))
         return " + ".join(parts) if parts else "0"
+
+
+def _in_mode(w: WeilElement, mode: str) -> WeilElement:
+    """``w`` as a result of a ``mode`` computation: in float mode every
+    coordinate a float, whatever the operands held; exact mode keeps it."""
+    return WeilElement(w.algebra, map(float, w.coords)) if mode == FLOAT else w
 
 
 # ---------------------------------------------------------------------------
@@ -634,8 +645,8 @@ def _isotropy_algebra(weights) -> WeilAlgebra:
 
     The table is written down directly, in O(n^2) steps: the unit row and
     column, Z_i Z_i = weights[i] Q, and 0 everywhere else.  The n^2
-    relation polynomials, n^3 exponents in all, are built only if asked
-    for (``tensor_algebra`` does)."""
+    relation polynomials, n^3 exponents in all, are built only if
+    ``relations`` is read."""
     n = len(weights)
     gens = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     q_mono = (2,) + (0,) * (n - 1)  # class of Z_1^2
@@ -716,45 +727,48 @@ def tensor_algebra(a: WeilAlgebra, b: WeilAlgebra):
     Returns ``(c, embed_a, embed_b)`` where the embeddings carry elements of
     the factors into the product algebra.  Used to adjoin independent
     nilpotent generators, e.g. a square-zero scalar alongside a generic
-    second-order point.
+    second-order point.  Read off the factors' tables, so deserialized
+    factors work too: the basis is the products a.basis[i] b.basis[k] in
+    basis order, their table entries the products of the factors' entries,
+    and the embeddings copy coordinates.  ``relations`` is empty.
     """
-    n = a.n + b.n
-    bound = a.degree_bound + b.degree_bound
-    relations = []
-    for r in a.relations:
-        relations.append(r.shift_into(n, 0))
-    for m in _homogeneous(a.n, a.degree_bound + 1):
-        relations.append(Polynomial(a.n, {m: 1}).shift_into(n, 0))
-    for r in b.relations:
-        relations.append(r.shift_into(n, a.n))
-    for m in _homogeneous(b.n, b.degree_bound + 1):
-        relations.append(Polynomial(b.n, {m: 1}).shift_into(n, a.n))
-    c = quotient_algebra(n, bound, relations)
-    if c.dimension != a.dimension * b.dimension:
-        raise AssertionError("tensor construction lost dimensions")
+    dim = a.dimension * b.dimension
+    if dim > MAX_DIMENSION:
+        raise ValueError(f"the tensor product has dimension {dim} > MAX_DIMENSION = {MAX_DIMENSION}")
+    pairs = sorted(itertools.product(range(a.dimension), range(b.dimension)),
+                   key=lambda ik: mono_key(a.basis[ik[0]] + b.basis[ik[1]]))
+    index = {ik: r for r, ik in enumerate(pairs)}
+    table = [[None] * dim for _ in range(dim)]
+    for r, (i, k) in enumerate(pairs):
+        for s in range(r, dim):
+            j, l = pairs[s]
+            entry = sorted((index[p, q], x * y) for p, x in a._table[i][j] for q, y in b._table[k][l])
+            table[r][s] = table[s][r] = tuple((t, v) for t, v in entry if v)
+    place_a = [index[i, 0] for i in range(a.dimension)]
+    place_b = [index[0, k] for k in range(b.dimension)]
+    nf = {}  # the class of each generator, where its factor records one
+    for g in _homogeneous(a.n + b.n, 1):
+        factor, place, m = (a, place_a, g[:a.n]) if any(g[:a.n]) else (b, place_b, g[a.n:])
+        try:
+            nf[g] = tuple((place[i], v) for i, v in factor._reduce_monomial(m))
+        except KeyError:  # a deserialized factor without normal forms
+            pass
+    basis = [a.basis[i] + b.basis[k] for i, k in pairs]
+    c = WeilAlgebra(a.n + b.n, a.degree_bound + b.degree_bound, basis, nf, (), table=table)
 
-    def _embedding(factor, offset):
+    def _embedding(factor, place):
         def embed(elem):
             if elem.algebra != factor:
                 raise ValueError("element does not belong to the tensor factor")
-            out = c.zero()
-            for m, coeff in zip(factor.basis, elem.coords):
-                if coeff == 0:
-                    continue
-                mono_elem = c.from_polynomial(Polynomial(n, {_shift_mono(m, n, offset): 1}))
-                out = out + mono_elem * coeff
-            return out
+            coords = [Fraction(0)] * dim
+            for i, v in enumerate(elem.coords):
+                if v:
+                    coords[place[i]] = v
+            return WeilElement(c, coords)
 
         return embed
 
-    return c, _embedding(a, 0), _embedding(b, a.n)
-
-
-def _shift_mono(m, n_total, offset):
-    out = [0] * n_total
-    for i, e in enumerate(m):
-        out[offset + i] = e
-    return tuple(out)
+    return c, _embedding(a, place_a), _embedding(b, place_b)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from nilgeom.geometry import MetricField, _check_order, geodesic_chart
 from nilgeom.scalars import DEFAULT_EPS, EXACT, FLOAT
 from nilgeom.weil import truncated_algebra
 from nilgeom.weil import Polynomial, WeilElement, _reduce_rows, all_monomials, mono_key, quotient_algebra, satisfies_laplace_relations
+from nilgeom.weil import _homogeneous
 
 
 def random_polynomial(rng: random.Random, n: int, degree: int, terms: int = 5) -> Polynomial:
@@ -88,6 +89,38 @@ def nilpotent_part_dense(w):
 def apply_dense(m, v):
     """The matrix m times the vector v, every entry multiplied and summed."""
     return tuple(sum(mij * vj for mij, vj in zip(row, v)) for row in m)
+
+
+# -- tensor products by elimination: the reference for the product of tables --
+
+def tensor_algebra_by_quotient(a, b):
+    """``tensor_algebra`` as a quotient: the factors' relations and degree
+    truncations, in disjoint variables, row-reduced by ``quotient_algebra``;
+    the embeddings send each basis monomial through ``from_polynomial``.
+    Needs factors that record their relations (not deserialized ones)."""
+    n = a.n + b.n
+
+    def shift(m, offset):
+        return (0,) * offset + tuple(m) + (0,) * (n - offset - len(m))
+
+    relations = []
+    for factor, offset in ((a, 0), (b, a.n)):
+        relations += [Polynomial(n, {shift(m, offset): c for m, c in r.terms.items()}) for r in factor.relations]
+        relations += [Polynomial(n, {shift(m, offset): 1}) for m in _homogeneous(factor.n, factor.degree_bound + 1)]
+    c = quotient_algebra(n, a.degree_bound + b.degree_bound, relations)
+    assert c.dimension == a.dimension * b.dimension, "tensor construction lost dimensions"
+
+    def embedding(factor, offset):
+        def embed(elem):
+            out = c.zero()
+            for m, coeff in zip(factor.basis, elem.coords):
+                if coeff != 0:
+                    out = out + c.from_polynomial(Polynomial(n, {shift(m, offset): 1})) * coeff
+            return out
+
+        return embed
+
+    return c, embedding(a, 0), embedding(b, a.n)
 
 
 # -- jets through symbolic derivatives: the reference for nilpotent arithmetic --

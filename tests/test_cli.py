@@ -130,6 +130,15 @@ def test_check_harmonic_float_uses_epsilon(capsys):
     assert run_json(capsys, "--mode", "float", "--epsilon", "0.1", *argv)["harmonic"] is False
 
 
+def test_float_zeros_print_without_sign(capsys):
+    # both zeros come out of float arithmetic as -0.0
+    code, out, _ = run(capsys, "--mode", "float", "laplacian", "--fn", "-x1", "--point", "1,1")
+    assert code == 0 and '"value": "0"' in out and '"-0"' not in out
+    code, out, _ = run(capsys, "--mode", "float", "check", "cr", "--map", "-x2, x1", "--point", "1,1")
+    assert code == 0 and '"-0"' not in out
+    assert json.loads(out)["derivative"] == ["0", "1"]
+
+
 def test_check_harmonic_curved_exact_reports_affine(capsys, polar_file):
     # at (2, 0) the polar metric is diag(1, 4): no exact normal chart exists,
     # but the affine test runs at the weighted universal point the Laplacian

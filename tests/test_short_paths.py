@@ -1,12 +1,13 @@
 """Short paths of Weil arithmetic against the coordinate-by-coordinate oracles.
 
-Exact scalar operands of exact elements touch one coordinate or only the
-nonzero ones, and ``_apply`` skips zero matrix entries; every form must
-agree with the dense computation in ``conftest`` (float zeros down to
-their sign), keep exact coordinates exact and hash like it.
+Scalar operands, exact or float, touch one coordinate or only the nonzero
+ones, and ``_apply`` skips zero matrix entries; every form must equal the
+dense computation in ``conftest``, hash like it and keep exact coordinates
+exact.  Where a float is involved, an untouched coordinate keeps its exact
+type and a float zero may have either sign, so both sides are compared as
+float mode returns them: every coordinate a float (``weil._in_mode``).
 """
 
-import math
 import pickle
 import random
 from fractions import Fraction
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 
 from nilgeom.expr import Var, format_expr
 from nilgeom.geometry import MetricField, _apply, geodesic_chart, make_point, point_offsets
-from nilgeom.weil import laplace_algebra, tensor_algebra, truncated_algebra
+from nilgeom.scalars import FLOAT
+from nilgeom.weil import _in_mode, laplace_algebra, tensor_algebra, truncated_algebra
 from conftest import (
     add_scalar_dense,
     apply_dense,
@@ -68,16 +70,15 @@ def _is_exact(value):
     return not isinstance(value, float)
 
 
-def _signs(w):
-    """The sign of every float coordinate: == and hash see 0.0 = -0.0,
-    ``format_scalar`` does not."""
-    return [math.copysign(1, c) if isinstance(c, float) else None for c in w.coords]
+def _holds_float(w):
+    return any(isinstance(c, float) for c in w.coords)
 
 
 def _same(got, want):
+    if _holds_float(got) or _holds_float(want):
+        got, want = _in_mode(got, FLOAT), _in_mode(want, FLOAT)
     assert got == want
     assert hash(got) == hash(want)
-    assert _signs(got) == _signs(want), (got.coords, want.coords)
 
 
 @PROPERTY
@@ -101,22 +102,8 @@ def test_scalar_operations_equal_the_dense_oracle(w, s):
 @PROPERTY
 @given(elements())
 def test_neutral_exact_scalars_return_the_element_itself(w):
-    neutral = [
-        (w + 0, add_scalar_dense(w, 0)),
-        (0 + w, add_scalar_dense(w, 0)),
-        (w + F(0), add_scalar_dense(w, 0)),
-        (w - 0, sub_scalar_dense(w, 0)),
-        (w * 1, mul_scalar_dense(w, 1)),
-        (1 * w, mul_scalar_dense(w, 1)),
-        (w * F(1), mul_scalar_dense(w, 1)),
-    ]
-    for same, want in neutral:
-        if all(map(_is_exact, w.coords)):
-            assert same is w
-        else:  # the dense sum turns -0.0 into 0.0, so a float element is rebuilt
-            _same(same, want)
-    # a float 1.0 is not neutral for the coordinate types: it makes them float
-    assert all(isinstance(c, float) for c in (w * 1.0).coords)
+    for same in (w + 0, 0 + w, w + F(0), w - 0, w * 1, 1 * w, w * F(1), w + 0.0, w * 1.0):
+        assert same is w
 
 
 @PROPERTY
@@ -128,12 +115,14 @@ def test_nilpotent_part_keeps_exact_coordinates_exact(w):
         assert u.coords[0] == 0 and isinstance(u.coords[0], Fraction)
 
 
-def _same_vectors(got, want):
-    """Equal vectors of elements, coordinate types and zero signs alike."""
-    assert got == want
+def _same_vectors(got, want, exact=True):
+    """``_same`` componentwise; unless ``exact`` is false (a float matrix),
+    the coordinate types agree wherever neither side holds a float."""
+    assert len(got) == len(want)
     for a, b in zip(got, want):
-        assert [type(c) for c in a.coords] == [type(c) for c in b.coords], (a.coords, b.coords)
-        assert _signs(a) == _signs(b), (a.coords, b.coords)
+        _same(a, b)
+        if exact and not (_holds_float(a) or _holds_float(b)):
+            assert [type(c) for c in a.coords] == [type(c) for c in b.coords], (a.coords, b.coords)
 
 
 def _sparse_matrix(rng, rows, cols, entry):
@@ -158,8 +147,9 @@ def test_apply_equals_the_dense_sum():
         ):
             for v in vectors:
                 got, want = _apply(m, v), apply_dense(m, v)
-                _same_vectors(got, want)
-                if all(_is_exact(x) for row in m for x in row) and all(_is_exact(c) for w in v for c in w.coords):
+                exact_m = all(_is_exact(x) for row in m for x in row)
+                _same_vectors(got, want, exact_m)
+                if exact_m and all(_is_exact(c) for w in v for c in w.coords):
                     assert all(_is_exact(c) for w in got for c in w.coords)
             exprs = [Var(i) for i in range(n)]
             assert [format_expr(e) for e in _apply(m, exprs)] == [format_expr(e) for e in apply_dense(m, exprs)]
@@ -208,14 +198,18 @@ def test_chart_transport_equals_the_dense_route():
             xf = tuple(map(float, x))
             charts += [geodesic_chart(metric, xf, mode="float"), geodesic_chart(metric, xf, normalize=True, mode="float")]
             for chart in charts:
-                eps = chart.eps if chart.mode == "float" else None
-                _same_vectors(chart.push_offsets(zeta), _push_dense(chart, zeta))
+                exact = chart.mode == "exact"
+                eps = None if exact else chart.eps
+                _same_vectors(chart.push_offsets(zeta), _push_dense(chart, zeta), exact)
                 w = chart.push_offsets(zeta)
-                _same_vectors(chart.pull_offsets(w), _pull_dense(chart, w))
-                # exact offsets, alone and beside a float one, as a caller may pass them
+                _same_vectors(chart.pull_offsets(w), _pull_dense(chart, w), exact)
+                # exact offsets, alone and beside a float one, as a caller may pass them;
+                # a float chart returns float coordinates
                 for offsets in (w, zeta, tuple(zeta[:-1]) + (zeta[-1] * 0.5,)):
                     point = make_point(chart.base, offsets)
-                    _same_vectors(chart.to_chart(point), _pull_dense(chart, point_offsets(point, chart.base, eps)))
+                    got = chart.to_chart(point)
+                    _same_vectors(got, _pull_dense(chart, point_offsets(point, chart.base, eps)), exact)
+                    assert exact or all(isinstance(c, float) for v in got for c in v.coords)
 
 
 def test_laplace_relations_survive_pickling():

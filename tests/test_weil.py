@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import pytest
 
+from nilgeom.geometry import MetricField, gbar_eval
+from nilgeom.scalars import format_scalar
 from nilgeom.weil import (
     MAX_DIMENSION,
     Polynomial,
@@ -23,6 +25,7 @@ from nilgeom.weil import (
     tensor_algebra,
     truncated_algebra,
 )
+from conftest import tensor_algebra_by_quotient
 
 
 def dl_relations(n):
@@ -297,6 +300,76 @@ def test_tensor_embeddings_are_ring_maps():
     assert ea(a.one()) == c.one() == eb(b.one())
 
 
+X1 = Polynomial.variable(2, 0)
+X2 = Polynomial.variable(2, 1)
+DL2_BY_QUOTIENT = quotient_algebra(2, 3, [X1 * X1 - X2 * X2, X1 * X2])
+# the pairs the library and the benchmark tensor, and quotients whose
+# generator is a normal form (x2 = x1) or killed by the degree bound
+TENSOR_PAIRS = [
+    (truncated_algebra(1, 1), truncated_algebra(1, 2)),
+    (truncated_algebra(1, 1), truncated_algebra(1, 1)),
+    (truncated_algebra(2, 1), truncated_algebra(2, 1)),
+    (truncated_algebra(3, 1), truncated_algebra(3, 1)),
+    (truncated_algebra(2, 1), truncated_algebra(2, 2)),
+    (truncated_algebra(3, 2), truncated_algebra(3, 1)),
+    (truncated_algebra(2, 3), truncated_algebra(1, 1)),
+    (truncated_algebra(3, 3), truncated_algebra(1, 1)),
+    (laplace_algebra(2), truncated_algebra(1, 1)),
+    (laplace_algebra(3), truncated_algebra(1, 1)),
+    (DL2_BY_QUOTIENT, truncated_algebra(1, 1)),
+    (truncated_algebra(1, 2), quotient_algebra(2, 2, [X1 - X2])),
+    (truncated_algebra(2, 0), truncated_algebra(1, 1)),
+]
+
+
+def _printed(w):
+    return [(type(c), format_scalar(c)) for c in w.coords]
+
+
+@pytest.mark.parametrize("a, b", TENSOR_PAIRS)
+def test_tensor_of_tables_equals_the_quotient_route(a, b):
+    c, ea, eb = tensor_algebra(a, b)
+    oc, oa, ob = tensor_algebra_by_quotient(a, b)
+    assert json.dumps(algebra_to_json(c)) == json.dumps(algebra_to_json(oc))
+    assert [_printed(g) for g in c.generators()] == [_printed(g) for g in oc.generators()]
+    rng = random.Random(12)
+    for factor, embed, oracle in ((a, ea, oa), (b, eb, ob)):
+        for _ in range(5):
+            coords = [rng.choice((Fraction(0), Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.uniform(-2, 2)))
+                      for _ in range(factor.dimension)]
+            x = factor.element(coords)
+            assert _printed(embed(x)) == _printed(oracle(x))
+
+
+def test_nested_tensor_products_equal_the_quotient_route():
+    a, b, line = truncated_algebra(1, 1), truncated_algebra(1, 2), truncated_algebra(1, 1)
+    c = tensor_algebra(tensor_algebra(a, b)[0], line)[0]
+    oc = tensor_algebra_by_quotient(tensor_algebra_by_quotient(a, b)[0], line)[0]
+    assert json.dumps(algebra_to_json(c)) == json.dumps(algebra_to_json(oc))
+
+
+@pytest.mark.parametrize("algebra", [laplace_algebra(2), DL2_BY_QUOTIENT])
+def test_tensor_of_deserialized_factors(algebra):
+    # JSON keeps no relations; the product is read off the tables
+    back = algebra_from_json(json.loads(json.dumps(algebra_to_json(algebra))))
+    line = truncated_algebra(1, 1)
+    c, embed, embed_line = tensor_algebra(back, line)
+    oc, oracle, oracle_line = tensor_algebra_by_quotient(algebra, line)
+    assert json.dumps(algebra_to_json(c)) == json.dumps(algebra_to_json(oc))
+    assert [g.coords for g in c.generators()] == [g.coords for g in oc.generators()]
+    for x, y in zip(back.generators(), algebra.generators()):
+        assert embed(x) * embed_line(line.generators()[0]) == oracle(y) * oracle_line(line.generators()[0])
+    if algebra.degree_bound >= 3:  # gbar_eval tensors its ambient algebra with a square-zero line
+        polar = MetricField.from_strings([["1", "0"], ["0", "x1^2"]])
+        base = (Fraction(1), Fraction(0))
+        assert gbar_eval(polar, base, back.generators()) == gbar_eval(polar, base, algebra.generators())
+
+
+def test_tensor_refuses_more_than_max_dimension():
+    with pytest.raises(ValueError, match="MAX_DIMENSION"):
+        tensor_algebra(truncated_algebra(1, 24), truncated_algebra(1, 20))
+
+
 # -- serialization ---------------------------------------------------------------------
 
 @pytest.mark.parametrize("algebra", [laplace_algebra(2), truncated_algebra(2, 2), laplace_algebra(4)])
@@ -346,6 +419,35 @@ def _doc_with_entry(i, j, entry):
 def test_json_rejects_malformed_tables(doc):
     with pytest.raises(ValueError):
         algebra_from_json(doc)
+
+
+def test_json_rejects_a_non_associative_table():
+    # basis 1, a, b, c with a*a = b, a*b = c, b*b = c, a*c = 0: (a*a)*b = c but a*(a*b) = 0
+    one = lambda k: [["1", k]]
+    table = [
+        [one(0), one(1), one(2), one(3)],
+        [one(1), one(2), one(3), []],
+        [one(2), one(3), one(3), []],
+        [one(3), [], [], []],
+    ]
+    doc = {"n": 1, "degree_bound": 3, "basis": [[0], [1], [2], [3]], "table": table}
+    with pytest.raises(ValueError, match=r"^multiplication table is not associative on basis triple \(1, 1, 2\)$"):
+        algebra_from_json(doc)
+    # basis 1, a, b, d, c with a*a = 0, b*b = d, b*d = d*d = c: the degree-1
+    # element a generates nothing, so every basis element is tested, and
+    # (b*b)*d = c while b*(b*d) = 0
+    other = [
+        [one(0), one(1), one(2), one(3), one(4)],
+        [one(1), [], [], [], []],
+        [one(2), [], one(3), one(4), []],
+        [one(3), [], one(4), one(4), []],
+        [one(4), [], [], [], []],
+    ]
+    with pytest.raises(ValueError, match=r"not associative on basis triple \(2, 2, 3\)$"):
+        algebra_from_json({"n": 1, "degree_bound": 4, "basis": [[0], [1], [2], [3], [4]], "table": other})
+    # the first basis with b*b = 0 is the truncated algebra k[a]/(a^4)
+    table[2][2] = []
+    assert algebra_from_json(doc) == truncated_algebra(1, 3)
 
 
 def test_equal_elements_of_separate_algebras_hash_equal():
