@@ -44,7 +44,6 @@ from .expr import (
     variables,
 )
 from .weil import (
-    Polynomial,
     WeilElement,
     _in_mode,
     _isotropy_algebra,
@@ -121,14 +120,17 @@ class _MetricAt:
     """Everything the metric gives at one base point x.
 
     A first-order jet of each upper entry of G yields G(x) and its first
-    partials; one ``_linalg.congruence`` call yields C and d with
-    C^T G(x) C = diag(d), a zero pivot meaning G(x) is singular.  Then
-    G(x)^-1 = C diag(1/d) C^T, summed over the nonzero entries of C (C = I
-    on a diagonal G(x)), and det G(x) = prod d since C is a product
-    of column additions; the Christoffel symbols follow from G(x)^-1 and
-    the partials.  Without ``derivatives`` (``matrix_at``) G is only
-    evaluated and ``gamma`` is None.  Built once per call and passed down;
-    nothing is cached.
+    partials; an entry without variables is only evaluated, its partials
+    zeros of the mode's type, and a metric of constants has Gamma = 0.  One
+    ``_linalg.congruence`` call yields C and d with C^T G(x) C = diag(d),
+    a zero pivot meaning G(x) is singular.  Then G(x)^-1 = C diag(1/d) C^T,
+    summed over the nonzero entries of C (C = I on a diagonal G(x)), and
+    det G(x) = prod d since C is a product of column additions; the
+    Christoffel symbols follow from G(x)^-1 and the partials.  Without
+    ``derivatives`` (``matrix_at``) G is only evaluated and ``gamma`` is
+    None.  Built once per call and passed down; nothing that depends on
+    the metric or the point is cached, only the shape-keyed algebra of
+    the jets (``truncated_algebra(n, 1)``).
     """
 
     __slots__ = ("x", "mode", "G", "C", "d", "ginv", "gamma")
@@ -139,16 +141,18 @@ class _MetricAt:
         where = tuple(x)
         self.x = x = tuple(to_scalar(c, mode) for c in x)
         self.mode = mode
-        gens = truncated_algebra(n, 1).generators() if derivatives else None
+        gens = None  # the universal first-order point, once an entry needs it
         g = [[None] * n for _ in range(n)]
         dg = [[None] * n for _ in range(n)]  # dg[l][k][j] = d_j G_lk
         for (i, j), e in metric._upper.items():
-            if derivatives:
+            if derivatives and variables(e):
+                if gens is None:
+                    gens = truncated_algebra(n, 1).generators()
                 g[i][j], *dg[i][j] = jet_eval(e, x, gens, mode).coords
-                dg[j][i] = dg[i][j]
             else:
                 g[i][j] = evaluate(e, x, mode)
-            g[j][i] = g[i][j]
+                dg[i][j] = [0.0 if mode == FLOAT else Fraction(0)] * n
+            g[j][i], dg[j][i] = g[i][j], dg[i][j]
         try:
             c, d = _linalg.congruence(g)
         except ZeroDivisionError:
@@ -159,7 +163,13 @@ class _MetricAt:
             for i in range(n)
         ]
         self.G, self.C, self.d, self.ginv = g, c, d, ginv
-        self.gamma = _christoffel(dg, ginv) if derivatives else None
+        if gens is not None:
+            self.gamma = _christoffel(dg, ginv)
+        elif derivatives:  # every entry constant
+            zero = ginv[0][0] * 0
+            self.gamma = [[[zero] * n for _ in range(n)] for _ in range(n)]
+        else:
+            self.gamma = None
 
 
 def _christoffel(dg, ginv):
@@ -261,10 +271,8 @@ def gbar_eval(metric: MetricField, base, z, y=None, mode: str = EXACT) -> WeilEl
     dd = [embed(w) for w in d]
     offsets = [embed(w) + v * e for w, v in zip(y, dd)]
     total = _square(dd, {ij: jet_eval(e, base, offsets, mode) for ij, e in metric._upper.items()})
-    back = [
-        algebra.from_polynomial(Polynomial(algebra.n, {m[:-1]: Fraction(1, 2) if m[-1] else 1}))
-        for m in pair.basis
-    ]
+    index = {m: i for i, m in enumerate(algebra.basis)}  # each product monomial is m e^0 or m e^1
+    back = [algebra.basis_element(index[m[:-1]]) * (Fraction(1, 2) if m[-1] else 1) for m in pair.basis]
     return _in_mode(sum((v * c for v, c in zip(back, total.coords) if c != 0), start=algebra.zero()), mode)
 
 
@@ -302,8 +310,10 @@ class GeodesicChart:
         self.eps = eps
         self.gamma = at.gamma
         self.G0 = at.G
+        # Gamma^i_jk = Gamma^i_kj: each pair j <= k once, counted twice when j < k
         self._gamma_terms = [
-            [(j, k, g) for j, row in enumerate(plane) for k, g in enumerate(row) if g != 0] for plane in at.gamma
+            [(j, k, g if j == k else 2 * g) for j, row in enumerate(plane) for k, g in enumerate(row[j:], j) if g != 0]
+            for plane in at.gamma
         ]
         if A is None:
             self.A = self.A_inv = ident
@@ -325,7 +335,8 @@ class GeodesicChart:
 
     def _half_gamma(self, w):
         """1/2 Gamma(w, w), componentwise, for Weil elements or expressions;
-        only the nonzero symbols are visited, so a plane of zeros gives 0."""
+        only the nonzero symbols are visited, each symmetric pair once, so a
+        plane of zeros gives 0."""
         return [sum(w[j] * w[k] * g for j, k, g in terms) * Fraction(1, 2) for terms in self._gamma_terms]
 
     def push_offsets(self, zeta):
@@ -712,21 +723,29 @@ def conformal_check(
     return ConformalReport(ok, k if ok else None, ok and abs(k - 1) <= eps, FLOAT, eps)
 
 
+def _flat_laplace_jets(f: FunctionModel, x, mode):
+    """The generators of ``laplace_algebra(n)``, the universal isotropic
+    point of flat n-space, and f's jets there, with the Jacobian they
+    carry: each jet has coordinates [f_i(x), d_1 f_i .. d_n f_i,
+    1/2 sum_k d_kk f_i], so one jet gives the first partials and the flat
+    Laplacian 2 Q."""
+    gens = laplace_algebra(f.n_in).generators()
+    image = f.jet(x, gens, mode)
+    return gens, image, [list(w.coords[1:f.n_in + 1]) for w in image]
+
+
 def preserves_laplace_neighbors(f: FunctionModel, x, mode: str = EXACT, eps: float = DEFAULT_EPS) -> bool:
     """Whether f maps isotropic neighbors of x to isotropic neighbors of f(x)
-    (flat source and target).  Verified on the universal isotropic point."""
+    (flat source and target).  Verified on the universal isotropic point,
+    whose jet also gives the Jacobian."""
     check_mode(mode)
     if f.n_in != f.n_out:
         raise ValueError("isotropy preservation needs a self-map dimension-wise")
     x = tuple(to_scalar(c, mode) for c in x)
-    jac = f.jacobian(x, mode)
+    _, image, jac = _flat_laplace_jets(f, x, mode)
     if _linalg.det(jac) == 0:
         raise GeometryError("map is singular at the base point")
-    gens = laplace_algebra(f.n_in).generators()
-    image = f.jet(x, gens, mode)
-    fx = f.evaluate(x, mode)
-    offsets = [w - v for w, v in zip(image, fx)]
-    return satisfies_laplace_relations(offsets, eps if mode == FLOAT else None)
+    return satisfies_laplace_relations([w.nilpotent_part() for w in image], eps if mode == FLOAT else None)
 
 
 class CRReport(Record):
@@ -745,33 +764,26 @@ def cr_check(f: FunctionModel, x, mode: str = EXACT, eps: float = DEFAULT_EPS) -
     Checks the first-order equations and orientation; when the components
     are additionally harmonic at x, reports the complex derivative and
     verifies the first-order complex identity f(z) = f(x) + f'(x)(z-x)
-    on the universal isotropic point of the plane.
+    on the universal isotropic point of the plane.  The components' jets
+    at that point give all three: the Jacobian, and each Laplacian as
+    twice the Q coordinate.
     """
     check_mode(mode)
     if f.n_in != 2 or f.n_out != 2:
         raise ValueError("the Cauchy-Riemann detector expects a plane map")
     x = tuple(to_scalar(c, mode) for c in x)
-    jac = f.jacobian(x, mode)
+    gens, image, jac = _flat_laplace_jets(f, x, mode)
     tol = eps if mode == FLOAT else None
     cr = scalars_equal(jac[0][0], jac[1][1], tol) and scalars_equal(jac[0][1], -jac[1][0], tol)
     orientation = _linalg.det(jac) > 0
-    flat = MetricField.standard_flat(2)
-    harmonic = all(
-        is_harmonic_at(flat, comp, x, mode=mode, eps=eps) for comp in f.components
-    )
+    harmonic = all(scalars_equal(2 * w.coords[3], 0, tol) for w in image)
     holomorphic = cr and orientation
     derivative = None
     if holomorphic and harmonic:
         a, b = jac[0][0], jac[1][0]
-        gens = laplace_algebra(2).generators()
-        image = f.jet(x, gens, mode)
-        fx = f.evaluate(x, mode)
-        expected = (
-            fx[0] + gens[0] * a - gens[1] * b,
-            fx[1] + gens[0] * b + gens[1] * a,
-        )
+        expected = (gens[0] * a - gens[1] * b, gens[0] * b + gens[1] * a)
         for got, want in zip(image, expected):
-            if not (got - want).is_zero(tol):
+            if not (got.nilpotent_part() - want).is_zero(tol):
                 raise GeometryError("complex derivative failed to reproduce the map on the isotropic point")
         derivative = (a, b)
     return CRReport(holomorphic, derivative, cr, orientation, harmonic, mode, eps if mode == FLOAT else None)

@@ -22,7 +22,13 @@ the library needs:
 Every constructor counts its monomials before building anything and
 refuses more than ``MAX_DIMENSION`` of them.  ``laplace_algebra`` writes
 its table down directly, in O(n^2) steps, and builds its n^2 relation
-polynomials only when they are read.
+polynomials only when they are read.  Both algebras depend only on their
+arguments, so ``truncated_algebra`` and ``laplace_algebra`` return the
+algebra they built last time for the same arguments: each checks them,
+then looks in a cache of the last 16, which retains about 30 kB at the
+sizes the geometry uses (n <= 6) and at most about 250 MB at
+``MAX_DIMENSION`` (see there).  Equal algebras are then mostly one object,
+and ``==`` tests identity first.
 
 Element arithmetic is coordinate vectors times structure constants, with
 one path for every scalar (``int``, ``Fraction`` or ``float``): a scalar
@@ -85,7 +91,18 @@ with: C(n + k, k) for n generators up to degree k (``truncated_algebra``,
 for ``laplace_algebra``.  A multiplication table holds the square of the
 dimension, and so does the cost of building it: at the cap a truncated
 algebra builds in 0.6-1.2 s and the Laplace algebra in about 0.3 s
-(2-core VM, Python 3.11)."""
+(2-core VM, Python 3.11).
+
+``truncated_algebra`` and ``laplace_algebra`` each keep the last
+``_CACHE_SIZE`` = 16 algebras they built, keyed by their arguments.  One
+algebra at the cap retains up to 11.7 MB (``truncated_algebra(1, 499)``;
+``truncated_algebra(2, 30)`` 5.6 MB, ``laplace_algebra(498)`` 4.1 MB, by
+tracemalloc), so the two caches hold at most about 16 x 11.7 MB + 16 x
+4.1 MB, 250 MB; at the sizes the geometry uses (n <= 6) about 30 kB.
+Reading ``relations`` of a cached Laplace algebra adds its n^2 relation
+polynomials, n^3 exponents, to what it retains."""
+
+_CACHE_SIZE = 16
 
 
 def _check_dimension(n: int, degree: int) -> None:
@@ -455,7 +472,7 @@ class WeilAlgebra:
         return out
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, WeilAlgebra)
             and self.n == other.n
             and self.degree_bound == other.degree_bound
@@ -615,14 +632,20 @@ def truncated_algebra(n: int, order: int) -> WeilAlgebra:
     """k[Z_1..Z_n] with every monomial of degree > order killed.
 
     Models the order-k neighborhood of the origin: dimension C(n+k, k).
+    Arguments seen recently return the algebra built then (see
+    ``MAX_DIMENSION``).
     """
     if n < 1:
         raise ValueError("need at least one generator")
     if order < 0:
         raise ValueError("truncation order must be >= 0")
     _check_dimension(n, order)
-    basis = all_monomials(n, order)
-    return WeilAlgebra(n, order, basis, {}, relations=())
+    return _truncated(n, order)
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _truncated(n, order):
+    return WeilAlgebra(n, order, all_monomials(n, order), {}, relations=())
 
 
 def laplace_algebra(n: int) -> WeilAlgebra:
@@ -630,23 +653,35 @@ def laplace_algebra(n: int) -> WeilAlgebra:
 
     Dimension n+2 with basis {1, Z_1..Z_n, Q}, Q the common square class
     (represented by the monomial Z_1^2).  For n = 1 this is the order-2
-    truncated algebra on one generator.
+    truncated algebra on one generator.  Cached like ``truncated_algebra``.
     """
     if n < 1:
         raise ValueError("need at least one generator")
     if n + 2 > MAX_DIMENSION:
         raise ValueError(f"laplace_algebra({n}) has dimension {n + 2} > MAX_DIMENSION = {MAX_DIMENSION}")
-    return _isotropy_algebra((Fraction(1),) * n)
+    return _laplace(n)
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _laplace(n):
+    return _weighted_algebra((Fraction(1),) * n)
 
 
 def _isotropy_algebra(weights) -> WeilAlgebra:
     """Z_i^2 = weights[i] * Q, Z_i Z_j = 0 on the basis {1, Z_1..Z_n, Q};
-    Q is represented by Z_1^2, so weights[0] must be 1.
+    Q is represented by Z_1^2, so weights[0] must be 1.  All weights 1 (a
+    flat metric, or G(x) = I) give the shared ``laplace_algebra(n)``."""
+    if all(w == 1 for w in weights):
+        return _laplace(len(weights))
+    return _weighted_algebra(weights)
 
-    The table is written down directly, in O(n^2) steps: the unit row and
-    column, Z_i Z_i = weights[i] Q, and 0 everywhere else.  The n^2
-    relation polynomials, n^3 exponents in all, are built only if
-    ``relations`` is read."""
+
+def _weighted_algebra(weights) -> WeilAlgebra:
+    """The algebra of ``_isotropy_algebra``, built.  The table is written
+    down directly, in O(n^2) steps: the unit row and column,
+    Z_i Z_i = weights[i] Q, and 0 everywhere else.  The n^2 relation
+    polynomials, n^3 exponents in all, are built only if ``relations`` is
+    read."""
     n = len(weights)
     gens = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     q_mono = (2,) + (0,) * (n - 1)  # class of Z_1^2

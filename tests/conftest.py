@@ -14,9 +14,17 @@ from fractions import Fraction
 from nilgeom import _linalg
 from nilgeom.coalgebra import Distribution, Subcoalgebra, _factorial, comultiply, divided_derivatives
 from nilgeom.expr import Const, Expr, Var, compose, diff, evaluate, jet_eval, polynomial_to_expr, taylor_coefficients
-from nilgeom.geometry import MetricField, _check_order, geodesic_chart
-from nilgeom.scalars import DEFAULT_EPS, EXACT, FLOAT
-from nilgeom.weil import truncated_algebra
+from nilgeom.geometry import (
+    CRReport,
+    GeometryError,
+    MetricField,
+    _apply,
+    _check_order,
+    geodesic_chart,
+    is_harmonic_at,
+)
+from nilgeom.scalars import DEFAULT_EPS, EXACT, FLOAT, scalars_equal, to_scalar
+from nilgeom.weil import laplace_algebra, truncated_algebra
 from nilgeom.weil import Polynomial, WeilElement, _reduce_rows, all_monomials, mono_key, quotient_algebra, satisfies_laplace_relations
 from nilgeom.weil import _homogeneous
 
@@ -380,3 +388,61 @@ def is_laplace_neighbor_by_normal_chart(metric, x, z, eps=DEFAULT_EPS):
     eta = [sum((w * a for a, w in zip(row, zeta)), start=zero) for row in a_inv]
     _check_order(eta, 2, eps)
     return satisfies_laplace_relations(eta, eps)
+
+
+# -- plane-map detectors through separate jets: the reference for the one-jet detectors --
+
+def preserves_laplace_neighbors_by_jacobian(f, x, mode=EXACT, eps=DEFAULT_EPS):
+    """``preserves_laplace_neighbors`` with the Jacobian from its own jet in
+    ``truncated_algebra(n, 1)`` and the offsets taken from f(x) as evaluated."""
+    if f.n_in != f.n_out:
+        raise ValueError("isotropy preservation needs a self-map dimension-wise")
+    x = tuple(to_scalar(c, mode) for c in x)
+    if _linalg.det(f.jacobian(x, mode)) == 0:
+        raise GeometryError("map is singular at the base point")
+    image = f.jet(x, laplace_algebra(f.n_in).generators(), mode)
+    offsets = [w - v for w, v in zip(image, f.evaluate(x, mode))]
+    return satisfies_laplace_relations(offsets, eps if mode == FLOAT else None)
+
+
+def cr_check_by_laplacians(f, x, mode=EXACT, eps=DEFAULT_EPS):
+    """``cr_check`` with the Jacobian from its own jet, harmonicity from two
+    ``is_harmonic_at`` Laplacians on the flat plane, and the first-order
+    identity checked on a third jet against f(x) as evaluated."""
+    if f.n_in != 2 or f.n_out != 2:
+        raise ValueError("the Cauchy-Riemann detector expects a plane map")
+    x = tuple(to_scalar(c, mode) for c in x)
+    jac = f.jacobian(x, mode)
+    tol = eps if mode == FLOAT else None
+    cr = scalars_equal(jac[0][0], jac[1][1], tol) and scalars_equal(jac[0][1], -jac[1][0], tol)
+    orientation = _linalg.det(jac) > 0
+    flat = MetricField.standard_flat(2)
+    harmonic = all(is_harmonic_at(flat, comp, x, mode=mode, eps=eps) for comp in f.components)
+    derivative = None
+    if cr and orientation and harmonic:
+        a, b = jac[0][0], jac[1][0]
+        gens = laplace_algebra(2).generators()
+        fx = f.evaluate(x, mode)
+        expected = (fx[0] + gens[0] * a - gens[1] * b, fx[1] + gens[0] * b + gens[1] * a)
+        for got, want in zip(f.jet(x, gens, mode), expected):
+            if not (got - want).is_zero(tol):
+                raise GeometryError("complex derivative failed to reproduce the map on the isotropic point")
+        derivative = (a, b)
+    return CRReport(cr and orientation, derivative, cr, orientation, harmonic, mode, tol)
+
+
+# -- the chart correction with every Christoffel term: the reference for the paired terms --
+
+def half_gamma_all_terms(chart, w):
+    """1/2 Gamma(w, w) read off the full Christoffel array, each nonzero
+    symbol Gamma^i_jk and Gamma^i_kj added on its own."""
+    return [
+        sum(w[j] * w[k] * g for j, row in enumerate(plane) for k, g in enumerate(row) if g != 0) * Fraction(1, 2)
+        for plane in chart.gamma
+    ]
+
+
+def push_offsets_all_terms(chart, zeta):
+    """``GeodesicChart.push_offsets`` with ``half_gamma_all_terms``."""
+    az = _apply(chart.A, zeta)
+    return tuple(a - c for a, c in zip(az, half_gamma_all_terms(chart, az)))

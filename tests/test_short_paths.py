@@ -22,6 +22,7 @@ from nilgeom.weil import _in_mode, laplace_algebra, tensor_algebra, truncated_al
 from conftest import (
     add_scalar_dense,
     apply_dense,
+    half_gamma_all_terms,
     mul_scalar_dense,
     nilpotent_part_dense,
     random_metric,
@@ -155,21 +156,13 @@ def test_apply_equals_the_dense_sum():
             assert [format_expr(e) for e in _apply(m, exprs)] == [format_expr(e) for e in apply_dense(m, exprs)]
 
 
-def _half_gamma_dense(chart, w):
-    """1/2 Gamma(w, w) read off the full Christoffel array."""
-    return [
-        sum(w[j] * w[k] * g for j, row in enumerate(plane) for k, g in enumerate(row) if g != 0) * F(1, 2)
-        for plane in chart.gamma
-    ]
-
-
 def _push_dense(chart, zeta):
     az = apply_dense(chart.A, zeta)
-    return tuple(a - c for a, c in zip(az, _half_gamma_dense(chart, az)))
+    return tuple(a - c for a, c in zip(az, half_gamma_all_terms(chart, az)))
 
 
 def _pull_dense(chart, w):
-    return apply_dense(chart.A_inv, [a + c for a, c in zip(w, _half_gamma_dense(chart, w))])
+    return apply_dense(chart.A_inv, [a + c for a, c in zip(w, half_gamma_all_terms(chart, w))])
 
 
 def test_chart_transport_equals_the_dense_route():

@@ -365,6 +365,25 @@ def test_tensor_of_deserialized_factors(algebra):
         assert gbar_eval(polar, base, back.generators()) == gbar_eval(polar, base, algebra.generators())
 
 
+def test_gbar_eval_on_a_deserialized_ambient_without_generator_classes():
+    # JSON keeps no normal forms, so the loaded algebra cannot name the class of Z2 (= Z1 here);
+    # the map back from the product needs only its basis
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    algebra = quotient_algebra(2, 3, [x1 - x2])
+    back = algebra_from_json(json.loads(json.dumps(algebra_to_json(algebra))))
+    flat = MetricField.standard_flat(2)
+    b1 = back.basis_element(1)
+    assert repr(gbar_eval(flat, (0, 0), (b1, b1))) == "2*Z1^2"
+    polar = MetricField.from_strings([["1", "0"], ["0", "x1^2"]])
+    for metric, base in ((flat, (0, 0)), (polar, (Fraction(1), Fraction(1, 2)))):
+        for z, y in (((1, 2), None), ((1, 3), (2, 1)), ((3, 1), (1, 1))):
+            got = gbar_eval(metric, base, [back.basis_element(i) for i in z],
+                            y and [back.basis_element(i) for i in y])
+            want = gbar_eval(metric, base, [algebra.basis_element(i) for i in z],
+                             y and [algebra.basis_element(i) for i in y])
+            assert got == want
+
+
 def test_tensor_refuses_more_than_max_dimension():
     with pytest.raises(ValueError, match="MAX_DIMENSION"):
         tensor_algebra(truncated_algebra(1, 24), truncated_algebra(1, 20))
@@ -451,8 +470,9 @@ def test_json_rejects_a_non_associative_table():
 
 
 def test_equal_elements_of_separate_algebras_hash_equal():
+    # the constructor returns one shared algebra, so the second is a separately built copy
     a = laplace_algebra(3).generators()[0]
-    b = laplace_algebra(3).generators()[0]
+    b = algebra_from_json(algebra_to_json(laplace_algebra(3))).generators()[0]
     assert a.algebra is not b.algebra
     assert a == b
     assert len({a, b}) == 1
