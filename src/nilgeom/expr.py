@@ -474,10 +474,6 @@ class FunctionModel(Record):
     def jet(self, base, offsets, mode: str = EXACT):
         return tuple(jet_eval(c, base, offsets, mode) for c in self.components)
 
-    def compose_exprs(self, inner) -> tuple:
-        """Components of self after substituting the inner expressions."""
-        return tuple(compose(c, inner) for c in self.components)
-
 
 def scalar_function(e: Expr, n: int) -> FunctionModel:
     return FunctionModel(n, 1, (e,))

@@ -20,7 +20,9 @@ test with no square root, so exact mode decides it on every nondegenerate
 metric.  The universal isotropic point has chart coordinates C Z, with Z
 generating a weighted laplace_algebra (the plain one in a normal chart),
 and averaging a function over it and its mirror image yields the
-Laplacian with no integration and no divergence/gradient detour.
+Laplacian with no integration and no divergence/gradient detour.  One
+jet; the mirror image is the automorphism Z -> -Z, so the average is read
+off the Q coordinate of the single jet of f at the universal point.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .expr import (
     Const,
     Expr,
     FunctionModel,
-    Var,
     evaluate,
     format_expr,
     jet_eval,
@@ -359,18 +360,6 @@ class GeodesicChart:
         """Chart principal part of a manifold tangent principal part."""
         return _linalg.mat_vec(self.A_inv, list(u))
 
-    # -- expression models ---------------------------------------------------
-
-    def forward_model(self) -> FunctionModel:
-        """The forward map as expressions in the chart coordinates."""
-        offsets = self.push_offsets([Var(i) for i in range(self.n)])
-        return FunctionModel(self.n, self.n, tuple(Const(b) + w for b, w in zip(self.base, offsets)))
-
-    def inverse_model(self) -> FunctionModel:
-        """The inverse map as expressions in the manifold coordinates."""
-        offsets = [Var(i) - Const(b) for i, b in enumerate(self.base)]
-        return FunctionModel(self.n, self.n, self.pull_offsets(offsets))
-
 
 def _apply(m, v):
     """The matrix m times a vector v of Weil elements or expressions, one
@@ -581,26 +570,19 @@ def laplacian(metric: MetricField, f, x, mode: str = EXACT, eps: float = DEFAULT
     survives, and dividing by the matching coordinate of g(x, z) = n d_1 Q
     gives the eigenvalue L.  The result is n * L.
 
+    One jet suffices: the mirror image is the automorphism Z -> -Z, Q -> Q
+    of the isotropy algebra, with which the chart map and the jet commute,
+    so f(z') is f(z) with its Z coordinates negated and the average is
+    2 q Q, q the Q coordinate of f(z).
+
     Both modes take this one route, with no square root, on any
     nondegenerate metric (see ``_universal_point``); an indefinite one gives
     the wave operator.
     """
     f = _as_scalar_model(f, metric.n)
     chart, gens, d1 = _universal_point(metric, x, mode, eps)
-    x = chart.base
-    n = metric.n
-    w_plus = chart.push_offsets(gens)
-    w_minus = chart.push_offsets(tuple(-g for g in gens))
-    expr = f.components[0]
-    f_z = jet_eval(expr, x, w_plus, mode)
-    f_mirror = jet_eval(expr, x, w_minus, mode)
-    f_x = evaluate(expr, x, mode)
-    combined = f_z + f_mirror - f_x * 2
-    tol = eps if mode == FLOAT else None
-    for c in combined.coords[: n + 1]:
-        if not scalars_equal(c, 0, tol):
-            raise GeometryError("mirror average has a non-isotropic residue; chart is not geodesic")
-    return combined.coords[n + 1] / d1
+    f_z = jet_eval(f.components[0], chart.base, chart.push_offsets(gens), mode)
+    return 2 * f_z.coords[metric.n + 1] / d1
 
 
 def laplace_taylor(metric: MetricField, f, x, offsets, mode: str = EXACT) -> WeilElement:
@@ -608,24 +590,26 @@ def laplace_taylor(metric: MetricField, f, x, offsets, mode: str = EXACT) -> Wei
     Laplacian: f(x) + df_x(z-x) + (Laplacian/2n) ||z-x||^2.
 
     Only valid over the standard flat metric; the result equals the jet of f
-    exactly whenever the offsets satisfy the isotropy relations.
+    exactly whenever the offsets satisfy the isotropy relations.  One jet at
+    the universal isotropic point gives all three (``_flat_laplace_jets``):
+    the value, the partials and q, the Laplacian being 2 q.
     """
     if not metric.is_standard_flat():
         raise GeometryError("the Taylor reconstruction requires the standard flat metric")
     f = _as_scalar_model(f, metric.n)
-    expr = f.components[0]
+    check_mode(mode)
     n = metric.n
+    _, (jet,), _ = _flat_laplace_jets(f, tuple(to_scalar(c, mode) for c in x), mode)
+    value, *partials, q = jet.coords
     offsets = tuple(offsets)
     algebra = offsets[0].algebra
-    value = evaluate(expr, x, mode)
     out = algebra.scalar(value)
-    for w, partial in zip(offsets, f.jacobian(x, mode)[0]):
+    for w, partial in zip(offsets, partials):
         out = out + w * partial
-    lap = laplacian(metric, f, x, mode=mode)
     norm_sq = algebra.zero()
     for w in offsets:
         norm_sq = norm_sq + w * w
-    return _in_mode(out + norm_sq * (lap / (2 * n)), mode)
+    return _in_mode(out + norm_sq * (q / n), mode)  # Laplacian/2n = q/n
 
 
 def is_harmonic_at(metric: MetricField, f, x, mode: str = EXACT, eps: float = DEFAULT_EPS) -> bool:
@@ -649,14 +633,16 @@ def preserves_affine_combinations(
     isotropic point (the one ``laplacian`` averages over), for each sampled
     scale.  Equivalent to harmonicity.  The residue's Q coordinate is read
     per unit of g(x, z)/n = d_1 Q, as in an orthonormal chart, before the
-    float tolerance applies."""
+    float tolerance applies.  f(x) is the unit coordinate of the jet f(z);
+    each scaled point takes a jet of its own, so this check stays
+    independent of ``laplacian``."""
     f = _as_scalar_model(f, metric.n)
     expr = f.components[0]
     chart, gens, d1 = _universal_point(metric, x, mode, eps)
     x = chart.base
     tol = eps if mode == FLOAT else None
-    f_x = evaluate(expr, x, mode)
     f_z = jet_eval(expr, x, chart.push_offsets(gens), mode)
+    f_x = f_z.coords[0]
     for s in scales:
         s = to_scalar(s, mode)
         scaled = tuple(g * (1 - s) for g in gens)

@@ -22,11 +22,11 @@ the library needs:
 Every constructor counts its monomials before building anything and
 refuses more than ``MAX_DIMENSION`` of them.  ``laplace_algebra`` writes
 its table down directly, in O(n^2) steps, and builds its n^2 relation
-polynomials only when they are read.  Both algebras depend only on their
-arguments, so ``truncated_algebra`` and ``laplace_algebra`` return the
-algebra they built last time for the same arguments: each checks them,
-then looks in a cache of the last 16, which retains about 30 kB at the
-sizes the geometry uses (n <= 6) and at most about 250 MB at
+polynomials each time they are read, keeping none.  Both algebras depend
+only on their arguments, so ``truncated_algebra`` and ``laplace_algebra``
+return the algebra they built last time for the same arguments: each
+checks them, then looks in a cache of the last 16, which retains about
+30 kB at the sizes the geometry uses (n <= 6) and at most about 250 MB at
 ``MAX_DIMENSION`` (see there).  Equal algebras are then mostly one object,
 and ``==`` tests identity first.
 
@@ -99,8 +99,8 @@ algebra at the cap retains up to 11.7 MB (``truncated_algebra(1, 499)``;
 ``truncated_algebra(2, 30)`` 5.6 MB, ``laplace_algebra(498)`` 4.1 MB, by
 tracemalloc), so the two caches hold at most about 16 x 11.7 MB + 16 x
 4.1 MB, 250 MB; at the sizes the geometry uses (n <= 6) about 30 kB.
-Reading ``relations`` of a cached Laplace algebra adds its n^2 relation
-polynomials, n^3 exponents, to what it retains."""
+Reading ``relations`` of a Laplace algebra builds its n^2 relation
+polynomials, n^3 exponents, afresh; the algebra does not keep them."""
 
 _CACHE_SIZE = 16
 
@@ -294,10 +294,14 @@ class WeilAlgebra:
     multiplication table.  ``relations`` records the defining relations of
     a quotient or Laplace algebra (empty for tensor products and
     deserialized algebras); a constructor may pass a function instead,
-    called on first use.  The table is built from the normal forms unless
-    one is given (rows of tuples of (basis index, coefficient) pairs, as
-    deserialized); a given table is checked before use, and the normal
-    forms then serve only ``generators``.
+    called on each read and its result not kept.  The table is built from
+    the normal forms unless one is given (rows of tuples of (basis index,
+    coefficient) pairs), and the normal forms then serve only
+    ``generators``.  Tables are checked where they come from outside:
+    ``algebra_from_json`` checks shape, symmetry, the unit row,
+    associativity and nilpotency, while the library's own truncated,
+    quotient, weighted and tensor tables are associative and nilpotent by
+    construction and are not checked.
     """
 
     __slots__ = ("n", "degree_bound", "basis", "_relations", "_index", "_nf", "_table")
@@ -311,18 +315,11 @@ class WeilAlgebra:
         self._nf = normal_form  # monomial -> tuple of (basis index, coeff)
         if self.basis[0] != unit_monomial(n):
             raise AssertionError("quotient lost its unit")
-        if table is None:
-            self._table = self._build_table()
-        else:
-            self._check_table(table)
-            self._table = table
-        self._check_nilpotent()
+        self._table = self._build_table() if table is None else table
 
     @property
     def relations(self):
-        if callable(self._relations):
-            self._relations = tuple(self._relations())
-        return self._relations
+        return tuple(self._relations()) if callable(self._relations) else self._relations
 
     # -- construction helpers ---------------------------------------------
 
@@ -343,11 +340,11 @@ class WeilAlgebra:
                 table[j][i] = entry
         return table
 
-    def _check_table(self, table):
-        """Reject a given table that is not square over the basis, names a
-        basis index out of range, is not symmetric, has a wrong unit row or
-        is not associative."""
-        dim = len(self.basis)
+    def _check_table(self):
+        """Reject a table that is not square over the basis, names a basis
+        index out of range, is not symmetric, has a wrong unit row or is not
+        associative."""
+        table, dim = self._table, len(self.basis)
         if len(self._index) != dim:
             raise ValueError("basis monomials are not distinct")
         if len(table) != dim or any(len(row) != dim for row in table):
@@ -680,8 +677,8 @@ def _weighted_algebra(weights) -> WeilAlgebra:
     """The algebra of ``_isotropy_algebra``, built.  The table is written
     down directly, in O(n^2) steps: the unit row and column,
     Z_i Z_i = weights[i] Q, and 0 everywhere else.  The n^2 relation
-    polynomials, n^3 exponents in all, are built only if ``relations`` is
-    read."""
+    polynomials, n^3 exponents in all, are built on each read of
+    ``relations`` and not kept."""
     n = len(weights)
     gens = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     q_mono = (2,) + (0,) * (n - 1)  # class of Z_1^2
@@ -878,7 +875,10 @@ def algebra_from_json(doc: dict) -> WeilAlgebra:
         [tuple((int(k), parse_rational(c)) for c, k in entry) for entry in row]
         for row in doc["table"]
     ]
-    return WeilAlgebra(n, bound, basis, {}, (), table=table)
+    algebra = WeilAlgebra(n, bound, basis, {}, (), table=table)
+    algebra._check_table()
+    algebra._check_nilpotent()
+    return algebra
 
 
 def algebra_isomorphism(src: WeilAlgebra, dst: WeilAlgebra):

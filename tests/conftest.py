@@ -13,13 +13,26 @@ from fractions import Fraction
 
 from nilgeom import _linalg
 from nilgeom.coalgebra import Distribution, Subcoalgebra, _factorial, comultiply, divided_derivatives
-from nilgeom.expr import Const, Expr, Var, compose, diff, evaluate, jet_eval, polynomial_to_expr, taylor_coefficients
+from nilgeom.expr import (
+    Const,
+    Expr,
+    FunctionModel,
+    Var,
+    compose,
+    diff,
+    evaluate,
+    jet_eval,
+    polynomial_to_expr,
+    taylor_coefficients,
+)
 from nilgeom.geometry import (
     CRReport,
     GeometryError,
     MetricField,
     _apply,
+    _as_scalar_model,
     _check_order,
+    _universal_point,
     geodesic_chart,
     is_harmonic_at,
 )
@@ -314,7 +327,7 @@ def laplacian_by_trace(metric, f, x, mode=EXACT):
     chart's forward model.  ``f`` is an expression."""
     chart = geodesic_chart(metric, x, mode=mode)
     n = metric.n
-    pushed = compose(f, chart.forward_model().components)
+    pushed = compose(f, forward_model(chart).components)
     zero = tuple(Fraction(0) if mode == EXACT else 0.0 for _ in range(n))
     coeffs = taylor_coefficients(pushed, zero, 2, mode)
     ginv = invert(chart.G0)
@@ -347,6 +360,40 @@ def christoffel_by_loop(metric, x, mode=EXACT):
                     s = s + ginv[i][l] * (dg[l][k][j] + dg[l][j][k] - dg[j][k][l])
                 gamma[i][j][k] = s * Fraction(1, 2)
     return gamma
+
+
+# -- chart maps as expressions, and the Laplacian from two jets --
+
+def forward_model(chart):
+    """The chart's forward map as expressions in the chart coordinates."""
+    offsets = chart.push_offsets([Var(i) for i in range(chart.n)])
+    return FunctionModel(chart.n, chart.n, tuple(Const(b) + w for b, w in zip(chart.base, offsets)))
+
+
+def inverse_model(chart):
+    """The chart's inverse map as expressions in the manifold coordinates."""
+    offsets = [Var(i) - Const(b) for i, b in enumerate(chart.base)]
+    return FunctionModel(chart.n, chart.n, chart.pull_offsets(offsets))
+
+
+def laplacian_by_mirror_average(metric, f, x, mode=EXACT, eps=DEFAULT_EPS):
+    """``laplacian`` as the paper defines it: f at the universal isotropic
+    point z and at its mirror image z', f(x) evaluated on its own, and
+    f(z) + f(z') - 2 f(x) checked to have nothing but a Q coordinate, which
+    over d_1 is the result."""
+    f = _as_scalar_model(f, metric.n)
+    chart, gens, d1 = _universal_point(metric, x, mode, eps)
+    x = chart.base
+    n = metric.n
+    expr = f.components[0]
+    f_z = jet_eval(expr, x, chart.push_offsets(gens), mode)
+    f_mirror = jet_eval(expr, x, chart.push_offsets(tuple(-g for g in gens)), mode)
+    combined = f_z + f_mirror - evaluate(expr, x, mode) * 2
+    tol = eps if mode == FLOAT else None
+    for c in combined.coords[: n + 1]:
+        if not scalars_equal(c, 0, tol):
+            raise GeometryError("mirror average has a non-isotropic residue; chart is not geodesic")
+    return combined.coords[n + 1] / d1
 
 
 # -- metric derivatives by symbolic diff, isotropy in a float normal chart --

@@ -130,6 +130,14 @@ def test_check_harmonic_float_uses_epsilon(capsys):
     assert run_json(capsys, "--mode", "float", "--epsilon", "0.1", *argv)["harmonic"] is False
 
 
+def test_check_harmonic_float_epsilon_zero(capsys):
+    # the value and the Q coordinate come from one jet, so no rounding
+    # residue of f(x) stands in the way of eps = 0
+    doc = run_json(capsys, "--mode", "float", "--epsilon", "0", "check", "harmonic",
+                   "--fn", "x1^3-3*x1*x2^2", "--point", "0.3,0.7")
+    assert doc["harmonic"] is True and doc["affine_preserving"] is True
+
+
 def test_float_zeros_print_without_sign(capsys):
     # both zeros come out of float arithmetic as -0.0
     code, out, _ = run(capsys, "--mode", "float", "laplacian", "--fn", "-x1", "--point", "1,1")

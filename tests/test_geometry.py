@@ -43,7 +43,15 @@ from nilgeom.geometry import (
     scalar_component,
 )
 from nilgeom.weil import laplace_algebra, satisfies_laplace_relations, tensor_algebra, truncated_algebra
-from conftest import laplacian_by_trace, random_metric, random_point, random_poly_expr, second_partials_sum
+from conftest import (
+    forward_model,
+    inverse_model,
+    laplacian_by_trace,
+    random_metric,
+    random_point,
+    random_poly_expr,
+    second_partials_sum,
+)
 
 F = Fraction
 FLAT2 = MetricField.standard_flat(2)
@@ -200,7 +208,7 @@ def test_flat_chart_is_translation():
 
 
 def _pullback_entries(metric, chart):
-    fwd = chart.forward_model()
+    fwd = forward_model(chart)
     n = metric.n
     jac = [[diff(fwd.components[k], j) for j in range(n)] for k in range(n)]
     entries = []
@@ -241,8 +249,8 @@ def test_random_metric_chart_kills_first_metric_derivatives():
 
 def test_chart_models_invert_on_second_order_points():
     chart = geodesic_chart(POLAR, (F(1), F(0)))
-    fwd = chart.forward_model()
-    inv = chart.inverse_model()
+    fwd = forward_model(chart)
+    inv = inverse_model(chart)
     gens = truncated_algebra(2, 2).generators()
     round_trip = [compose(c, fwd.components) for c in inv.components]
     for i, comp in enumerate(round_trip):

@@ -14,6 +14,7 @@ from nilgeom.scalars import format_scalar
 from nilgeom.weil import (
     MAX_DIMENSION,
     Polynomial,
+    WeilAlgebra,
     _check_dimension,
     _isotropy_algebra,
     algebra_from_json,
@@ -108,6 +109,27 @@ def test_direct_isotropy_tables_match_the_quotient(n):
         assert generic._table == hand._table
         assert json.dumps(algebra_to_json(generic)) == json.dumps(algebra_to_json(hand))
     assert laplace_algebra(n).relations == tuple(dl_relations(n))
+
+
+def test_lazy_relations_are_built_on_each_read_and_not_kept():
+    # a cached laplace_algebra(n) must not come to hold its n^2 polynomials
+    a = laplace_algebra(3)
+    first, second = a.relations, a.relations
+    assert first == second == tuple(dl_relations(3))
+    assert first is not second
+    assert callable(a._relations)
+
+
+def test_tables_are_checked_only_when_deserialized(monkeypatch):
+    checked = []
+    for name in ("_check_table", "_check_nilpotent"):
+        monkeypatch.setattr(WeilAlgebra, name, lambda self, name=name: checked.append(name))
+    a = quotient_algebra(2, 3, [Polynomial(2, {(2, 0): 1, (0, 2): -1})])
+    tensor_algebra(a, _isotropy_algebra([Fraction(1), Fraction(2)]))
+    truncated_algebra(3, 4)
+    assert checked == []
+    algebra_from_json(algebra_to_json(a))
+    assert checked == ["_check_table", "_check_nilpotent"]
 
 
 def test_laplace_algebra_at_the_cap_builds_in_seconds():
