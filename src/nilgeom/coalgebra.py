@@ -1,17 +1,22 @@
 """Distributions supported at the origin, and the coalgebra they span.
 
 A distribution here is a constant-coefficient differential operator
-followed by evaluation at 0, stored as a polynomial in derivative symbols.
-Multiplication of test polynomials dualizes to a comultiplication on these
-functionals (the generalized Leibniz rule); each distribution spans a
-finite-dimensional subcoalgebra, computed as the span of the divided
-derivatives of its symbol.  Dualizing that subcoalgebra back yields a Weil
-algebra: starting from the sum of pure second derivatives, this loop lands,
-up to an explicit table isomorphism, on ``laplace_algebra(n)``.
+followed by evaluation at 0, stored as its symbol: a ``Polynomial`` in
+derivative symbols d1..dn, whose arithmetic it inherits (a product of
+symbols composes the operators).  Multiplication of test polynomials
+dualizes to a comultiplication on these functionals, the generalized
+Leibniz rule, which expands each monomial of the symbol binomially.  The
+left factors of that expansion index the divided (Hasse) derivatives of
+the symbol, and the right factors are their terms; the derivatives span
+the finite-dimensional subcoalgebra the distribution generates.  Dualizing
+that subcoalgebra back yields a Weil algebra: starting from the sum of
+pure second derivatives, this loop lands, up to an explicit table
+isomorphism, on ``laplace_algebra(n)``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -30,20 +35,16 @@ from .weil import (
 )
 
 
-class Distribution:
+class Distribution(Polynomial):
     """Linear functional on polynomials: apply a symbol of derivatives, then
-    evaluate at the origin."""
+    evaluate at the origin.
 
-    __slots__ = ("n", "terms")
+    The symbol's monomial ``alpha`` stands for d^alpha.  Sums, differences,
+    scalar multiples, products and powers are those of the symbols and stay
+    Distributions; a Distribution never equals a ``Polynomial``.
+    """
 
-    def __init__(self, n: int, terms=None):
-        self.n = n
-        self.terms = {}
-        if terms:
-            for mono, coeff in terms.items():
-                coeff = Fraction(coeff)
-                if coeff != 0:
-                    self.terms[tuple(mono)] = coeff
+    __slots__ = ()
 
     @classmethod
     def from_polynomial(cls, symbol: Polynomial) -> "Distribution":
@@ -64,41 +65,11 @@ class Distribution:
                 total += c * coeff * _factorial(alpha)
         return total
 
-    def degree(self):
-        return max((mono_degree(m) for m in self.terms), default=0)
+    # the action on the constant polynomial 1
+    counit = Polynomial.constant_term
 
-    def counit(self) -> Scalar:
-        """Action on the constant polynomial 1."""
-        return self.terms.get(unit_monomial(self.n), Fraction(0))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
-        return Distribution(self.n, out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) - c
-        return Distribution(self.n, out)
-
-    def __mul__(self, scalar):
-        return Distribution(self.n, {m: c * scalar for m, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, Distribution) and self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, tuple(sorted(self.terms.items()))))
-
-    def is_zero(self):
-        return not self.terms
-
-    def to_string(self) -> str:
-        return self.symbol().to_string("d")
+    def to_string(self, prefix: str = "d") -> str:
+        return super().to_string(prefix)
 
     def __repr__(self):
         return f"Distribution({self.to_string()})"
@@ -135,27 +106,14 @@ def comultiply(d: Distribution) -> dict:
     For a single derivative symbol the expansion is binomial:
     psi(d^alpha) = sum over beta <= alpha of C(alpha, beta)
     d^beta (x) d^(alpha-beta); extended linearly.  Keys are pairs of
-    exponent vectors.
+    exponent vectors; since alpha = beta + (alpha-beta), distinct terms of
+    the symbol give distinct keys and every coefficient is nonzero.
     """
-    out = {}
-    for alpha, c in d.terms.items():
-        for beta in _sub_multi_indices(alpha):
-            gamma = tuple(a - b for a, b in zip(alpha, beta))
-            w = c * _multi_binomial(alpha, beta)
-            key = (beta, gamma)
-            out[key] = out.get(key, Fraction(0)) + w
-            if out[key] == 0:
-                del out[key]
-    return out
-
-
-def _sub_multi_indices(alpha):
-    if not alpha:
-        yield ()
-        return
-    for first in range(alpha[0] + 1):
-        for rest in _sub_multi_indices(alpha[1:]):
-            yield (first,) + rest
+    return {
+        (beta, tuple(a - b for a, b in zip(alpha, beta))): c * _multi_binomial(alpha, beta)
+        for alpha, c in d.terms.items()
+        for beta in itertools.product(*(range(a + 1) for a in alpha))
+    }
 
 
 def _multi_binomial(alpha, beta):
@@ -193,53 +151,46 @@ class Subcoalgebra(Record):
 
 
 def divided_derivatives(d: Distribution) -> list:
-    """All nonzero divided (Hasse) derivatives of the symbol, d included."""
-    out = []
-    max_deg = d.degree()
-    _check_dimension(d.n, max_deg)
-    for beta in all_monomials(d.n, max_deg):
-        terms = {}
-        for alpha, c in d.terms.items():
-            if all(a >= b for a, b in zip(alpha, beta)):
-                terms_key = tuple(a - b for a, b in zip(alpha, beta))
-                terms[terms_key] = terms.get(terms_key, Fraction(0)) + c * _multi_binomial(alpha, beta)
-        dd = Distribution(d.n, terms)
-        if not dd.is_zero():
-            out.append(dd)
-    return out
+    """All nonzero divided (Hasse) derivatives D^beta d of the symbol, d
+    included, ordered by beta in basis order.
+
+    The divided derivative D^beta d is the sum of the right factors paired
+    with the left factor d^beta in ``comultiply(d)``; its terms come from
+    distinct terms of d, so none cancel.
+    """
+    _check_dimension(d.n, d.degree())
+    groups = {}
+    for (beta, gamma), c in comultiply(d).items():
+        groups.setdefault(beta, {})[gamma] = c
+    return [Distribution(d.n, groups[beta]) for beta in sorted(groups, key=mono_key)]
 
 
 def subcoalgebra_generated(d: Distribution) -> Subcoalgebra:
     """Smallest subcoalgebra containing d, with its comultiplication table.
 
-    The span of all divided derivatives of the symbol is comultiplication
-    closed; row reduction gives a reduced echelon basis ordered by lead
-    monomial.  Each lead occurs, with coefficient 1, in its own basis
-    element only, so the coefficient of b_i (x) b_j in the comultiplication
-    of b is the coefficient of (lead_i, lead_j); recomposing the table
-    checks that nothing escaped the span.
+    The span S of the divided derivatives of the symbol is closed under
+    comultiplication: the expansion of b in S is symmetric, and its right
+    factors are divided derivatives of b, so of d
+    (D^beta D^gamma d = C(beta + gamma, beta) D^(beta+gamma) d), hence in S;
+    by symmetry so are its left factors.  Row reduction gives a reduced
+    echelon basis ordered by lead monomial.  Each lead occurs, with
+    coefficient 1, in its own basis element only, so the coefficient of
+    b_i (x) b_j in the comultiplication of b is the coefficient of
+    (lead_i, lead_j).
     """
     pivots = _reduce_rows([dd.terms for dd in divided_derivatives(d)])
     leads = sorted(pivots, key=mono_key)
     basis = [Distribution(d.n, pivots[lead]) for lead in leads]
     index = {lead: i for i, lead in enumerate(leads)}
-    comult_rows = []
-    for b in basis:
-        tensor = comultiply(b)
-        row = dict(sorted(
+    comult = tuple(
+        dict(sorted(
             ((index[mu], index[nu]), c)
-            for (mu, nu), c in tensor.items()
+            for (mu, nu), c in comultiply(b).items()
             if mu in index and nu in index
         ))
-        recomposed = {}
-        for (i, j), c in row.items():
-            for mu, ci in basis[i].terms.items():
-                for nu, cj in basis[j].terms.items():
-                    recomposed[(mu, nu)] = recomposed.get((mu, nu), Fraction(0)) + c * ci * cj
-        if {key: v for key, v in recomposed.items() if v != 0} != tensor:
-            raise AssertionError("comultiplication escaped the generated span")
-        comult_rows.append(row)
-    return Subcoalgebra(d.n, tuple(basis), tuple(comult_rows))
+        for b in basis
+    )
+    return Subcoalgebra(d.n, tuple(basis), comult)
 
 
 # ---------------------------------------------------------------------------

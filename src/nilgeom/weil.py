@@ -130,7 +130,10 @@ def _homogeneous(n, total):
 
 
 class Polynomial:
-    """Commutative polynomial over exact rationals, sparse terms map."""
+    """Commutative polynomial over exact rationals, sparse terms map.  A
+    subclass (``coalgebra.Distribution``) inherits the arithmetic: results
+    keep the operands' type, and polynomials of two types never mix or
+    compare equal."""
 
     __slots__ = ("n", "terms")
 
@@ -174,44 +177,46 @@ class Polynomial:
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, Fraction(0)) + c
-        return Polynomial(self.n, out)
+        return type(self)(self.n, out)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
 
     def __neg__(self):
-        return Polynomial(self.n, {m: -c for m, c in self.terms.items()})
+        return type(self)(self.n, {m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Polynomial(self.n, {m: c * other for m, c in self.terms.items()})
+            return type(self)(self.n, {m: c * other for m, c in self.terms.items()})
         other = self._coerce(other)
         out = {}
         for ma, ca in self.terms.items():
             for mb, cb in other.terms.items():
                 m = mono_mul(ma, mb)
                 out[m] = out.get(m, Fraction(0)) + ca * cb
-        return Polynomial(self.n, out)
+        return type(self)(self.n, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative polynomial power")
-        out = Polynomial.constant(self.n, 1)
+        out = self.constant(self.n, 1)
         for _ in range(k):
             out = out * self
         return out
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
+            if type(other) is not type(self):
+                raise TypeError(f"cannot combine {type(self).__name__} and {type(other).__name__}")
             if other.n != self.n:
                 raise ValueError("mixed variable counts")
             return other
         return Polynomial.constant(self.n, other)
 
     def __eq__(self, other):
-        return isinstance(other, Polynomial) and self.n == other.n and self.terms == other.terms
+        return type(other) is type(self) and self.n == other.n and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.n, tuple(sorted(self.terms.items()))))
@@ -891,14 +896,7 @@ def algebra_isomorphism(src: WeilAlgebra, dst: WeilAlgebra):
         return None
     if src.n != dst.n:
         return None
-    gens = dst.generators()
-    images = []
-    for m in src.basis:
-        img = dst.one()
-        for i, e in enumerate(m):
-            for _ in range(e):
-                img = img * gens[i]
-        images.append(img)
+    images = [dst.from_polynomial(Polynomial(src.n, {m: 1})) for m in src.basis]
     matrix = [[images[j].coords[i] for j in range(src.dimension)] for i in range(dst.dimension)]
     if _linalg.det(matrix) == 0:
         return None

@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 from nilgeom import _linalg
-from nilgeom.coalgebra import Distribution, Subcoalgebra, _factorial, comultiply, divided_derivatives
+from nilgeom.coalgebra import Distribution, Subcoalgebra, _factorial, comultiply
 from nilgeom.expr import (
     Const,
     Expr,
@@ -255,10 +255,28 @@ def solve_general(a, b):
     return x
 
 
+def divided_derivatives_by_monomials(d):
+    """``divided_derivatives`` by visiting every monomial beta up to the
+    symbol's degree and summing C(alpha, beta) c_alpha d^(alpha-beta) over
+    the terms alpha >= beta; zero derivatives are dropped."""
+    out = []
+    for beta in all_monomials(d.n, d.degree()):
+        terms = {}
+        for alpha, c in d.terms.items():
+            if all(a >= b for a, b in zip(alpha, beta)):
+                gamma = tuple(a - b for a, b in zip(alpha, beta))
+                weight = math.prod(math.comb(a, b) for a, b in zip(alpha, beta))
+                terms[gamma] = terms.get(gamma, Fraction(0)) + c * weight
+        dd = Distribution(d.n, terms)
+        if not dd.is_zero():
+            out.append(dd)
+    return out
+
+
 def subcoalgebra_by_solve(d):
     """``subcoalgebra_generated`` with each comultiplication row found by
     solving the dense system sum c_ij b_i(mu) b_j(nu) = comultiply(b)(mu, nu)."""
-    pivots = _reduce_rows([dict(dd.terms) for dd in divided_derivatives(d)])
+    pivots = _reduce_rows([dict(dd.terms) for dd in divided_derivatives_by_monomials(d)])
     basis = [Distribution(d.n, pivots[lead]) for lead in sorted(pivots, key=mono_key)]
     support = sorted({m for b in basis for m in b.terms}, key=mono_key)
     pairs = [(mu, nu) for mu in support for nu in support]
