@@ -30,8 +30,6 @@ from .expr import (
     Expr,
     FunctionModel,
     Var,
-    compose,
-    diff,
     evaluate,
     expr_to_polynomial,
     format_expr,

@@ -63,10 +63,13 @@ def _load_metric(path: str | None, n: int) -> MetricField:
     if path is None:
         return MetricField.standard_flat(n)
     with open(path) as fh:
-        doc = json.load(fh)
-    if "n" not in doc or "G" not in doc:
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("metric file nests too deeply") from None
+    if not isinstance(doc, dict) or "n" not in doc or "G" not in doc:
         raise ValueError("metric file must contain keys 'n' and 'G'")
-    if int(doc["n"]) != len(doc["G"]):
+    if doc["n"] != len(doc["G"]):
         raise ValueError("metric file dimension does not match its matrix")
     return MetricField.from_strings(doc["G"])
 
@@ -264,14 +267,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        doc = args.run(args)
+        _emit(args.run(args), args)
     except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    _emit(doc, args)
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Smooth-function models: expression ASTs, symbolic derivatives, jets.
+"""Smooth-function models: expression ASTs, evaluation, jets.
 
 An Expr is a tree over constants, variables x1..xn, field operations,
 integer powers, and the analytic primitives exp/log/sin/cos/sqrt.  Exact
@@ -10,7 +10,8 @@ argument, which the algebra's degree bound makes finite.  The result is the
 exact image of the function model in the Weil algebra, the truncated Taylor
 expansion at the base point, obtained without symbolic derivatives; Taylor
 coefficients, Jacobians and metric derivatives are read off such jets.
-``diff`` remains as a public symbolic derivative.
+Evaluation at a real point (``evaluate``) is the same interpreter on plain
+scalars.
 
 No simplification happens beyond constant folding; expressions are never
 compared structurally, only through evaluation.
@@ -204,105 +205,15 @@ def variables(e: Expr) -> set:
     return variables(e.arg)
 
 
-def is_constant(e: Expr) -> bool:
-    return not variables(e)
-
-
-# -- differentiation ---------------------------------------------------------
-
-def diff(e: Expr, i: int) -> Expr:
-    """Symbolic partial derivative with respect to variable ``i`` (0-based)."""
-    if isinstance(e, Const):
-        return Const(Fraction(0))
-    if isinstance(e, Var):
-        return Const(Fraction(1) if e.index == i else Fraction(0))
-    if isinstance(e, Add):
-        return add(diff(e.left, i), diff(e.right, i))
-    if isinstance(e, Sub):
-        return sub(diff(e.left, i), diff(e.right, i))
-    if isinstance(e, Mul):
-        return add(mul(diff(e.left, i), e.right), mul(e.left, diff(e.right, i)))
-    if isinstance(e, Div):
-        num = sub(mul(diff(e.left, i), e.right), mul(e.left, diff(e.right, i)))
-        return div(num, pow_(e.right, 2))
-    if isinstance(e, Pow):
-        if e.exponent == 0:
-            return Const(Fraction(0))
-        return mul(mul(Const(e.exponent), pow_(e.base, e.exponent - 1)), diff(e.base, i))
-    if isinstance(e, Call):
-        inner = diff(e.arg, i)
-        if e.name == "exp":
-            outer = Call("exp", e.arg)
-        elif e.name == "log":
-            return div(inner, e.arg)
-        elif e.name == "sin":
-            outer = Call("cos", e.arg)
-        elif e.name == "cos":
-            outer = mul(Const(Fraction(-1)), Call("sin", e.arg))
-        elif e.name == "sqrt":
-            return div(inner, mul(Const(2), Call("sqrt", e.arg)))
-        return mul(outer, inner)
-    raise TypeError(f"cannot differentiate {e!r}")
-
-
-# -- evaluation ---------------------------------------------------------------
-
-_MATH = {"exp": math.exp, "log": math.log, "sin": math.sin, "cos": math.cos, "sqrt": math.sqrt}
-
+# -- evaluation: one interpreter for real and infinitesimal points --------------
 
 def evaluate(e: Expr, point, mode: str = EXACT):
-    """Evaluate at a real point.  Exact mode rejects analytic primitives."""
+    """Evaluate at a real point: ``_jet`` on the point's scalars, where every
+    operation is a scalar one.  Exact mode rejects analytic primitives."""
     check_mode(mode)
-    if isinstance(e, Const):
-        return float(e.value) if mode == FLOAT else e.value
-    if isinstance(e, Var):
-        if e.index >= len(point):
-            raise ValueError(f"expression uses x{e.index + 1} but the point has {len(point)} coordinates")
-        v = point[e.index]
-        return float(v) if mode == FLOAT else to_scalar(v)
-    if isinstance(e, Add):
-        return evaluate(e.left, point, mode) + evaluate(e.right, point, mode)
-    if isinstance(e, Sub):
-        return evaluate(e.left, point, mode) - evaluate(e.right, point, mode)
-    if isinstance(e, Mul):
-        return evaluate(e.left, point, mode) * evaluate(e.right, point, mode)
-    if isinstance(e, Div):
-        num = evaluate(e.left, point, mode)
-        den = evaluate(e.right, point, mode)
-        if den == 0:
-            raise ZeroDivisionError("denominator vanishes at the evaluation point")
-        return num / den
-    if isinstance(e, Pow):
-        return evaluate(e.base, point, mode) ** e.exponent
-    if isinstance(e, Call):
-        if mode == EXACT:
-            raise ValueError(f"primitive {e.name!r} requires float mode")
-        return _math(e.name, evaluate(e.arg, point, mode))
-    raise TypeError(f"cannot evaluate {e!r}")
+    point = [float(v) if mode == FLOAT else to_scalar(v) for v in point]
+    return _jet(e, point, mode)
 
-
-def compose(e: Expr, replacements) -> Expr:
-    """Substitute expressions for variables (index i -> replacements[i])."""
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Var):
-        if e.index >= len(replacements):
-            raise ValueError("composition does not cover all variables")
-        return replacements[e.index]
-    if isinstance(e, Add):
-        return add(compose(e.left, replacements), compose(e.right, replacements))
-    if isinstance(e, Sub):
-        return sub(compose(e.left, replacements), compose(e.right, replacements))
-    if isinstance(e, Mul):
-        return mul(compose(e.left, replacements), compose(e.right, replacements))
-    if isinstance(e, Div):
-        return div(compose(e.left, replacements), compose(e.right, replacements))
-    if isinstance(e, Pow):
-        return pow_(compose(e.base, replacements), e.exponent)
-    return Call(e.name, compose(e.arg, replacements))
-
-
-# -- Taylor data and jet evaluation -------------------------------------------
 
 def taylor_coefficients(e: Expr, base, order: int, mode: str = EXACT) -> dict:
     """Coefficients of the Taylor polynomial at ``base`` up to total degree
@@ -345,9 +256,6 @@ def jet_eval(e: Expr, base, offsets, mode: str = EXACT) -> WeilElement:
             raise ValueError("offsets live in mixed algebras")
         if not z.is_nilpotent():
             raise ValueError("offsets must be nilpotent (zero unit coordinate)")
-    used = variables(e)
-    if used and max(used) >= len(offsets):
-        raise ValueError("expression uses more variables than offsets provided")
     point = [z + (float(b) if mode == FLOAT else to_scalar(b)) for b, z in zip(base, offsets)]
     value = _jet(e, point, mode)
     if not isinstance(value, WeilElement):
@@ -356,8 +264,10 @@ def jet_eval(e: Expr, base, offsets, mode: str = EXACT) -> WeilElement:
 
 
 def _jet(e, point, mode):
-    """Recursive evaluator behind ``jet_eval``; constant subtrees stay plain
-    scalars, everything else is a Weil element."""
+    """The evaluator of expression trees, behind ``evaluate`` and
+    ``jet_eval``.  Subtrees that see only scalars (all of them at a real
+    point, the constant ones at base + offsets) stay plain scalars; the
+    others are Weil elements."""
     if isinstance(e, Const):
         return float(e.value) if mode == FLOAT else e.value
     if isinstance(e, Var):
@@ -371,8 +281,12 @@ def _jet(e, point, mode):
     if isinstance(e, Mul):
         return _jet(e.left, point, mode) * _jet(e.right, point, mode)
     if isinstance(e, Div):
-        num = _jet(e.left, point, mode)
-        return num * _reciprocal(_jet(e.right, point, mode))
+        num, den = _jet(e.left, point, mode), _jet(e.right, point, mode)
+        if isinstance(den, WeilElement):
+            return num * _reciprocal(den)
+        if den == 0:
+            raise ZeroDivisionError("denominator vanishes at the evaluation point")
+        return num * (1 / den) if isinstance(num, WeilElement) else num / den
     if isinstance(e, Pow):
         return _jet(e.base, point, mode) ** e.exponent
     if isinstance(e, Call):
@@ -383,13 +297,11 @@ def _jet(e, point, mode):
 
 
 def _reciprocal(a):
-    """1/(a0 + u) = sum over k of (-u)^k / a0^(k+1)."""
-    a0 = a.coords[0] if isinstance(a, WeilElement) else a
+    """1/(a0 + u) = sum over k of (-u)^k / a0^(k+1) for a Weil element."""
+    a0 = a.coords[0]
     if a0 == 0:
         raise ZeroDivisionError("denominator vanishes at the evaluation point")
     inv = 1 / a0
-    if not isinstance(a, WeilElement):
-        return inv
     coeffs = [inv]
     for _ in range(a.algebra.degree_bound):
         coeffs.append(-coeffs[-1] * inv)
@@ -420,6 +332,9 @@ def _primitive(name, a):
         for k in range(1, bound + 1):
             coeffs.append(coeffs[-1] * (1.5 - k) / (k * a0))
     return _series(a, coeffs)
+
+
+_MATH = {"exp": math.exp, "log": math.log, "sin": math.sin, "cos": math.cos, "sqrt": math.sqrt}
 
 
 def _math(name, x):
@@ -552,8 +467,8 @@ def _tokenize(text):
 
 MAX_DEPTH = 100
 """Deepest expression the parser accepts.  Every operator, unary minus,
-primitive call and pair of parentheses adds one level.  The evaluators,
-printers and derivative code walk trees recursively, so the bound keeps
+primitive call and pair of parentheses adds one level.  The evaluator
+and the printers walk trees recursively, so the bound keeps
 them, and the parser itself, well inside Python's recursion limit."""
 
 

@@ -37,7 +37,7 @@ from .expr import (
     Const,
     Expr,
     FunctionModel,
-    evaluate,
+    _jet,
     format_expr,
     jet_eval,
     parse_expr,
@@ -151,7 +151,7 @@ class _MetricAt:
                     gens = truncated_algebra(n, 1).generators()
                 g[i][j], *dg[i][j] = jet_eval(e, x, gens, mode).coords
             else:
-                g[i][j] = evaluate(e, x, mode)
+                g[i][j] = _jet(e, x, mode)
                 dg[i][j] = [0.0 if mode == FLOAT else Fraction(0)] * n
             g[j][i], dg[j][i] = g[i][j], dg[i][j]
         try:

@@ -14,15 +14,24 @@ from fractions import Fraction
 from nilgeom import _linalg
 from nilgeom.coalgebra import Distribution, Subcoalgebra, _factorial, comultiply
 from nilgeom.expr import (
+    Add,
+    Call,
     Const,
+    Div,
     Expr,
     FunctionModel,
+    Mul,
+    Pow,
+    Sub,
     Var,
-    compose,
-    diff,
-    evaluate,
+    _math,
+    add,
+    div,
     jet_eval,
+    mul,
     polynomial_to_expr,
+    pow_,
+    sub,
     taylor_coefficients,
 )
 from nilgeom.geometry import (
@@ -80,7 +89,7 @@ def random_metric(rng: random.Random, n: int, base) -> MetricField:
 
 def second_partials_sum(expr, x):
     """Independent flat-Laplacian oracle: sum of pure second partials."""
-    return sum(evaluate(diff(diff(expr, i), i), x) for i in range(len(x)))
+    return sum(evaluate_by_tree(diff(diff(expr, i), i), x) for i in range(len(x)))
 
 
 # -- scalar operations coordinate by coordinate: the reference for the short paths --
@@ -144,6 +153,96 @@ def tensor_algebra_by_quotient(a, b):
     return c, embedding(a, 0), embedding(b, a.n)
 
 
+# -- a recursive interpreter and symbolic calculus on expression trees --
+
+def evaluate_by_tree(e, point, mode=EXACT):
+    """``evaluate`` as its own recursion over the tree, every node a scalar
+    operation: the reference for the one interpreter behind ``evaluate`` and
+    ``jet_eval``."""
+    if isinstance(e, Const):
+        return float(e.value) if mode == FLOAT else e.value
+    if isinstance(e, Var):
+        if e.index >= len(point):
+            raise ValueError(f"expression uses x{e.index + 1} but the point has {len(point)} coordinates")
+        v = point[e.index]
+        return float(v) if mode == FLOAT else to_scalar(v)
+    if isinstance(e, Add):
+        return evaluate_by_tree(e.left, point, mode) + evaluate_by_tree(e.right, point, mode)
+    if isinstance(e, Sub):
+        return evaluate_by_tree(e.left, point, mode) - evaluate_by_tree(e.right, point, mode)
+    if isinstance(e, Mul):
+        return evaluate_by_tree(e.left, point, mode) * evaluate_by_tree(e.right, point, mode)
+    if isinstance(e, Div):
+        num = evaluate_by_tree(e.left, point, mode)
+        den = evaluate_by_tree(e.right, point, mode)
+        if den == 0:
+            raise ZeroDivisionError("denominator vanishes at the evaluation point")
+        return num / den
+    if isinstance(e, Pow):
+        return evaluate_by_tree(e.base, point, mode) ** e.exponent
+    if isinstance(e, Call):
+        if mode == EXACT:
+            raise ValueError(f"primitive {e.name!r} requires float mode")
+        return _math(e.name, evaluate_by_tree(e.arg, point, mode))
+    raise TypeError(f"cannot evaluate {e!r}")
+
+
+def diff(e, i):
+    """Symbolic partial derivative with respect to variable ``i`` (0-based)."""
+    if isinstance(e, Const):
+        return Const(Fraction(0))
+    if isinstance(e, Var):
+        return Const(Fraction(1) if e.index == i else Fraction(0))
+    if isinstance(e, Add):
+        return add(diff(e.left, i), diff(e.right, i))
+    if isinstance(e, Sub):
+        return sub(diff(e.left, i), diff(e.right, i))
+    if isinstance(e, Mul):
+        return add(mul(diff(e.left, i), e.right), mul(e.left, diff(e.right, i)))
+    if isinstance(e, Div):
+        num = sub(mul(diff(e.left, i), e.right), mul(e.left, diff(e.right, i)))
+        return div(num, pow_(e.right, 2))
+    if isinstance(e, Pow):
+        if e.exponent == 0:
+            return Const(Fraction(0))
+        return mul(mul(Const(e.exponent), pow_(e.base, e.exponent - 1)), diff(e.base, i))
+    if isinstance(e, Call):
+        inner = diff(e.arg, i)
+        if e.name == "exp":
+            outer = Call("exp", e.arg)
+        elif e.name == "log":
+            return div(inner, e.arg)
+        elif e.name == "sin":
+            outer = Call("cos", e.arg)
+        elif e.name == "cos":
+            outer = mul(Const(Fraction(-1)), Call("sin", e.arg))
+        elif e.name == "sqrt":
+            return div(inner, mul(Const(2), Call("sqrt", e.arg)))
+        return mul(outer, inner)
+    raise TypeError(f"cannot differentiate {e!r}")
+
+
+def compose(e, replacements):
+    """Substitute expressions for variables (index i -> replacements[i])."""
+    if isinstance(e, Const):
+        return e
+    if isinstance(e, Var):
+        if e.index >= len(replacements):
+            raise ValueError("composition does not cover all variables")
+        return replacements[e.index]
+    if isinstance(e, Add):
+        return add(compose(e.left, replacements), compose(e.right, replacements))
+    if isinstance(e, Sub):
+        return sub(compose(e.left, replacements), compose(e.right, replacements))
+    if isinstance(e, Mul):
+        return mul(compose(e.left, replacements), compose(e.right, replacements))
+    if isinstance(e, Div):
+        return div(compose(e.left, replacements), compose(e.right, replacements))
+    if isinstance(e, Pow):
+        return pow_(compose(e.base, replacements), e.exponent)
+    return Call(e.name, compose(e.arg, replacements))
+
+
 # -- jets through symbolic derivatives: the reference for nilpotent arithmetic --
 
 def taylor_coefficients_by_diff(e, base, order, mode="exact"):
@@ -157,7 +256,7 @@ def taylor_coefficients_by_diff(e, base, order, mode="exact"):
             i = next(k for k, a in enumerate(alpha) if a > 0)
             parent = tuple(a - (1 if k == i else 0) for k, a in enumerate(alpha))
             derivs[alpha] = diff(derivs[parent], i)
-        value = evaluate(derivs[alpha], base, mode)
+        value = evaluate_by_tree(derivs[alpha], base, mode)
         fact = 1
         for a in alpha:
             fact *= math.factorial(a)
@@ -406,7 +505,7 @@ def laplacian_by_mirror_average(metric, f, x, mode=EXACT, eps=DEFAULT_EPS):
     expr = f.components[0]
     f_z = jet_eval(expr, x, chart.push_offsets(gens), mode)
     f_mirror = jet_eval(expr, x, chart.push_offsets(tuple(-g for g in gens)), mode)
-    combined = f_z + f_mirror - evaluate(expr, x, mode) * 2
+    combined = f_z + f_mirror - evaluate_by_tree(expr, x, mode) * 2
     tol = eps if mode == FLOAT else None
     for c in combined.coords[: n + 1]:
         if not scalars_equal(c, 0, tol):

@@ -293,6 +293,29 @@ def test_asymmetric_metric_exits_2(capsys, tmp_path):
     assert "not symmetric" in err and "(1, 2)" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 100000, '{"n": 1e400, "G": [["1"]]}', "[1, 2]", "5"],
+    ids=["100000-open-brackets", "infinite-n", "list", "number"],
+)
+def test_hostile_metric_json_exits_2(capsys, tmp_path, text):
+    path = tmp_path / "metric.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "laplacian", "--metric", str(path), "--fn", "x1^2", "--point", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: metric file") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_output_exits_2(capsys, tmp_path, where):
+    target = tmp_path / "no" / "out.json" if where == "missing-directory" else tmp_path
+    code, out, err = run(capsys, "laplacian", "--fn", "x1^2", "--point", "0", "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_huge_exponent_literal_exits_2(capsys):
     code, out, err = run(capsys, "laplacian", "--fn", "x1^99999999999", "--point", "2")
     assert code == 2

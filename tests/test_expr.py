@@ -10,8 +10,6 @@ from nilgeom.expr import (
     FunctionModel,
     Pow,
     Var,
-    compose,
-    diff,
     evaluate,
     expr_to_polynomial,
     format_expr,
@@ -22,7 +20,7 @@ from nilgeom.expr import (
     taylor_coefficients,
 )
 from nilgeom.weil import laplace_algebra, truncated_algebra
-from conftest import random_poly_expr, random_point
+from conftest import compose, diff, random_poly_expr, random_point
 
 F = Fraction
 
@@ -102,7 +100,7 @@ def test_distribution_prefix():
     assert evaluate(e, (F(1), F(2))) == 5
 
 
-# -- differentiation -----------------------------------------------------------
+# -- differentiation: the symbolic oracle in conftest ----------------------------
 
 def test_diff_basics():
     e = parse_expr("x1^2")

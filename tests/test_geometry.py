@@ -8,8 +8,6 @@ import pytest
 from nilgeom.expr import (
     Const,
     Var,
-    compose,
-    diff,
     jet_eval,
     parse_expr,
     parse_function,
@@ -44,6 +42,8 @@ from nilgeom.geometry import (
 )
 from nilgeom.weil import laplace_algebra, satisfies_laplace_relations, tensor_algebra, truncated_algebra
 from conftest import (
+    compose,
+    diff,
     forward_model,
     inverse_model,
     laplacian_by_trace,

@@ -3,7 +3,9 @@
 ``jet_eval`` evaluates an expression with Weil-algebra arithmetic; the
 reference in conftest builds every partial derivative with ``diff`` and
 sums the truncated Taylor series.  Exact jets must agree coordinate for
-coordinate, float jets to 1e-9 relative to the jet's size.
+coordinate, float jets to 1e-9 relative to the jet's size.  ``evaluate``
+runs the same interpreter at a real point and must agree bit for bit with
+the recursive tree evaluator in conftest.
 """
 
 import math
@@ -29,7 +31,7 @@ from nilgeom.expr import (
     taylor_coefficients,
 )
 from nilgeom.weil import laplace_algebra, tensor_algebra, truncated_algebra
-from conftest import jet_eval_by_diff, taylor_coefficients_by_diff
+from conftest import evaluate_by_tree, jet_eval_by_diff, taylor_coefficients_by_diff
 
 F = Fraction
 PROPERTY = settings(
@@ -224,3 +226,45 @@ def test_jet_error_mapping(text, base, order, error):
 def test_sqrt_at_zero_in_order_zero_is_plain_evaluation():
     (z,) = truncated_algebra(1, 0).generators()
     assert jet_eval(parse_expr("sqrt(x1)"), (0.0,), [z], "float").coords == (0.0,)
+
+
+def _outcome(fn, *args):
+    """The repr of fn's value (bitwise for floats), or the type it raised."""
+    try:
+        return repr(fn(*args))
+    except Exception as exc:
+        return type(exc)
+
+
+@st.composite
+def evaluation_case(draw):
+    """A tree with or without primitives, a point that may miss one of its
+    variables, and a mode; float coordinates only in float mode."""
+    n = draw(st.integers(1, 3))
+    e = draw(draw(st.sampled_from((rational_exprs, analytic_exprs)))(n))
+    mode = draw(st.sampled_from(("exact", "float")))
+    coordinate = st.one_of(small_fraction, st.floats(-2.0, 2.0)) if mode == "float" else small_fraction
+    point = tuple(draw(coordinate) for _ in range(draw(st.integers(1, n))))
+    return e, point, mode
+
+
+@settings(PROPERTY, max_examples=200)
+@given(evaluation_case())
+def test_evaluate_equals_the_tree_oracle(case):
+    e, point, mode = case
+    assert _outcome(evaluate, e, point, mode) == _outcome(evaluate_by_tree, e, point, mode)
+
+
+@PROPERTY
+@given(exact_case())
+def test_exact_value_is_the_unit_coordinate_of_the_jet(case):
+    e, base, _, offsets = case
+    assert _outcome(evaluate, e, base) == _outcome(lambda: jet_eval(e, base, offsets).coords[0])
+
+
+def test_constant_quotient_divides_alike_in_the_jet_and_the_value():
+    # a quotient of two constant subtrees is one float division in both;
+    # 3 * (1/exp(2)) differs from 3/exp(2) in the last bit
+    e = parse_expr("x1 + 3/exp(2)")
+    jet = jet_eval(e, (0.5,), truncated_algebra(1, 2).generators(), "float")
+    assert repr(jet.coords[0]) == repr(evaluate(e, (0.5,), "float"))
