@@ -55,7 +55,10 @@ def _emit(doc: dict, args) -> None:
 def _parse_point(text: str, mode: str):
     coords = [parse_rational(part) for part in text.split(",")]
     if mode == FLOAT:
-        return tuple(float(c) for c in coords)
+        try:
+            return tuple(float(c) for c in coords)
+        except OverflowError:
+            raise ValueError(f"point {text!r} lies outside the float range") from None
     return tuple(coords)
 
 

@@ -7,22 +7,23 @@ elements whose unit coordinates hold the base; identities are verified on
 *universal* points (generic nilpotent coordinates), so a single equation
 check covers every neighbor of the given order.
 
-Everything the metric gives at one base point comes from one record,
-``_MetricAt``: a first-order jet of each entry of G yields G(x) and its
-first partials, and one square-root-free congruence C^T G(x) C = diag(d)
-yields G(x)^-1 = C diag(1/d) C^T and the Christoffel symbols.
-
-The central construction is the geodesic chart: a quadratic coordinate
-change after which the metric has no first-order variation at the base.
-In the plain chart (linear part I) a neighbor is isotropic exactly when its
-chart coordinates satisfy zeta_i zeta_j = lam (G(x)^-1)_ij for one lam, a
-test with no square root, so exact mode decides it on every nondegenerate
-metric.  The universal isotropic point has chart coordinates C Z, with Z
-generating a weighted laplace_algebra (the plain one in a normal chart),
-and averaging a function over it and its mirror image yields the
-Laplacian with no integration and no divergence/gradient detour.  One
-jet; the mirror image is the automorphism Z -> -Z, so the average is read
-off the Q coordinate of the single jet of f at the universal point.
+The central construction is the geodesic chart, one per base point: a
+quadratic coordinate change with linear part I after which the metric has
+no first-order variation at the base.  ``GeodesicChart`` is also the record
+of everything the metric gives there: a first-order jet of each entry of G
+yields G(x) and its first partials, and one square-root-free congruence
+C^T G(x) C = diag(d) yields G(x)^-1 = C diag(1/d) C^T and the Christoffel
+symbols.  Mirror images, affine combinations, isotropy and the Laplacian
+are intrinsic, the same in every geodesic chart, so this one serves them
+all.  A neighbor is isotropic exactly when its chart coordinates satisfy
+zeta_i zeta_j = lam (G(x)^-1)_ij for one lam, a test with no square root,
+so exact mode decides it on every nondegenerate metric.  The universal
+isotropic point has chart coordinates C Z, with Z generating a weighted
+laplace_algebra (the plain one where G(x) = I), and averaging a function
+over it and its mirror image yields the Laplacian with no integration and
+no divergence/gradient detour.  One jet; the mirror image is the
+automorphism Z -> -Z, so the average is read off the Q coordinate of the
+single jet of f at the universal point.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from fractions import Fraction
 
 from . import _linalg
 from ._record import Record
-from .scalars import DEFAULT_EPS, EXACT, FLOAT, Scalar, check_mode, scalars_equal, to_scalar
+from .scalars import DEFAULT_EPS, EXACT, FLOAT, Scalar, check_mode, format_scalar, scalars_equal, to_scalar
 from .expr import (
     Const,
     Expr,
@@ -58,7 +59,7 @@ from .weil import (
 
 class GeometryError(ArithmeticError):
     """A mathematical precondition failed: singular metric, improper tangent,
-    normalization without positive definiteness, and the like."""
+    a point that is not a neighbor of the required order, and the like."""
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +98,9 @@ class MetricField:
 
     @classmethod
     def from_strings(cls, rows) -> "MetricField":
+        """Rows of expression strings; a row that is no list is refused, not read per character."""
+        if not all(isinstance(row, (list, tuple)) and all(isinstance(s, str) for s in row) for row in rows):
+            raise TypeError("metric rows must be lists of expression strings")
         n = len(rows)
         return cls(n, [[parse_expr(s, n=n) for s in row] for row in rows])
 
@@ -110,67 +114,25 @@ class MetricField:
         return True
 
     def matrix_at(self, x, mode: str = EXACT):
-        """Numeric G(x); raises GeometryError when singular."""
-        return _MetricAt(self, x, mode, derivatives=False).G
+        """Numeric G(x), entries only evaluated; raises GeometryError when singular."""
+        check_mode(mode)
+        x = tuple(to_scalar(c, mode) for c in x)
+        g = [[None] * self.n for _ in range(self.n)]
+        for (i, j), e in self._upper.items():
+            g[i][j] = g[j][i] = _jet(e, x, mode)
+        _congruence(g, x)
+        return g
 
     def to_strings(self):
         return [[format_expr(self.entry(i, j)) for j in range(self.n)] for i in range(self.n)]
 
 
-class _MetricAt:
-    """Everything the metric gives at one base point x.
-
-    A first-order jet of each upper entry of G yields G(x) and its first
-    partials; an entry without variables is only evaluated, its partials
-    zeros of the mode's type, and a metric of constants has Gamma = 0.  One
-    ``_linalg.congruence`` call yields C and d with C^T G(x) C = diag(d),
-    a zero pivot meaning G(x) is singular.  Then G(x)^-1 = C diag(1/d) C^T,
-    summed over the nonzero entries of C (C = I on a diagonal G(x)), and
-    det G(x) = prod d since C is a product of column additions; the
-    Christoffel symbols follow from G(x)^-1 and the partials.  Without
-    ``derivatives`` (``matrix_at``) G is only evaluated and ``gamma`` is
-    None.  Built once per call and passed down; nothing that depends on
-    the metric or the point is cached, only the shape-keyed algebra of
-    the jets (``truncated_algebra(n, 1)``).
-    """
-
-    __slots__ = ("x", "mode", "G", "C", "d", "ginv", "gamma")
-
-    def __init__(self, metric: MetricField, x, mode: str, derivatives: bool = True):
-        check_mode(mode)
-        n = metric.n
-        where = tuple(x)
-        self.x = x = tuple(to_scalar(c, mode) for c in x)
-        self.mode = mode
-        gens = None  # the universal first-order point, once an entry needs it
-        g = [[None] * n for _ in range(n)]
-        dg = [[None] * n for _ in range(n)]  # dg[l][k][j] = d_j G_lk
-        for (i, j), e in metric._upper.items():
-            if derivatives and variables(e):
-                if gens is None:
-                    gens = truncated_algebra(n, 1).generators()
-                g[i][j], *dg[i][j] = jet_eval(e, x, gens, mode).coords
-            else:
-                g[i][j] = _jet(e, x, mode)
-                dg[i][j] = [0.0 if mode == FLOAT else Fraction(0)] * n
-            g[j][i], dg[j][i] = g[i][j], dg[i][j]
-        try:
-            c, d = _linalg.congruence(g)
-        except ZeroDivisionError:
-            raise GeometryError(f"metric is singular at {where}") from None
-        zero = d[0] - d[0]
-        ginv = [
-            [sum((c[i][k] * c[j][k] / d[k] for k in range(n) if c[i][k] and c[j][k]), zero) for j in range(n)]
-            for i in range(n)
-        ]
-        self.G, self.C, self.d, self.ginv = g, c, d, ginv
-        if gens is not None:
-            self.gamma = _christoffel(dg, ginv)
-        elif derivatives:  # every entry constant
-            zero = ginv[0][0] * 0
-            self.gamma = [[[zero] * n for _ in range(n)] for _ in range(n)]
-        else:
-            self.gamma = None
+def _congruence(g, x):
+    """C and d with C^T G(x) C = diag(d); a zero pivot means G(x) is singular."""
+    try:
+        return _linalg.congruence(g)
+    except ZeroDivisionError:
+        raise GeometryError(f"metric is singular at ({', '.join(map(format_scalar, x))})") from None
 
 
 def _christoffel(dg, ginv):
@@ -283,50 +245,64 @@ def gbar_eval(metric: MetricField, base, z, y=None, mode: str = EXACT) -> WeilEl
 
 def christoffel(metric: MetricField, x, mode: str = EXACT):
     """Gamma^i_{jk} at x from the classical first-derivative formula (see
-    ``_MetricAt``)."""
-    return _MetricAt(metric, x, mode).gamma
+    ``GeodesicChart``)."""
+    return geodesic_chart(metric, x, mode).gamma
 
 
 class GeodesicChart:
-    """Quadratic coordinate change that is geodesic at its base point.
-
-    The forward map sends chart coordinates y to
-    base + A y - 1/2 Gamma(Ay, Ay); its linear part A is the identity (the
-    plain chart) or an orthonormal frame with A^T G(x) A = I (a normal
-    chart), so A^-1 is I or A^T G(x) and needs no solve.  The
-    pushed-forward metric has vanishing first partials at 0, so mirror
+    """Everything the metric gives at one base point x, and the quadratic
+    coordinate change y -> x + y - 1/2 Gamma(y, y) that is geodesic there:
+    the pushed-forward metric has vanishing first partials at 0, so mirror
     images, affine combinations and geodesic prolongations become plain
-    coordinate algebra.  ``frame`` holds C and d with
-    C^T Ghat0 C = diag(d), the weights of ``laplace_point``.
+    coordinate algebra.
+
+    A first-order jet of each upper entry of G yields G(x) (``G0``) and its
+    first partials; an entry without variables is only evaluated, its
+    partials zeros of the mode's type, and a metric of constants has
+    Gamma = 0.  One ``_linalg.congruence`` yields ``frame`` = (C, d) with
+    C^T G(x) C = diag(d), the weights of ``laplace_point``.  Then
+    ``ginv`` = G(x)^-1 = C diag(1/d) C^T, summed over the nonzero entries of
+    C (C = I on a diagonal G(x)), and ``gamma`` follows from G(x)^-1 and the
+    partials.  Nothing that depends on the metric or the point is cached,
+    only the shape-keyed algebra of the jets (``truncated_algebra(n, 1)``).
     """
 
-    __slots__ = ("metric", "base", "mode", "eps", "A", "A_inv", "gamma", "G0", "Ghat0", "normal", "frame",
-                 "_gamma_terms")
+    __slots__ = ("metric", "base", "mode", "eps", "G0", "ginv", "gamma", "frame", "_gamma_terms")
 
-    def __init__(self, metric: MetricField, at: _MetricAt, eps, A=None):
-        ident = _linalg.identity(metric.n)
-        self.metric = metric
-        self.base = at.x
-        self.mode = at.mode
-        self.eps = eps
-        self.gamma = at.gamma
-        self.G0 = at.G
+    def __init__(self, metric: MetricField, x, mode: str = EXACT, eps: float = DEFAULT_EPS):
+        check_mode(mode)
+        n = metric.n
+        self.metric, self.mode, self.eps = metric, mode, eps
+        self.base = x = tuple(to_scalar(c, mode) for c in x)
+        gens = None  # the universal first-order point, once an entry needs it
+        g = [[None] * n for _ in range(n)]
+        dg = [[None] * n for _ in range(n)]  # dg[l][k][j] = d_j G_lk
+        for (i, j), e in metric._upper.items():
+            if variables(e):
+                if gens is None:
+                    gens = truncated_algebra(n, 1).generators()
+                g[i][j], *dg[i][j] = jet_eval(e, x, gens, mode).coords
+            else:
+                g[i][j] = _jet(e, x, mode)
+                dg[i][j] = [0.0 if mode == FLOAT else Fraction(0)] * n
+            g[j][i], dg[j][i] = g[i][j], dg[i][j]
+        c, d = _congruence(g, x)
+        zero = d[0] - d[0]
+        self.ginv = ginv = [
+            [sum((c[i][k] * c[j][k] / d[k] for k in range(n) if c[i][k] and c[j][k]), zero) for j in range(n)]
+            for i in range(n)
+        ]
+        self.G0, self.frame = g, (c, d)
+        if gens is None:  # every entry constant
+            zero = ginv[0][0] * 0
+            self.gamma = [[[zero] * n for _ in range(n)] for _ in range(n)]
+        else:
+            self.gamma = _christoffel(dg, ginv)
         # Gamma^i_jk = Gamma^i_kj: each pair j <= k once, counted twice when j < k
         self._gamma_terms = [
             [(j, k, g if j == k else 2 * g) for j, row in enumerate(plane) for k, g in enumerate(row[j:], j) if g != 0]
-            for plane in at.gamma
+            for plane in self.gamma
         ]
-        if A is None:
-            self.A = self.A_inv = ident
-            self.Ghat0 = at.G
-            self.frame = (at.C, at.d)
-            self.normal = at.G == ident
-        else:
-            self.A = A
-            self.A_inv = _linalg.mat_mul(_linalg.transpose(A), at.G)
-            self.Ghat0 = ident
-            self.frame = (ident, [Fraction(1)] * metric.n)
-            self.normal = True
 
     @property
     def n(self):
@@ -342,12 +318,11 @@ class GeodesicChart:
 
     def push_offsets(self, zeta):
         """Chart coordinates (nilpotent) -> manifold offsets from the base."""
-        az = _apply(self.A, zeta)
-        return tuple(a - c for a, c in zip(az, self._half_gamma(az)))
+        return tuple(a - c for a, c in zip(zeta, self._half_gamma(zeta)))
 
     def pull_offsets(self, w):
         """Manifold offsets from the base -> chart coordinates."""
-        return _apply(self.A_inv, [a + c for a, c in zip(w, self._half_gamma(w))])
+        return tuple(a + c for a, c in zip(w, self._half_gamma(w)))
 
     def from_chart(self, zeta):
         return tuple(_in_mode(w, self.mode) for w in make_point(self.base, self.push_offsets(zeta)))
@@ -355,10 +330,6 @@ class GeodesicChart:
     def to_chart(self, point):
         eps = self.eps if self.mode == FLOAT else None
         return tuple(_in_mode(w, self.mode) for w in self.pull_offsets(point_offsets(point, self.base, eps)))
-
-    def principal_in_chart(self, u):
-        """Chart principal part of a manifold tangent principal part."""
-        return _linalg.mat_vec(self.A_inv, list(u))
 
 
 def _apply(m, v):
@@ -376,34 +347,10 @@ def _apply(m, v):
     return tuple(out)
 
 
-def geodesic_chart(
-    metric: MetricField,
-    x,
-    normalize: bool = False,
-    mode: str = EXACT,
-    eps: float = DEFAULT_EPS,
-) -> GeodesicChart:
-    """Build a chart geodesic at x.
-
-    The plain chart (linear part I) exists on every nondegenerate metric,
-    and ``laplace_point`` and ``is_laplace_neighbor`` need nothing more.
-    With ``normalize`` the chart is normal (pushed-forward metric I at 0):
-    exact mode allows that only when G(x) is already the identity; float
-    mode scales column i of the congruence C^T G(x) C = diag(d) by
-    1/sqrt(d_i), so it requires positive definiteness.
-    """
-    check_mode(mode)
-    at = _MetricAt(metric, x, mode)
-    ident = _linalg.identity(metric.n)
-    if not normalize:
-        return GeodesicChart(metric, at, eps)
-    if at.G == ident:
-        return GeodesicChart(metric, at, eps, ident)
-    if mode == EXACT:
-        raise GeometryError("exact normalization needs G(x) = I; use the plain chart or float mode")
-    if not all(v > 0 for v in at.d):
-        raise GeometryError("metric is not positive definite at the base point")
-    return GeodesicChart(metric, at, eps, [[v / math.sqrt(dj) for v, dj in zip(row, at.d)] for row in at.C])
+def geodesic_chart(metric: MetricField, x, mode: str = EXACT, eps: float = DEFAULT_EPS) -> GeodesicChart:
+    """The chart geodesic at x (see ``GeodesicChart``), on every
+    nondegenerate metric, definite or not, in both modes."""
+    return GeodesicChart(metric, x, mode, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +401,7 @@ def geodesic_prolong(chart: GeodesicChart, t: TangentVector, delta: WeilElement)
         raise GeometryError("tangent is not based at the chart base")
     if not (delta * delta * delta).is_zero(chart.eps if chart.mode == FLOAT else None):
         raise GeometryError("prolongation parameter must have vanishing cube")
-    u_chart = chart.principal_in_chart(t.u)
-    return chart.from_chart(tuple(delta * c for c in u_chart))
+    return chart.from_chart(tuple(delta * c for c in t.u))
 
 
 def inner_product(metric: MetricField, t: TangentVector, s: TangentVector, mode: str = EXACT) -> Scalar:
@@ -469,14 +415,14 @@ def inner_product(metric: MetricField, t: TangentVector, s: TangentVector, mode:
 def scalar_component(chart: GeodesicChart, z, t: TangentVector) -> WeilElement:
     """The cube-zero parameter alpha with proj_t(z) = prolongation of t at alpha.
 
-    In chart coordinates: (u . G_chart zeta) / (u . G_chart u), which reduces
-    to the familiar (z . u)/(u . u) in a normal chart.
+    The chart's linear part is I, so u is also the principal part in chart
+    coordinates zeta: alpha = (u . G(x) zeta) / (u . G(x) u), the familiar
+    (z . u)/(u . u) when G(x) = I.
     """
     if tuple(t.base) != chart.base:
         raise GeometryError("tangent is not based at the chart base")
-    u_chart = chart.principal_in_chart(t.u)
-    gu = _linalg.mat_vec(chart.Ghat0, u_chart)
-    norm = sum(a * b for a, b in zip(u_chart, gu))
+    gu = _linalg.mat_vec(chart.G0, t.u)
+    norm = sum(a * b for a, b in zip(t.u, gu))
     if norm == 0 or (chart.mode == FLOAT and abs(norm) <= chart.eps):
         raise GeometryError("improper tangent: <t,t> is not invertible")
     zeta = chart.to_chart(z)
@@ -500,10 +446,10 @@ def laplace_point(chart: GeodesicChart):
     """The universal isotropic second-order neighbor of the chart base, on
     any chart of any nondegenerate metric.
 
-    Its chart coordinates are C Z, where C^T Ghat0 C = diag(d) is the
+    Its chart coordinates are C Z, where C^T G(x) C = diag(d) is the
     chart's ``frame`` and the Z_i generate Z_i^2 = (d_1/d_i) Q, Z_i Z_j = 0,
-    so that g(x, z) = sum d_i Z_i^2 = n d_1 Q sees no direction.  In a
-    normal chart C = I, d = 1 and the Z_i generate ``laplace_algebra(n)``.
+    so that g(x, z) = sum d_i Z_i^2 = n d_1 Q sees no direction.  Where
+    G(x) = I, C = I, d = 1 and the Z_i generate ``laplace_algebra(n)``.
     An identity verified on this single point holds for every isotropic
     neighbor.
     """
@@ -528,19 +474,19 @@ def is_laplace_neighbor(metric: MetricField, x, z, mode: str = EXACT, eps: float
     G^-1 becomes diag(sign d), scaled so that its largest square has
     coordinates of size 1, against ``eps``.
     """
-    at = _MetricAt(metric, x, mode)
-    chart = GeodesicChart(metric, at, eps)
+    chart = geodesic_chart(metric, x, mode, eps)
     tol = eps if mode == FLOAT else None
     zeta = chart.to_chart(z)
     _check_order(zeta, 2, tol)
     if mode == EXACT:
-        return _satisfies_isotropy(zeta, at.ginv)
-    frame = _linalg.mat_mul(_linalg.transpose(at.C), at.G)
-    eta = _apply([[f / math.sqrt(abs(dk)) for f in row] for row, dk in zip(frame, at.d)], zeta)
-    unit = max(abs(c) for w in eta for c in (w * w).coords)
+        return _satisfies_isotropy(zeta, chart.ginv)
+    c, d = chart.frame
+    frame = _linalg.mat_mul(_linalg.transpose(c), chart.G0)
+    eta = _apply([[f / math.sqrt(abs(dk)) for f in row] for row, dk in zip(frame, d)], zeta)
+    unit = max(abs(v) for w in eta for v in (w * w).coords)
     if unit > 0:
         eta = [w * (1 / math.sqrt(unit)) for w in eta]
-    signs = [[math.copysign(1.0, dk) if i == k else 0.0 for k in range(len(at.d))] for i, dk in enumerate(at.d)]
+    signs = [[math.copysign(1.0, dk) if i == k else 0.0 for k in range(len(d))] for i, dk in enumerate(d)]
     return _satisfies_isotropy(eta, signs, tol)
 
 

@@ -1,10 +1,10 @@
 """Scalar domain shared by every module: exact rationals or binary floats.
 
 Exact mode works over `fractions.Fraction`; every identity in the library
-then holds on the nose.  Float mode is opt-in per computation and is only
-required where square roots or analytic primitives enter (normal-chart
-normalization, exp/log/sin/cos/sqrt).  Float comparisons use an absolute
-tolerance, default 1e-9.
+then holds on the nose, and no exact computation takes a square root.
+Float mode is opt-in per computation and is only required where analytic
+primitives enter (exp/log/sin/cos/sqrt).  Float comparisons use an
+absolute tolerance, default 1e-9.
 """
 
 from __future__ import annotations

@@ -271,23 +271,19 @@ def _reduce_rows(rows):
                 row = {m: c / inv for m, c in row.items()}
                 pivots[lead] = row
                 break
-    # back-substitute so pivot rows mention no other pivot in their tail
+    # back-substitute so pivot rows mention no other pivot in their tail: one
+    # pass in increasing lead order suffices, because a tail holds only
+    # monomials smaller than its lead, whose pivot rows are reduced already
     for lead in sorted(pivots, key=mono_key):
         row = pivots[lead]
-        changed = True
-        while changed:
-            changed = False
-            for m in list(row):
-                if m != lead and m in pivots:
-                    factor = row[m]
-                    del row[m]
-                    for mm, cc in pivots[m].items():
-                        if mm == m:
-                            continue
+        for m in list(row):
+            if m != lead and m in pivots:
+                factor = row.pop(m)
+                for mm, cc in pivots[m].items():
+                    if mm != m:
                         row[mm] = row.get(mm, Fraction(0)) + (-factor) * cc
                         if row[mm] == 0:
                             del row[mm]
-                    changed = True
     return pivots
 
 

@@ -439,7 +439,7 @@ def invert(a):
 
 
 def laplacian_by_trace(metric, f, x, mode=EXACT):
-    """trace(G(x)^-1 Hess(f o chart)) in the unnormalized geodesic chart at x:
+    """trace(G(x)^-1 Hess(f o chart)) in the geodesic chart at x:
     the Hessian is read off the Taylor coefficients of f composed with the
     chart's forward model.  ``f`` is an expression."""
     chart = geodesic_chart(metric, x, mode=mode)
@@ -542,12 +542,15 @@ def gbar_eval_by_diff(metric, base, z, y=None, mode=EXACT):
 
 def is_laplace_neighbor_by_normal_chart(metric, x, z, eps=DEFAULT_EPS):
     """Float isotropy test in an orthonormal chart: coordinates A^-1 zeta,
-    A^T G(x) A = I and A^-1 by dense solves, must satisfy the plain Laplace
+    A = C diag(d)^-1/2 from the congruence C^T G(x) C = diag(d), so that
+    A^T G(x) A = I, and A^-1 by dense solves, must satisfy the plain Laplace
     relations with absolute tolerance ``eps``.  Needs G(x) positive definite."""
     x = tuple(float(c) for c in x)
-    normal = geodesic_chart(metric, x, normalize=True, mode=FLOAT, eps=eps)
-    zeta = geodesic_chart(metric, x, mode=FLOAT, eps=eps).to_chart(z)
-    a_inv = invert(normal.A)
+    chart = geodesic_chart(metric, x, mode=FLOAT, eps=eps)
+    c, d = _linalg.congruence(chart.G0)
+    assert all(v > 0 for v in d), "the normal chart needs a positive definite G(x)"
+    zeta = chart.to_chart(z)
+    a_inv = invert([[v / math.sqrt(dj) for v, dj in zip(row, d)] for row in c])
     zero = zeta[0].algebra.zero()
     eta = [sum((w * a for a, w in zip(row, zeta)), start=zero) for row in a_inv]
     _check_order(eta, 2, eps)
@@ -607,6 +610,7 @@ def half_gamma_all_terms(chart, w):
 
 
 def push_offsets_all_terms(chart, zeta):
-    """``GeodesicChart.push_offsets`` with ``half_gamma_all_terms``."""
-    az = _apply(chart.A, zeta)
+    """``GeodesicChart.push_offsets`` with ``half_gamma_all_terms``, the
+    identity linear part applied as a matrix."""
+    az = _apply(_linalg.identity(chart.n), zeta)
     return tuple(a - c for a, c in zip(az, half_gamma_all_terms(chart, az)))

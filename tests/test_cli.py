@@ -238,6 +238,15 @@ def test_singular_metric_exits_3(tmp_path, capsys):
     assert "singular" in err
 
 
+@pytest.mark.parametrize(("mode", "where"), [("exact", "(0, 1/2)"), ("float", "(0, 0.5)")])
+def test_singular_metric_names_the_point_in_numbers(tmp_path, capsys, mode, where):
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps({"n": 2, "G": [["x1", "0"], ["0", "x1"]]}))
+    code, out, err = run(capsys, "--mode", mode, "laplacian", "--metric", str(path), "--fn", "x1^2", "--point", "0,1/2")
+    assert (code, out) == (3, "")
+    assert err == f"error: metric is singular at {where}\n"
+
+
 def test_missing_map_exits_2(capsys):
     code, _, _ = run(capsys, "check", "conformal", "--point", "0,0")
     assert code == 2
@@ -294,17 +303,30 @@ def test_asymmetric_metric_exits_2(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "text",
-    ["[" * 100000, '{"n": 1e400, "G": [["1"]]}', "[1, 2]", "5"],
-    ids=["100000-open-brackets", "infinite-n", "list", "number"],
+    ("text", "message"),
+    [
+        ("[" * 100000, "metric file"),
+        ('{"n": 1e400, "G": [["1"]]}', "metric file"),
+        ("[1, 2]", "metric file"),
+        ("5", "metric file"),
+        ('{"n": 1, "G": ["1"]}', "metric rows must be lists of expression strings"),
+    ],
+    ids=["100000-open-brackets", "infinite-n", "list", "number", "string-row"],
 )
-def test_hostile_metric_json_exits_2(capsys, tmp_path, text):
+def test_hostile_metric_json_exits_2(capsys, tmp_path, text, message):
     path = tmp_path / "metric.json"
     path.write_text(text)
     code, out, err = run(capsys, "laplacian", "--metric", str(path), "--fn", "x1^2", "--point", "0")
     assert code == 2
     assert out == ""
-    assert err.startswith("error: metric file") and err.count("\n") == 1
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [("laplacian",), ("check", "harmonic")])
+def test_float_point_beyond_the_float_range_exits_2(capsys, command):
+    code, out, err = run(capsys, "--mode", "float", *command, "--fn", "x1^2", "--point", "1e400,0")
+    assert (code, out) == (2, "")
+    assert err == "error: point '1e400,0' lies outside the float range\n"
 
 
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])

@@ -38,6 +38,7 @@ METRIC_DOCS = {
     "nulls.json": {"n": 2, "G": [[None, "0"], ["0", "1"]]},
     "nested.json": {"n": 2, "G": [["1", ["0"]], [["0"], "1"]]},
     "rows-not-lists.json": {"n": 2, "G": [1, 2]},
+    "string-rows.json": {"n": 2, "G": ["10", "01"]},
     "g-string.json": {"n": 2, "G": "ab"},
     "no-n.json": {"G": FLAT2},
     "no-g.json": {"n": 2},

@@ -85,8 +85,6 @@ def _results(seed, mode):
         "laplace_taylor": laplace_taylor(MetricField.standard_flat(n), f, x, z3, mode=mode),
     }
     charts = [geodesic_chart(metric, x, mode=mode)]
-    if mode == FLOAT:  # G(x) = I, so the normal chart exists
-        charts.append(geodesic_chart(metric, x, normalize=True, mode=mode))
     for k, chart in enumerate(charts):
         zeta = chart.to_chart(z)
         out.update({

@@ -12,6 +12,7 @@ from nilgeom.expr import (
     parse_expr,
     parse_function,
 )
+from nilgeom import geometry
 from nilgeom.geometry import (
     GeometryError,
     MetricField,
@@ -195,11 +196,41 @@ def test_christoffel_singular_metric():
         christoffel(singular, ORIGIN2)
 
 
+def test_metric_rows_must_be_lists_of_strings():
+    # ["10", "01"] would read as the identity, one character per entry
+    for rows in (["10", "01"], "ab", [["1", 0], ["0", "1"]], [{"1": 0}, {"0": 1}]):
+        with pytest.raises(TypeError, match="metric rows must be lists of expression strings"):
+            MetricField.from_strings(rows)
+    assert MetricField.from_strings((("1", "0"), ("0", "1"))).is_standard_flat()
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_each_metric_reading_builds_one_chart(monkeypatch, mode):
+    # christoffel, the Laplacian and the detectors all read the metric at x
+    # through geodesic_chart, once per call
+    metric = MetricField.from_strings([["4 + x2", "1"], ["1", "1 + x1^2"]])
+    x = (F(1, 3), F(2, 7)) if mode == "exact" else (1 / 3, 2 / 7)
+    f = parse_expr("x1^2*x2")
+    z = make_point(x, truncated_algebra(2, 2).generators())
+    built = []
+    monkeypatch.setattr(geometry, "geodesic_chart", lambda *a, **k: built.append(a) or geometry.GeodesicChart(*a, **k))
+    calls = {
+        "christoffel": lambda: christoffel(metric, x, mode),
+        "laplacian": lambda: laplacian(metric, f, x, mode=mode),
+        "preserves_affine_combinations": lambda: preserves_affine_combinations(metric, f, x, mode=mode),
+        "is_laplace_neighbor": lambda: is_laplace_neighbor(metric, x, z, mode=mode),
+    }
+    for name, call in calls.items():
+        built.clear()
+        call()
+        assert len(built) == 1, name
+
+
 # -- geodesic charts ----------------------------------------------------------------------
 
 def test_flat_chart_is_translation():
     x = (F(3), F(-2))
-    chart = geodesic_chart(FLAT2, x, normalize=True)
+    chart = geodesic_chart(FLAT2, x)
     alg = truncated_algebra(2, 2)
     gens = alg.generators()
     assert chart.push_offsets(gens) == tuple(gens)
@@ -225,14 +256,14 @@ def _pullback_entries(metric, chart):
 
 
 def test_polar_chart_kills_first_metric_derivatives():
-    chart = geodesic_chart(POLAR, (F(1), F(0)), normalize=True)
+    chart = geodesic_chart(POLAR, (F(1), F(0)))
     entries = _pullback_entries(POLAR, chart)
     gens = truncated_algebra(2, 1).generators()
     for i in range(2):
         for j in range(2):
             val = jet_eval(entries[i][j], ORIGIN2, gens)
             assert val.nilpotent_part().is_zero()  # constant on first-order points
-    assert chart.Ghat0 == [[1, 0], [0, 1]]
+    assert chart.G0 == [[1, 0], [0, 1]]
 
 
 def test_random_metric_chart_kills_first_metric_derivatives():
@@ -262,26 +293,6 @@ def test_chart_transport_round_trip():
     gens = truncated_algebra(2, 2).generators()
     point = chart.from_chart(gens)
     assert chart.to_chart(point) == tuple(gens)
-
-
-def test_exact_normalization_constraints():
-    stretched = MetricField.from_strings([["4", "0"], ["0", "1"]])
-    with pytest.raises(GeometryError):
-        geodesic_chart(stretched, ORIGIN2, normalize=True)
-
-
-def test_float_normalization_needs_positive_definite():
-    indefinite = MetricField.from_strings([["1", "0"], ["0", "-1"]])
-    with pytest.raises(GeometryError):
-        geodesic_chart(indefinite, (0.0, 0.0), normalize=True, mode="float")
-
-
-def test_float_normal_chart_orthonormalizes():
-    sphere = MetricField.from_strings([["1", "0"], ["0", "sin(x1)^2"]])
-    chart = geodesic_chart(sphere, (0.8, 0.3), normalize=True, mode="float")
-    for i in range(2):
-        for j in range(2):
-            assert chart.Ghat0[i][j] == pytest.approx(1.0 if i == j else 0.0, abs=1e-12)
 
 
 # -- mirror, affine combinations, parallelogram ---------------------------------------------
@@ -320,7 +331,7 @@ def test_affine_combination_endpoints():
 
 
 def test_affine_combination_preserves_isotropy():
-    chart = geodesic_chart(FLAT2, ORIGIN2, normalize=True)
+    chart = geodesic_chart(FLAT2, ORIGIN2)
     z = laplace_point(chart)
     for t in (F(1, 3), F(-2), F(3)):
         combo = affine_combination(chart, t, z)
@@ -449,7 +460,7 @@ def test_scalar_component_recovers_prolongation_parameter():
 
 
 def test_scalar_component_flat_axis():
-    chart = geodesic_chart(FLAT3, (F(0),) * 3, normalize=True)
+    chart = geodesic_chart(FLAT3, (F(0),) * 3)
     gens = truncated_algebra(3, 2).generators()
     z = make_point(chart.base, gens)
     t = TangentVector(chart.base, (F(1), F(0), F(0)))
@@ -459,7 +470,7 @@ def test_scalar_component_flat_axis():
 
 
 def test_projection_onto_diagonal_averages():
-    chart = geodesic_chart(FLAT2, ORIGIN2, normalize=True)
+    chart = geodesic_chart(FLAT2, ORIGIN2)
     gens = truncated_algebra(2, 2).generators()
     z = make_point(ORIGIN2, gens)
     t = TangentVector(ORIGIN2, (F(1), F(1)))
@@ -478,7 +489,7 @@ def test_improper_tangent_rejected():
 # -- isotropic neighbors -----------------------------------------------------------------------
 
 def test_laplace_point_flat_is_generic_generator_tuple():
-    chart = geodesic_chart(FLAT2, ORIGIN2, normalize=True)
+    chart = geodesic_chart(FLAT2, ORIGIN2)
     z = laplace_point(chart)
     offsets = point_offsets(z, ORIGIN2)
     assert offsets == tuple(laplace_algebra(2).generators())
@@ -487,7 +498,7 @@ def test_laplace_point_flat_is_generic_generator_tuple():
     assert val == offsets[0].algebra.basis_element(3) * 2
 
 
-def test_laplace_point_requires_normal_chart():
+def test_plain_chart_of_a_stretched_metric_carries_the_weighted_point():
     # the plain chart of a non-identity G(x) carries the weighted point
     stretched = MetricField.from_strings([["4", "0"], ["0", "1"]])
     chart = geodesic_chart(stretched, ORIGIN2)
@@ -510,7 +521,7 @@ def test_flat_isotropy_symmetric_under_reflection():
     gens = truncated_algebra(3, 2).generators()
     candidates = [
         make_point((F(0),) * 3, gens),
-        laplace_point(geodesic_chart(FLAT3, (F(0),) * 3, normalize=True)),
+        laplace_point(geodesic_chart(FLAT3, (F(0),) * 3)),
     ]
     for z in candidates:
         reflected = make_point(
@@ -522,7 +533,7 @@ def test_flat_isotropy_symmetric_under_reflection():
 
 
 def test_isotropic_neighbor_on_curved_chart():
-    chart = geodesic_chart(POLAR, (F(1), F(0)), normalize=True)
+    chart = geodesic_chart(POLAR, (F(1), F(0)))
     z = laplace_point(chart)
     assert is_laplace_neighbor(POLAR, (F(1), F(0)), z)
     generic = chart.from_chart(truncated_algebra(2, 2).generators())

@@ -7,7 +7,6 @@ form trace(G^-1 Hess(f o chart)) and the full n^4 Christoffel loop.
 """
 
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -270,12 +269,3 @@ def test_float_affine_detector_ignores_the_scale_of_g11():
     assert laplacian(big, h, (F(0), F(0))) == 0
     assert preserves_affine_combinations(big, h, (0.0, 0.0), mode="float") is True
 
-
-def test_float_normal_chart_of_curved_metric():
-    metric = MetricField.from_strings([["2 + x2", "1"], ["1", "3 + x1^2"]])
-    chart = geodesic_chart(metric, (0.5, 0.25), normalize=True, mode="float")
-    assert chart.normal
-    for i in range(2):
-        for j in range(2):
-            assert chart.Ghat0[i][j] == pytest.approx(1.0 if i == j else 0.0, abs=1e-12)
-    assert all(math.isfinite(v) for row in chart.A for v in row)

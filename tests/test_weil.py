@@ -16,11 +16,14 @@ from nilgeom.weil import (
     Polynomial,
     WeilAlgebra,
     _check_dimension,
+    _reduce_rows,
     _isotropy_algebra,
     algebra_from_json,
     algebra_isomorphism,
     algebra_to_json,
+    all_monomials,
     laplace_algebra,
+    mono_key,
     quotient_algebra,
     satisfies_laplace_relations,
     tensor_algebra,
@@ -512,3 +515,20 @@ def test_isomorphism_found_and_refused():
     other = quotient_algebra(2, 2, [Polynomial(2, {(2, 0): 1}), Polynomial(2, {(0, 2): 1})])
     assert other.dimension == a.dimension
     assert algebra_isomorphism(other, a) is None
+
+
+def test_one_back_substitution_pass_leaves_no_pivot_in_any_tail():
+    # every tail monomial is smaller than its lead, and the pivot rows of
+    # smaller leads are reduced first, so one pass reaches the reduced form
+    rng = random.Random(7)
+    for _ in range(200):
+        n = rng.choice((1, 2, 3))
+        monos = all_monomials(n, rng.choice((2, 3, 4)))
+        rows = [
+            {m: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for m in rng.sample(monos, rng.randint(1, min(5, len(monos))))}
+            for _ in range(rng.randint(1, 8))
+        ]
+        pivots = _reduce_rows([{m: c for m, c in row.items() if c} for row in rows])
+        for lead, row in pivots.items():
+            assert row[lead] == 1 and max(row, key=mono_key) == lead
+            assert not any(m in pivots for m in row if m != lead)
