@@ -72,6 +72,8 @@ def _load_metric(path: str | None, n: int) -> MetricField:
             raise ValueError("metric file nests too deeply") from None
     if not isinstance(doc, dict) or "n" not in doc or "G" not in doc:
         raise ValueError("metric file must contain keys 'n' and 'G'")
+    if not isinstance(doc["G"], list):
+        raise ValueError("metric rows must be lists of expression strings")
     if doc["n"] != len(doc["G"]):
         raise ValueError("metric file dimension does not match its matrix")
     return MetricField.from_strings(doc["G"])

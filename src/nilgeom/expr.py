@@ -269,7 +269,12 @@ def _jet(e, point, mode):
     point, the constant ones at base + offsets) stay plain scalars; the
     others are Weil elements."""
     if isinstance(e, Const):
-        return float(e.value) if mode == FLOAT else e.value
+        if mode == EXACT:
+            return e.value
+        try:
+            return float(e.value)
+        except OverflowError:
+            raise ValueError("an expression constant lies outside the float range") from None
     if isinstance(e, Var):
         if e.index >= len(point):
             raise ValueError(f"expression uses x{e.index + 1} but the point has {len(point)} coordinates")

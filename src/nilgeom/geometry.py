@@ -177,14 +177,14 @@ def point_offsets(point, base, eps=None):
 
 
 def _check_order(offsets, order, eps=None):
-    """Verify that all (order+1)-fold products of the offsets vanish."""
+    """Verify that all (order+1)-fold products of the offsets vanish.  The
+    algebras are commutative, so only nondecreasing index sequences are
+    multiplied: one product per multiset of factors."""
     elems = list(offsets)
-    if not elems:
-        return
-    frontier = [elems[0].algebra.one()]
-    for _ in range(order + 1):
-        frontier = [p * w for p in frontier for w in elems]
-    for p in frontier:
+    frontier = list(enumerate(elems))  # (index of the last factor, product)
+    for _ in range(order):
+        frontier = [(j, p * elems[j]) for i, p in frontier for j in range(i, len(elems))]
+    for _, p in frontier:
         if not p.is_zero(eps):
             raise GeometryError(f"point is not an order-{order} neighbor of the base")
 
@@ -256,53 +256,63 @@ class GeodesicChart:
     images, affine combinations and geodesic prolongations become plain
     coordinate algebra.
 
-    A first-order jet of each upper entry of G yields G(x) (``G0``) and its
-    first partials; an entry without variables is only evaluated, its
-    partials zeros of the mode's type, and a metric of constants has
-    Gamma = 0.  One ``_linalg.congruence`` yields ``frame`` = (C, d) with
+    Each upper entry of G that has variables is jetted at one universal
+    first-order point x + Z, Z the generators of ``truncated_algebra(n, 1)``,
+    which yields G(x) (``G0``) and its first partials; an entry without
+    variables is only evaluated, its partials one shared zero of the mode's
+    type, and a metric of constants has Gamma = 0 and no Christoffel terms
+    to list.  One ``_linalg.congruence`` yields ``frame`` = (C, d) with
     C^T G(x) C = diag(d), the weights of ``laplace_point``.  Then
-    ``ginv`` = G(x)^-1 = C diag(1/d) C^T, summed over the nonzero entries of
-    C (C = I on a diagonal G(x)), and ``gamma`` follows from G(x)^-1 and the
-    partials.  Nothing that depends on the metric or the point is cached,
-    only the shape-keyed algebra of the jets (``truncated_algebra(n, 1)``).
+    ``ginv`` = G(x)^-1 = C diag(1/d) C^T is accumulated column by column of
+    C, in increasing k, over the rows where column k is nonzero (n terms
+    when C = I), and ``gamma`` follows from G(x)^-1 and the partials.  A
+    transport (``push_offsets``, ``pull_offsets``) forms each pair product
+    w_j w_k that a nonzero symbol needs once and shares it among the n
+    components.  Nothing that depends on the metric or the point is cached,
+    only the shape-keyed algebra of the jets.
     """
 
-    __slots__ = ("metric", "base", "mode", "eps", "G0", "ginv", "gamma", "frame", "_gamma_terms")
+    __slots__ = ("metric", "base", "mode", "eps", "G0", "ginv", "gamma", "frame", "_gamma_terms", "_pairs")
 
     def __init__(self, metric: MetricField, x, mode: str = EXACT, eps: float = DEFAULT_EPS):
         check_mode(mode)
         n = metric.n
         self.metric, self.mode, self.eps = metric, mode, eps
         self.base = x = tuple(to_scalar(c, mode) for c in x)
-        gens = None  # the universal first-order point, once an entry needs it
+        zero = 0.0 if mode == FLOAT else Fraction(0)
+        point = None  # the universal first-order point x + Z, once an entry needs it
         g = [[None] * n for _ in range(n)]
         dg = [[None] * n for _ in range(n)]  # dg[l][k][j] = d_j G_lk
         for (i, j), e in metric._upper.items():
             if variables(e):
-                if gens is None:
-                    gens = truncated_algebra(n, 1).generators()
-                g[i][j], *dg[i][j] = jet_eval(e, x, gens, mode).coords
+                if point is None:
+                    point = [z + b for z, b in zip(truncated_algebra(n, 1).generators(), x)]
+                g[i][j], *dg[i][j] = _in_mode(_jet(e, point, mode), mode).coords
             else:
                 g[i][j] = _jet(e, x, mode)
-                dg[i][j] = [0.0 if mode == FLOAT else Fraction(0)] * n
+                dg[i][j] = [zero] * n
             g[j][i], dg[j][i] = g[i][j], dg[i][j]
         c, d = _congruence(g, x)
         zero = d[0] - d[0]
-        self.ginv = ginv = [
-            [sum((c[i][k] * c[j][k] / d[k] for k in range(n) if c[i][k] and c[j][k]), zero) for j in range(n)]
-            for i in range(n)
-        ]
-        self.G0, self.frame = g, (c, d)
-        if gens is None:  # every entry constant
+        ginv = [[zero] * n for _ in range(n)]
+        for k in range(n):
+            rows = [i for i in range(n) if c[i][k]]
+            for i in rows:
+                for j in rows:
+                    ginv[i][j] = ginv[i][j] + c[i][k] * c[j][k] / d[k]
+        self.G0, self.ginv, self.frame = g, ginv, (c, d)
+        if point is None:  # every entry constant
             zero = ginv[0][0] * 0
             self.gamma = [[[zero] * n for _ in range(n)] for _ in range(n)]
-        else:
-            self.gamma = _christoffel(dg, ginv)
+            self._gamma_terms, self._pairs = [[] for _ in range(n)], ()
+            return
+        self.gamma = _christoffel(dg, ginv)
         # Gamma^i_jk = Gamma^i_kj: each pair j <= k once, counted twice when j < k
         self._gamma_terms = [
             [(j, k, g if j == k else 2 * g) for j, row in enumerate(plane) for k, g in enumerate(row[j:], j) if g != 0]
             for plane in self.gamma
         ]
+        self._pairs = sorted({(j, k) for terms in self._gamma_terms for j, k, _ in terms})
 
     @property
     def n(self):
@@ -313,8 +323,11 @@ class GeodesicChart:
     def _half_gamma(self, w):
         """1/2 Gamma(w, w), componentwise, for Weil elements or expressions;
         only the nonzero symbols are visited, each symmetric pair once, so a
-        plane of zeros gives 0."""
-        return [sum(w[j] * w[k] * g for j, k, g in terms) * Fraction(1, 2) for terms in self._gamma_terms]
+        plane of zeros gives 0.  Each pair product w_j w_k is formed once and
+        serves every component: at most n(n+1)/2 products, each scaled and
+        summed in the order of the symbols."""
+        products = {(j, k): w[j] * w[k] for j, k in self._pairs}
+        return [sum(products[j, k] * g for j, k, g in terms) * Fraction(1, 2) for terms in self._gamma_terms]
 
     def push_offsets(self, zeta):
         """Chart coordinates (nilpotent) -> manifold offsets from the base."""

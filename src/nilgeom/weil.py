@@ -305,7 +305,7 @@ class WeilAlgebra:
     construction and are not checked.
     """
 
-    __slots__ = ("n", "degree_bound", "basis", "_relations", "_index", "_nf", "_table")
+    __slots__ = ("n", "degree_bound", "basis", "_relations", "_index", "_nf", "_table", "_gens")
 
     def __init__(self, n, degree_bound, basis, normal_form, relations, table=None):
         self.n = n
@@ -314,6 +314,7 @@ class WeilAlgebra:
         self._relations = relations if callable(relations) else tuple(relations)
         self._index = {m: i for i, m in enumerate(self.basis)}
         self._nf = normal_form  # monomial -> tuple of (basis index, coeff)
+        self._gens = None  # the generators, once ``generators`` has built them
         if self.basis[0] != unit_monomial(n):
             raise AssertionError("quotient lost its unit")
         self._table = self._build_table() if table is None else table
@@ -438,22 +439,27 @@ class WeilAlgebra:
         return self.element(coords)
 
     def generators(self):
-        """Images of the ring generators Z_1..Z_n as elements."""
-        gens = []
-        for i in range(self.n):
-            mono = tuple(1 if j == i else 0 for j in range(self.n))
-            try:
-                entries = self._reduce_monomial(mono)
-            except KeyError:
-                # algebra_from_json keeps the table only, not the normal forms
-                raise ValueError(
-                    f"serialized algebra does not record the class of generator Z{i + 1}"
-                ) from None
-            coords = [Fraction(0)] * self.dimension
-            for k, c in entries:
-                coords[k] = c
-            gens.append(self.element(coords))
-        return gens
+        """Images of the ring generators Z_1..Z_n as elements, in a fresh
+        list on each call.  The elements are immutable, so they are built on
+        the first call and shared after it; an algebra whose normal forms do
+        not record a generator raises ValueError on every call."""
+        if self._gens is None:
+            gens = []
+            for i in range(self.n):
+                mono = tuple(1 if j == i else 0 for j in range(self.n))
+                try:
+                    entries = self._reduce_monomial(mono)
+                except KeyError:
+                    # algebra_from_json keeps the table only, not the normal forms
+                    raise ValueError(
+                        f"serialized algebra does not record the class of generator Z{i + 1}"
+                    ) from None
+                coords = [Fraction(0)] * self.dimension
+                for k, c in entries:
+                    coords[k] = c
+                gens.append(self.element(coords))
+            self._gens = tuple(gens)
+        return list(self._gens)
 
     def from_polynomial(self, p: Polynomial) -> "WeilElement":
         """Class of a polynomial in the quotient."""
@@ -618,8 +624,14 @@ class WeilElement:
 
 def _in_mode(w: WeilElement, mode: str) -> WeilElement:
     """``w`` as a result of a ``mode`` computation: in float mode every
-    coordinate a float, whatever the operands held; exact mode keeps it."""
-    return WeilElement(w.algebra, map(float, w.coords)) if mode == FLOAT else w
+    coordinate a float, whatever the operands held; exact mode keeps it.
+    An exact coordinate beyond the float range is an input error."""
+    if mode != FLOAT:
+        return w
+    try:
+        return WeilElement(w.algebra, tuple(map(float, w.coords)))
+    except OverflowError:
+        raise ValueError("an exact coordinate lies outside the float range") from None
 
 
 # ---------------------------------------------------------------------------

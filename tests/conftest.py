@@ -614,3 +614,52 @@ def push_offsets_all_terms(chart, zeta):
     identity linear part applied as a matrix."""
     az = _apply(_linalg.identity(chart.n), zeta)
     return tuple(a - c for a, c in zip(az, half_gamma_all_terms(chart, az)))
+
+
+# -- the chart's products formed where they are used: the references for the shared ones --
+
+def half_gamma_per_term(chart, w):
+    """1/2 Gamma(w, w) over the chart's paired symbols, each pair product
+    w_j w_k formed anew for every symbol that uses it."""
+    return [sum(w[j] * w[k] * g for j, k, g in terms) * Fraction(1, 2) for terms in chart._gamma_terms]
+
+
+def push_offsets_per_term(chart, zeta):
+    return tuple(a - c for a, c in zip(zeta, half_gamma_per_term(chart, zeta)))
+
+
+def ginv_by_rows(c, d):
+    """G(x)^-1 = C diag(1/d) C^T entry by entry, each entry summed over k in
+    increasing order from the zero of d's type, skipping a k where c_ik or
+    c_jk is zero.  The additions run left to right, as the built-in ``sum``
+    of Python 3.10 and 3.11 does (3.12 compensates float sums)."""
+    n = len(d)
+    zero = d[0] - d[0]
+    out = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if c[i][k] and c[j][k]:
+                    out[i][j] = out[i][j] + c[i][k] * c[j][k] / d[k]
+    return out
+
+
+def check_order_all_sequences(offsets, order, eps=None):
+    """Whether every ordered (order+1)-fold product of the offsets, started
+    from the unit, vanishes."""
+    elems = list(offsets)
+    frontier = [elems[0].algebra.one()]
+    for _ in range(order + 1):
+        frontier = [p * w for p in frontier for w in elems]
+    return all(p.is_zero(eps) for p in frontier)
+
+
+def generators_from_normal_forms(algebra):
+    """The generators Z_1..Z_n built from the normal forms on every call."""
+    gens = []
+    for i in range(algebra.n):
+        coords = [Fraction(0)] * algebra.dimension
+        for k, c in algebra._reduce_monomial(tuple(int(j == i) for j in range(algebra.n))):
+            coords[k] = c
+        gens.append(algebra.element(coords))
+    return gens

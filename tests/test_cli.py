@@ -310,8 +310,9 @@ def test_asymmetric_metric_exits_2(capsys, tmp_path):
         ("[1, 2]", "metric file"),
         ("5", "metric file"),
         ('{"n": 1, "G": ["1"]}', "metric rows must be lists of expression strings"),
+        ('{"n": 2, "G": 5}', "metric rows must be lists of expression strings"),
     ],
-    ids=["100000-open-brackets", "infinite-n", "list", "number", "string-row"],
+    ids=["100000-open-brackets", "infinite-n", "list", "number", "string-row", "numeric-G"],
 )
 def test_hostile_metric_json_exits_2(capsys, tmp_path, text, message):
     path = tmp_path / "metric.json"
@@ -327,6 +328,28 @@ def test_float_point_beyond_the_float_range_exits_2(capsys, command):
     code, out, err = run(capsys, "--mode", "float", *command, "--fn", "x1^2", "--point", "1e400,0")
     assert (code, out) == (2, "")
     assert err == "error: point '1e400,0' lies outside the float range\n"
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["laplacian", "--fn", "x1*1e400", "--point", "1,0"], "an expression constant"),
+        (["laplacian", "--fn", "x1+10^400", "--point", "1,0"], "an expression constant"),
+        (["check", "l-neighbor", "--z", "d1*10^400,d2", "--point", "1,0"], "an exact coordinate"),
+        (["check", "conformal", "--map", "x1*10^400,x2", "--point", "1,0"], "an expression constant"),
+    ],
+    ids=["fn-1e400", "fn-10^400", "z-10^400", "map-10^400"],
+)
+def test_float_constant_beyond_the_float_range_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, "--mode", "float", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message} lies outside the float range\n"
+
+
+def test_float_overflow_inside_the_arithmetic_still_exits_3(capsys):
+    code, out, err = run(capsys, "--mode", "float", "laplacian", "--fn", "exp(1000*x1)", "--point", "1,0")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])

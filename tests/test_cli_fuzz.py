@@ -40,6 +40,7 @@ METRIC_DOCS = {
     "rows-not-lists.json": {"n": 2, "G": [1, 2]},
     "string-rows.json": {"n": 2, "G": ["10", "01"]},
     "g-string.json": {"n": 2, "G": "ab"},
+    "g-number.json": {"n": 2, "G": 5},
     "no-n.json": {"G": FLAT2},
     "no-g.json": {"n": 2},
     "empty.json": {},

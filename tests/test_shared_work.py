@@ -1,10 +1,13 @@
 """Work a Laplacian or a detector no longer repeats.
 
 Algebras that depend only on their arguments are built once and shared
-(``truncated_algebra``, ``laplace_algebra``), constant metric entries get no
-jet, the chart correction forms each symmetric product once, and the
-plane-map detectors read everything off one jet at the universal isotropic
-point.  Each shortcut must equal the route it replaces, kept in ``conftest``.
+(``truncated_algebra``, ``laplace_algebra``), and so are their generators;
+constant metric entries get no jet, the chart correction forms each
+symmetric pair product once per transport, G(x)^-1 is summed over the
+nonzero entries of C only, order checks multiply each multiset of factors
+once, and the plane-map detectors read everything off one jet at the
+universal isotropic point.  Each shortcut must equal the route it replaces,
+kept in ``conftest``.
 """
 
 import random
@@ -24,13 +27,30 @@ from nilgeom.geometry import (
     laplacian,
     preserves_laplace_neighbors,
 )
-from nilgeom.scalars import EXACT, FLOAT
-from nilgeom.weil import MAX_DIMENSION, _isotropy_algebra, laplace_algebra, truncated_algebra
+from nilgeom.geometry import GeometryError, _check_order
+from nilgeom.scalars import DEFAULT_EPS, EXACT, FLOAT
+from nilgeom.weil import (
+    MAX_DIMENSION,
+    Polynomial,
+    WeilElement,
+    _isotropy_algebra,
+    algebra_from_json,
+    algebra_to_json,
+    laplace_algebra,
+    quotient_algebra,
+    truncated_algebra,
+)
 from conftest import (
+    check_order_all_sequences,
     christoffel_by_loop,
     cr_check_by_laplacians,
+    generators_from_normal_forms,
+    ginv_by_rows,
+    half_gamma_per_term,
+    invert,
     preserves_laplace_neighbors_by_jacobian,
     push_offsets_all_terms,
+    push_offsets_per_term,
     random_metric,
     random_point,
     random_poly_expr,
@@ -114,8 +134,14 @@ def test_unit_weights_share_the_laplace_algebra_and_others_are_built():
 
 def test_constant_entries_take_no_jet(monkeypatch):
     jetted = []
-    jet_eval = geometry.jet_eval
-    monkeypatch.setattr(geometry, "jet_eval", lambda e, *a, **k: jetted.append(e) or jet_eval(e, *a, **k))
+    evaluator = geometry._jet
+
+    def recording_evaluator(e, point, mode):  # a jet is an evaluation at Weil elements
+        if any(isinstance(p, weil.WeilElement) for p in point):
+            jetted.append(e)
+        return evaluator(e, point, mode)
+
+    monkeypatch.setattr(geometry, "_jet", recording_evaluator)
     constant = MetricField.from_strings([["2", "1/3"], ["1/3", "5"]])
     for mode, x in ((EXACT, (F(1, 2), F(1))), (FLOAT, (0.5, 1.0))):
         gamma = christoffel(constant, x, mode)
@@ -148,6 +174,151 @@ def test_paired_christoffel_terms_equal_all_terms(seed):
     for got, want in zip(fchart.push_offsets(zeta), push_offsets_all_terms(fchart, zeta)):
         for a, b in zip(got.coords, want.coords):
             assert abs(a - b) <= 1e-13 * max(1.0, abs(b))
+
+
+# -- each pair product once per transport ----------------------------------------------
+
+def _bits(w):
+    """Coordinates with floats as their hex strings: equality is bitwise."""
+    return tuple(c.hex() if isinstance(c, float) else c for c in w.coords)
+
+
+def test_transport_forms_each_pair_product_once(monkeypatch):
+    curved = MetricField.from_strings([["1+x1^2", "x3", "x2"], ["x3", "1+x2^2", "x1"], ["x2", "x1", "1+x3^2"]])
+    x = (F(1, 2), F(1, 3), F(1, 5))
+    zeta = truncated_algebra(3, 2).generators()
+    for mode in (EXACT, FLOAT):
+        chart = geodesic_chart(curved, x, mode)
+        assert all(any(g != 0 for row in plane for g in row) for plane in chart.gamma)
+        assert sum(len(terms) for terms in chart._gamma_terms) > 6  # more symbols than pairs
+        want = push_offsets_per_term(chart, zeta)
+        products = []
+        mul = WeilElement.__mul__
+
+        def counting_mul(self, other):
+            if isinstance(other, WeilElement):
+                products.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(WeilElement, "__mul__", counting_mul)
+        got = chart.push_offsets(zeta)
+        monkeypatch.setattr(WeilElement, "__mul__", mul)
+        assert len(products) <= 3 * 4 // 2
+        assert [_bits(w) for w in got] == [_bits(w) for w in want]
+
+
+@PROPERTY
+@given(seeds)
+def test_shared_pair_products_equal_the_per_term_products_bitwise(seed):
+    rng = random.Random(seed)
+    n = rng.choice((1, 2, 3))
+    base = random_point(rng, n)
+    metric = random_metric(rng, n, base)
+    x = tuple(c + F(rng.randint(-2, 2), 5) for c in base)
+    gens = truncated_algebra(n, 2).generators()
+    zeta = [gens[i] * F(rng.randint(1, 4), 2) + gens[rng.randrange(n)] * gens[i] for i in range(n)]
+    for mode, point in ((EXACT, x), (FLOAT, tuple(map(float, x)))):
+        chart = geodesic_chart(metric, point, mode)
+        pulled = [a + c for a, c in zip(zeta, half_gamma_per_term(chart, zeta))]
+        for got, want in ((chart.push_offsets(zeta), push_offsets_per_term(chart, zeta)),
+                          (chart.pull_offsets(zeta), pulled)):
+            assert [_bits(w) for w in got] == [_bits(w) for w in want]
+
+
+# -- G(x)^-1 by the nonzero entries of C, column by column ------------------------------
+
+INDEFINITE = [
+    [["0", "1"], ["1", "0"]],
+    [["x2", "1+x1"], ["1+x1", "x2"]],
+    [["0", "1", "0"], ["1", "0", "0"], ["0", "0", "1"]],
+    [["x1", "1", "x3"], ["1", "0", "2"], ["x3", "2", "1+x2^2"]],
+    [["0", "2", "1", "0"], ["2", "0", "0", "1"], ["1", "0", "0", "3"], ["0", "1", "3", "0"]],
+]
+
+
+def _assert_ginv_matches_the_rows(metric, x):
+    chart = geodesic_chart(metric, x)
+    assert chart.ginv == ginv_by_rows(*chart.frame) == invert(chart.G0)
+    fchart = geodesic_chart(metric, tuple(map(float, x)), FLOAT)
+    want = ginv_by_rows(*fchart.frame)
+    assert [[v.hex() for v in row] for row in fchart.ginv] == [[v.hex() for v in row] for row in want]
+
+
+@pytest.mark.parametrize("rows", INDEFINITE, ids=lambda rows: f"n{len(rows)}-" + rows[0][0])
+def test_ginv_of_indefinite_metrics_equals_the_rows(rows):
+    metric = MetricField.from_strings(rows)
+    x = tuple(F(0) for _ in rows)
+    c, _ = geodesic_chart(metric, x).frame
+    assert any(c[i][k] for k in range(len(rows)) for i in range(len(rows)) if i != k)  # pivots off the diagonal
+    _assert_ginv_matches_the_rows(metric, x)
+    _assert_ginv_matches_the_rows(metric, tuple(F(k + 1, 7) for k in range(len(rows))))
+
+
+@PROPERTY
+@given(seeds)
+def test_ginv_of_random_metrics_equals_the_rows(seed):
+    rng = random.Random(seed)
+    n = rng.choice((1, 2, 3, 4))
+    base = random_point(rng, n)
+    metric = random_metric(rng, n, base)
+    x = tuple(c + F(rng.randint(-3, 3), 4) for c in base)
+    try:
+        geodesic_chart(metric, x)
+    except GeometryError:  # singular away from the base
+        return
+    _assert_ginv_matches_the_rows(metric, x)
+
+
+# -- generators built once, handed out in fresh lists -----------------------------------
+
+@pytest.mark.parametrize("algebra", [truncated_algebra(1, 1), truncated_algebra(3, 2), laplace_algebra(4),
+                                     _isotropy_algebra((F(1), F(2), F(-1, 3)))], ids=repr)
+def test_generators_are_equal_elements_in_a_fresh_list(algebra):
+    first = algebra.generators()
+    first.append(None)
+    first[0] = None
+    again = algebra.generators()
+    assert again is not first and again == generators_from_normal_forms(algebra)
+    assert algebra.generators() is not again
+
+
+def test_generators_missing_from_json_raise_on_every_call():
+    q = quotient_algebra(2, 2, [Polynomial(2, {(1, 0): 1, (0, 1): -1})])
+    back = algebra_from_json(algebra_to_json(q))
+    for _ in range(3):
+        with pytest.raises(ValueError, match="does not record the class of generator Z2"):
+            back.generators()
+
+
+# -- order checks over multisets of factors ---------------------------------------------
+
+def _order_verdict(offsets, order, eps):
+    try:
+        _check_order(offsets, order, eps)
+    except GeometryError as exc:
+        assert str(exc) == f"point is not an order-{order} neighbor of the base"
+        return False
+    return True
+
+
+@PROPERTY
+@given(seeds)
+def test_order_check_over_multisets_equals_every_sequence(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 3)
+    algebra = rng.choice((truncated_algebra(n, rng.randint(1, 3)), laplace_algebra(n)))
+    lowest = rng.randint(1, algebra.degree_bound)  # a higher lowest degree makes neighbors likelier
+    support = [i for i, m in enumerate(algebra.basis) if sum(m) >= lowest] or [len(algebra.basis) - 1]
+    order = rng.randint(1, 2)
+    offsets = []
+    for _ in range(n):
+        coords = [F(0)] * algebra.dimension
+        for i in rng.sample(support, rng.randint(0, len(support))):
+            coords[i] = F(rng.randint(-3, 3), rng.randint(1, 3))
+        offsets.append(algebra.element(coords))
+    floats = [WeilElement(algebra, [float(c) * rng.choice((1.0, 1e-6)) for c in w.coords]) for w in offsets]
+    for elems, eps in ((offsets, None), (floats, DEFAULT_EPS), (floats, 0.0)):
+        assert _order_verdict(elems, order, eps) == check_order_all_sequences(elems, order, eps)
 
 
 # -- one jet per plane-map detector ---------------------------------------------------
