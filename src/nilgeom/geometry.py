@@ -135,25 +135,6 @@ def _congruence(g, x):
         raise GeometryError(f"metric is singular at ({', '.join(map(format_scalar, x))})") from None
 
 
-def _christoffel(dg, ginv):
-    """Gamma^i_jk = 1/2 sum_l G^il (d_k G_lj + d_j G_lk - d_l G_jk) from
-    dg[l][k][j] = d_j G_lk; each bracket is formed once per j <= k and
-    skipped when it is all zero."""
-    n = len(ginv)
-    zero = ginv[0][0] * 0
-    gamma = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    for j in range(n):
-        for k in range(j, n):
-            bracket = [(l, dg[l][k][j] + dg[l][j][k] - dg[j][k][l]) for l in range(n)]
-            bracket = [(l, b) for l, b in bracket if b != 0]
-            if not bracket:
-                continue
-            for i in range(n):
-                s = sum(ginv[i][l] * b for l, b in bracket) * Fraction(1, 2)
-                gamma[i][j][k] = gamma[i][k][j] = s
-    return gamma
-
-
 # ---------------------------------------------------------------------------
 # points near a base: tuples of Weil elements, base in the unit coordinate
 # ---------------------------------------------------------------------------
@@ -244,7 +225,7 @@ def gbar_eval(metric: MetricField, base, z, y=None, mode: str = EXACT) -> WeilEl
 # ---------------------------------------------------------------------------
 
 def christoffel(metric: MetricField, x, mode: str = EXACT):
-    """Gamma^i_{jk} at x from the classical first-derivative formula (see
+    """Gamma^i_{jk} at x, built from the chart's first-kind terms (see
     ``GeodesicChart``)."""
     return geodesic_chart(metric, x, mode).gamma
 
@@ -259,39 +240,49 @@ class GeodesicChart:
     Each upper entry of G that has variables is jetted at one universal
     first-order point x + Z, Z the generators of ``truncated_algebra(n, 1)``,
     which yields G(x) (``G0``) and its first partials; an entry without
-    variables is only evaluated, its partials one shared zero of the mode's
-    type, and a metric of constants has Gamma = 0 and no Christoffel terms
-    to list.  One ``_linalg.congruence`` yields ``frame`` = (C, d) with
-    C^T G(x) C = diag(d), the weights of ``laplace_point``.  Then
-    ``ginv`` = G(x)^-1 = C diag(1/d) C^T is accumulated column by column of
-    C, in increasing k, over the rows where column k is nonzero (n terms
-    when C = I), and ``gamma`` follows from G(x)^-1 and the partials.  A
-    transport (``push_offsets``, ``pull_offsets``) forms each pair product
-    w_j w_k that a nonzero symbol needs once and shares it among the n
-    components.  Nothing that depends on the metric or the point is cached,
-    only the shape-keyed algebra of the jets.
+    variables is only evaluated.  The Christoffel symbols are kept in one
+    form, of the first kind, Gamma_l,jk = 1/2 (d_j G_lk + d_k G_lj - d_l G_jk):
+    ``_lowered[l]`` lists (j, k, c) for j <= k in increasing order, c the
+    coefficient of w_j w_k in 1/2 Gamma_l(w, w).  Each nonzero partial
+    d_m G_ab is added into the three places where it occurs and a sum that
+    cancels is dropped, so a metric of constants lists no terms.  One
+    ``_linalg.congruence`` yields ``frame`` = (C, d) with C^T G(x) C =
+    diag(d), the weights of ``laplace_point``; ``ginv`` = G(x)^-1 =
+    C diag(1/d) C^T is accumulated column by column of C, in increasing k,
+    over the rows where column k is nonzero (n terms when C = I), and a
+    transport (``push_offsets``, ``pull_offsets``) applies it to the
+    lowered sums.  The second-kind ``gamma`` is built only when read.
+    Nothing that depends on the metric or the point is cached, only the
+    shape-keyed algebra of the jets.
     """
 
-    __slots__ = ("metric", "base", "mode", "eps", "G0", "ginv", "gamma", "frame", "_gamma_terms", "_pairs")
+    __slots__ = ("metric", "base", "mode", "eps", "G0", "ginv", "frame", "_lowered", "_pairs")
 
     def __init__(self, metric: MetricField, x, mode: str = EXACT, eps: float = DEFAULT_EPS):
         check_mode(mode)
         n = metric.n
         self.metric, self.mode, self.eps = metric, mode, eps
         self.base = x = tuple(to_scalar(c, mode) for c in x)
-        zero = 0.0 if mode == FLOAT else Fraction(0)
-        point = None  # the universal first-order point x + Z, once an entry needs it
+        point = [z + b for z, b in zip(truncated_algebra(n, 1).generators(), x)]  # x + Z
         g = [[None] * n for _ in range(n)]
-        dg = [[None] * n for _ in range(n)]  # dg[l][k][j] = d_j G_lk
-        for (i, j), e in metric._upper.items():
+        lowered = [{} for _ in range(n)]  # lowered[l][j, k], j <= k
+        for (a, b), e in metric._upper.items():
             if variables(e):
-                if point is None:
-                    point = [z + b for z, b in zip(truncated_algebra(n, 1).generators(), x)]
-                g[i][j], *dg[i][j] = _in_mode(_jet(e, point, mode), mode).coords
+                g[a][b], *partials = _in_mode(_jet(e, point, mode), mode).coords
             else:
-                g[i][j] = _jet(e, x, mode)
-                dg[i][j] = [zero] * n
-            g[j][i], dg[j][i] = g[i][j], dg[i][j]
+                g[a][b], partials = _jet(e, x, mode), ()
+            g[b][a] = g[a][b]
+            for m, p in enumerate(partials):
+                if not p:
+                    continue
+                # d_m G_ab sits at w_m w_b in component a, at w_m w_a in b and at -w_a w_b in m
+                if a == b:
+                    places = ((a, m, a, p / 2), (m, a, a, -p / 4))
+                else:
+                    places = ((a, m, b, p / 2), (b, m, a, p / 2), (m, a, b, -p / 2))
+                for l, j, k, v in places:
+                    key = (j, k) if j <= k else (k, j)
+                    lowered[l][key] = lowered[l].get(key, 0) + v
         c, d = _congruence(g, x)
         zero = d[0] - d[0]
         ginv = [[zero] * n for _ in range(n)]
@@ -301,18 +292,20 @@ class GeodesicChart:
                 for j in rows:
                     ginv[i][j] = ginv[i][j] + c[i][k] * c[j][k] / d[k]
         self.G0, self.ginv, self.frame = g, ginv, (c, d)
-        if point is None:  # every entry constant
-            zero = ginv[0][0] * 0
-            self.gamma = [[[zero] * n for _ in range(n)] for _ in range(n)]
-            self._gamma_terms, self._pairs = [[] for _ in range(n)], ()
-            return
-        self.gamma = _christoffel(dg, ginv)
-        # Gamma^i_jk = Gamma^i_kj: each pair j <= k once, counted twice when j < k
-        self._gamma_terms = [
-            [(j, k, g if j == k else 2 * g) for j, row in enumerate(plane) for k, g in enumerate(row[j:], j) if g != 0]
-            for plane in self.gamma
-        ]
-        self._pairs = sorted({(j, k) for terms in self._gamma_terms for j, k, _ in terms})
+        self._lowered = [sorted((j, k, v) for (j, k), v in terms.items() if v != 0) for terms in lowered]
+        self._pairs = sorted({(j, k) for terms in self._lowered for j, k, _ in terms})
+
+    @property
+    def gamma(self):
+        """Gamma^i_jk = sum_l G^il Gamma_l,jk, built anew on each read; a
+        symbol without a term is a zero of the mode's type."""
+        n = self.n
+        gamma = [[[0.0 if self.mode == FLOAT else Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+        for l, terms in enumerate(self._lowered):
+            for j, k, c in terms:
+                for i, row in enumerate(self.ginv):  # Gamma_l,jk is c, or 2c on the diagonal
+                    gamma[i][j][k] = gamma[i][k][j] = gamma[i][j][k] + row[l] * (c if j < k else 2 * c)
+        return gamma
 
     @property
     def n(self):
@@ -321,13 +314,13 @@ class GeodesicChart:
     # -- point transport ---------------------------------------------------
 
     def _half_gamma(self, w):
-        """1/2 Gamma(w, w), componentwise, for Weil elements or expressions;
-        only the nonzero symbols are visited, each symmetric pair once, so a
-        plane of zeros gives 0.  Each pair product w_j w_k is formed once and
-        serves every component: at most n(n+1)/2 products, each scaled and
-        summed in the order of the symbols."""
+        """1/2 Gamma(w, w), componentwise, for Weil elements or expressions:
+        each pair product w_j w_k that a lowered term needs is formed once
+        (at most n(n+1)/2), each component's terms are summed in their
+        order, and G(x)^-1 is applied once; a metric of constants gives
+        scalar zeros."""
         products = {(j, k): w[j] * w[k] for j, k in self._pairs}
-        return [sum(products[j, k] * g for j, k, g in terms) * Fraction(1, 2) for terms in self._gamma_terms]
+        return _apply(self.ginv, [sum(products[j, k] * c for j, k, c in terms) for terms in self._lowered])
 
     def push_offsets(self, zeta):
         """Chart coordinates (nilpotent) -> manifold offsets from the base."""
@@ -341,8 +334,10 @@ class GeodesicChart:
         return tuple(_in_mode(w, self.mode) for w in make_point(self.base, self.push_offsets(zeta)))
 
     def to_chart(self, point):
-        eps = self.eps if self.mode == FLOAT else None
-        return tuple(_in_mode(w, self.mode) for w in self.pull_offsets(point_offsets(point, self.base, eps)))
+        offsets = point_offsets(point, self.base, self.eps if self.mode == FLOAT else None)
+        for w in offsets:  # float mode: refuse an exact coordinate beyond the float range; check, not convert
+            _in_mode(w, self.mode)
+        return tuple(_in_mode(w, self.mode) for w in self.pull_offsets(offsets))
 
 
 def _apply(m, v):
@@ -594,7 +589,10 @@ def preserves_affine_combinations(
     per unit of g(x, z)/n = d_1 Q, as in an orthonormal chart, before the
     float tolerance applies.  f(x) is the unit coordinate of the jet f(z);
     each scaled point takes a jet of its own, so this check stays
-    independent of ``laplacian``."""
+    independent of ``laplacian``.  In float mode eps = 0 means exact float
+    equality: a scale that is not dyadic (1/3, 1/5, 3/7) can then answer
+    False for a harmonic f, since s f(x) + (1-s) f(x) need not round back
+    to f(x); the default scales are dyadic."""
     f = _as_scalar_model(f, metric.n)
     expr = f.components[0]
     chart, gens, d1 = _universal_point(metric, x, mode, eps)

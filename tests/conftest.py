@@ -619,9 +619,19 @@ def push_offsets_all_terms(chart, zeta):
 # -- the chart's products formed where they are used: the references for the shared ones --
 
 def half_gamma_per_term(chart, w):
-    """1/2 Gamma(w, w) over the chart's paired symbols, each pair product
-    w_j w_k formed anew for every symbol that uses it."""
-    return [sum(w[j] * w[k] * g for j, k, g in terms) * Fraction(1, 2) for terms in chart._gamma_terms]
+    """1/2 Gamma(w, w) over the chart's first-kind terms, each pair product
+    w_j w_k formed anew for every term that uses it, then G(x)^-1 applied
+    as the chart applies it."""
+    return _apply(chart.ginv, [sum(w[j] * w[k] * c for j, k, c in terms) for terms in chart._lowered])
+
+
+def half_gamma_dense_first_kind(chart, w):
+    """1/2 Gamma(w, w) as dense first-kind sums, every pair j <= k with the
+    chart's coefficient or 0, times the dense G(x)^-1."""
+    n = chart.n
+    coeffs = [{(j, k): c for j, k, c in terms} for terms in chart._lowered]
+    lowered = [sum(w[j] * w[k] * coeff.get((j, k), 0) for j in range(n) for k in range(j, n)) for coeff in coeffs]
+    return apply_dense(chart.ginv, lowered)
 
 
 def push_offsets_per_term(chart, zeta):

@@ -346,6 +346,18 @@ def test_float_constant_beyond_the_float_range_exits_2(capsys, argv, message):
     assert err == f"error: {message} lies outside the float range\n"
 
 
+@pytest.mark.parametrize("point", ["1,0", "2,0"])
+@pytest.mark.parametrize("rows", [POLAR_DOC["G"], [["1+x2^2", "x1"], ["x1", "2+x1*x2"]]], ids=["polar", "curved"])
+def test_exact_z_beyond_the_float_range_exits_2_on_a_curved_metric(capsys, tmp_path, rows, point):
+    # refused before the transport, where it would meet the float correction
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps({"n": 2, "G": rows}))
+    code, out, err = run(capsys, "--mode", "float", "check", "l-neighbor", "--metric", str(path),
+                         "--point", point, "--z", "d1*10^400,d2")
+    assert (code, out) == (2, "")
+    assert err == "error: an exact coordinate lies outside the float range\n"
+
+
 def test_float_overflow_inside_the_arithmetic_still_exits_3(capsys):
     code, out, err = run(capsys, "--mode", "float", "laplacian", "--fn", "exp(1000*x1)", "--point", "1,0")
     assert (code, out) == (3, "")

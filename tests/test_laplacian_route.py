@@ -17,19 +17,24 @@ from hypothesis import strategies as st
 from nilgeom import _linalg
 from nilgeom.expr import Const, Var, parse_expr, polynomial_to_expr
 from nilgeom.geometry import (
+    GeodesicChart,
     GeometryError,
     MetricField,
     christoffel,
     geodesic_chart,
+    is_laplace_neighbor,
     laplacian,
+    make_point,
     preserves_affine_combinations,
 )
 from nilgeom.scalars import EXACT, FLOAT
-from nilgeom.weil import Polynomial, all_monomials
+from nilgeom.weil import Polynomial, all_monomials, laplace_algebra, truncated_algebra
 from conftest import (
     christoffel_by_loop,
+    half_gamma_all_terms,
     laplacian_by_mirror_average,
     laplacian_by_trace,
+    push_offsets_all_terms,
     random_metric,
     random_point,
     random_poly_expr,
@@ -155,6 +160,82 @@ def test_christoffel_flat_is_zero_and_matches_loop():
     gamma = christoffel(flat, x)
     assert gamma == christoffel_by_loop(flat, x)
     assert all(isinstance(v, Fraction) and v == 0 for plane in gamma for row in plane for v in row)
+
+
+# -- one form of the Christoffel symbols: first kind, read off the partials -------------
+
+@st.composite
+def chart_problems(draw):
+    """A ``curved_metrics`` metric (indefinite ones included) or a
+    ``random_metric`` one (G = I at its base), at a point where it is
+    nonsingular."""
+    if draw(st.booleans()):
+        return draw(curved_metrics())
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    n = rng.choice((1, 2, 3, 4))
+    base = random_point(rng, n)
+    metric = random_metric(rng, n, base)
+    x = tuple(c + F(rng.randint(-2, 2), 5) for c in base)
+    try:
+        metric.matrix_at(x)
+    except GeometryError:  # singular away from the base
+        assume(False)
+    return metric, x
+
+
+@given(chart_problems())
+@PROPERTY
+def test_first_kind_transport_equals_the_second_kind_route(problem):
+    metric, x = problem
+    n = metric.n
+    chart = geodesic_chart(metric, x)
+    assert christoffel(metric, x) == chart.gamma == christoffel_by_loop(metric, x)
+    gens = truncated_algebra(n, 2).generators()
+    zeta = [gens[i] * F(i + 1, 2) + gens[(i + 1) % n] * gens[i] for i in range(n)]
+    pushed = chart.push_offsets(zeta)
+    assert pushed == push_offsets_all_terms(chart, zeta)
+    want = tuple(a + c for a, c in zip(pushed, half_gamma_all_terms(chart, pushed)))
+    assert chart.pull_offsets(pushed) == want
+    assert chart.to_chart(make_point(chart.base, pushed)) == want
+    assert all(c != 0 for terms in chart._lowered for _, _, c in terms)
+
+
+@pytest.mark.parametrize("rows", [[["2", "1/3"], ["1/3", "5"]], [["0", "1"], ["1", "0"]], [["1"]]])
+def test_constant_metric_lists_no_terms_and_no_pairs(rows):
+    metric = MetricField.from_strings(rows)
+    n = metric.n
+    zeta = truncated_algebra(n, 2).generators()
+    for mode, x in ((EXACT, (F(1, 2),) * n), (FLOAT, (0.5,) * n)):
+        chart = geodesic_chart(metric, x, mode)
+        assert chart._lowered == [[]] * n and chart._pairs == []
+        assert chart.push_offsets(zeta) == tuple(zeta) == chart.pull_offsets(zeta)
+
+
+def test_cancelling_contributions_list_no_zero_coefficient():
+    # G_12 = 3 x2: d_2 G_12 enters Gamma_2,12 twice, with opposite signs,
+    # and leaves only Gamma_1,22 = 3
+    metric = MetricField.from_strings([["1", "3*x2"], ["3*x2", "1"]])
+    for mode, x, c in ((EXACT, (F(1, 2), F(0)), F(3, 2)), (FLOAT, (0.5, 0.0), 1.5)):
+        chart = geodesic_chart(metric, x, mode)
+        assert chart._lowered == [[(1, 1, c)], []] and chart._pairs == [(1, 1)]
+    assert christoffel(metric, (F(1, 2), F(0))) == christoffel_by_loop(metric, (F(1, 2), F(0)))
+
+
+def test_laplacian_and_detectors_never_build_the_second_kind_symbols(monkeypatch):
+    reads = []
+    gamma = GeodesicChart.gamma
+    monkeypatch.setattr(GeodesicChart, "gamma", property(lambda chart: reads.append(chart) or gamma.fget(chart)))
+    curved = MetricField.from_strings([["1+x2^2", "x1"], ["x1", "2+x1*x2"]])
+    f = parse_expr("x1^2*x2 + x2^3")
+    for metric in (curved, HYPERBOLIC, MetricField.from_strings([["x2", "1+x1"], ["1+x1", "x2"]])):
+        for mode, x in ((EXACT, (F(1, 2), F(1, 3))), (FLOAT, (0.5, 0.25))):
+            laplacian(metric, f, x, mode=mode)
+            preserves_affine_combinations(metric, f, x, mode=mode)
+            z = make_point(x, laplace_algebra(2).generators())
+            is_laplace_neighbor(metric, x, z, mode=mode)
+    assert reads == []
+    christoffel(curved, (F(1, 2), F(1, 3)))
+    assert len(reads) == 1
 
 
 def test_hyperbolic_metric_both_modes():

@@ -46,6 +46,7 @@ from conftest import (
     cr_check_by_laplacians,
     generators_from_normal_forms,
     ginv_by_rows,
+    half_gamma_all_terms,
     half_gamma_per_term,
     invert,
     preserves_laplace_neighbors_by_jacobian,
@@ -184,14 +185,20 @@ def _bits(w):
 
 
 def test_transport_forms_each_pair_product_once(monkeypatch):
-    curved = MetricField.from_strings([["1+x1^2", "x3", "x2"], ["x3", "1+x2^2", "x1"], ["x2", "x1", "1+x3^2"]])
+    # the diagonal's linear terms keep more first-kind terms than pairs: the
+    # off-diagonal partials alone leave one term per pair, the rest cancel
+    curved = MetricField.from_strings(
+        [["1+x1^2+x2", "x3", "x2"], ["x3", "1+x2^2+x3", "x1"], ["x2", "x1", "1+x3^2+x1"]]
+    )
     x = (F(1, 2), F(1, 3), F(1, 5))
     zeta = truncated_algebra(3, 2).generators()
     for mode in (EXACT, FLOAT):
         chart = geodesic_chart(curved, x, mode)
         assert all(any(g != 0 for row in plane for g in row) for plane in chart.gamma)
-        assert sum(len(terms) for terms in chart._gamma_terms) > 6  # more symbols than pairs
+        assert sum(len(terms) for terms in chart._lowered) > 6  # more symbols than pairs
         want = push_offsets_per_term(chart, zeta)
+        if mode == EXACT:
+            assert want == push_offsets_all_terms(chart, zeta)  # the second-kind route
         products = []
         mul = WeilElement.__mul__
 
@@ -220,6 +227,9 @@ def test_shared_pair_products_equal_the_per_term_products_bitwise(seed):
     for mode, point in ((EXACT, x), (FLOAT, tuple(map(float, x)))):
         chart = geodesic_chart(metric, point, mode)
         pulled = [a + c for a, c in zip(zeta, half_gamma_per_term(chart, zeta))]
+        if mode == EXACT:  # the second-kind route
+            assert push_offsets_per_term(chart, zeta) == push_offsets_all_terms(chart, zeta)
+            assert pulled == [a + c for a, c in zip(zeta, half_gamma_all_terms(chart, zeta))]
         for got, want in ((chart.push_offsets(zeta), push_offsets_per_term(chart, zeta)),
                           (chart.pull_offsets(zeta), pulled)):
             assert [_bits(w) for w in got] == [_bits(w) for w in want]

@@ -24,6 +24,7 @@ from conftest import (
     add_scalar_dense,
     apply_dense,
     half_gamma_all_terms,
+    half_gamma_dense_first_kind,
     mul_scalar_dense,
     nilpotent_part_dense,
     random_metric,
@@ -157,18 +158,20 @@ def test_apply_equals_the_dense_sum():
             assert [format_expr(e) for e in _apply(m, exprs)] == [format_expr(e) for e in apply_dense(m, exprs)]
 
 
-def _push_dense(chart, zeta):
+def _push_dense(chart, zeta, half_gamma):
     az = apply_dense(_linalg.identity(chart.n), zeta)
-    return tuple(a - c for a, c in zip(az, half_gamma_all_terms(chart, az)))
+    return tuple(a - c for a, c in zip(az, half_gamma(chart, az)))
 
 
-def _pull_dense(chart, w):
-    return apply_dense(_linalg.identity(chart.n), [a + c for a, c in zip(w, half_gamma_all_terms(chart, w))])
+def _pull_dense(chart, w, half_gamma):
+    return apply_dense(_linalg.identity(chart.n), [a + c for a, c in zip(w, half_gamma(chart, w))])
 
 
 def test_chart_transport_equals_the_dense_route():
     """Transport through the sparse matrix product and the nonzero
-    Christoffel symbols equals the full product and correction."""
+    first-kind terms equals the dense first-kind sums times the dense
+    G(x)^-1, in both modes, and in exact mode the correction read off the
+    full second-kind Christoffel array."""
     rng = random.Random(21)
     for n in (1, 2, 3):
         algebra = truncated_algebra(n, 2)
@@ -190,16 +193,22 @@ def test_chart_transport_equals_the_dense_route():
             for chart in charts:
                 exact = chart.mode == "exact"
                 eps = None if exact else chart.eps
-                _same_vectors(chart.push_offsets(zeta), _push_dense(chart, zeta), exact)
                 w = chart.push_offsets(zeta)
-                _same_vectors(chart.pull_offsets(w), _pull_dense(chart, w), exact)
                 # exact offsets, alone and beside a float one, as a caller may pass them;
-                # a float chart returns float coordinates
-                for offsets in (w, zeta, tuple(zeta[:-1]) + (zeta[-1] * 0.5,)):
-                    point = make_point(chart.base, offsets)
-                    got = chart.to_chart(point)
-                    _same_vectors(got, _pull_dense(chart, point_offsets(point, chart.base, eps)), exact)
-                    assert exact or all(isinstance(c, float) for v in got for c in v.coords)
+                # a float chart returns float coordinates.  The second-kind route groups
+                # the sums otherwise, so it is compared where every value is exact
+                mixed = tuple(zeta[:-1]) + (zeta[-1] * 0.5,)
+                routes = [(half_gamma_dense_first_kind, (w, zeta, mixed))]
+                if exact:
+                    routes.append((half_gamma_all_terms, (w, zeta)))
+                for half_gamma, pulled in routes:
+                    _same_vectors(chart.push_offsets(zeta), _push_dense(chart, zeta, half_gamma), exact)
+                    _same_vectors(chart.pull_offsets(w), _pull_dense(chart, w, half_gamma), exact)
+                    for offsets in pulled:
+                        point = make_point(chart.base, offsets)
+                        got = chart.to_chart(point)
+                        _same_vectors(got, _pull_dense(chart, point_offsets(point, chart.base, eps), half_gamma), exact)
+                        assert exact or all(isinstance(c, float) for v in got for c in v.coords)
 
 
 def test_laplace_relations_survive_pickling():
