@@ -197,13 +197,15 @@ def subcoalgebra_generated(d: Distribution) -> Subcoalgebra:
 # the dual Weil algebra
 # ---------------------------------------------------------------------------
 
-def dual_algebra(c: Subcoalgebra, degree_bound: int | None = None) -> WeilAlgebra:
+def dual_algebra(c: Subcoalgebra) -> WeilAlgebra:
     """Quotient of the polynomial ring by the annihilator of the subcoalgebra.
 
     The pairing of d^alpha with x^beta is alpha! when alpha = beta and 0
-    otherwise.  With the basis in reduced echelon form (b_k with lead
-    monomial lead_k), the annihilator in degrees <= degree_bound is spanned
-    by one relation per non-lead monomial m:
+    otherwise.  The degree bound is one past the basis's top degree: every
+    monomial beyond that degree annihilates c, so a larger bound would
+    present the same basis and table.  With the basis in reduced echelon
+    form (b_k with lead monomial lead_k), the annihilator in degrees <= the
+    bound is spanned by one relation per non-lead monomial m:
     x^m - sum over k of b_k[m] * m!/lead_k! * x^lead_k.
     These relations are linearly independent, so their span has
     codimension dim c.  When c is closed under comultiplication its
@@ -217,25 +219,21 @@ def dual_algebra(c: Subcoalgebra, degree_bound: int | None = None) -> WeilAlgebr
     generator and requires the product, truncated at the bound, to reduce
     to zero; a basis without the counit (evaluation at 0) would put 1 in
     the annihilator.  Both raise ValueError, as does a linearly dependent
-    basis, which leaves the quotient too large.
+    basis, whose quotient would have fewer dimensions than it lists.
     """
     if not c.basis:
         raise ValueError(
             "the zero subcoalgebra is annihilated by 1; its dual is not a Weil algebra"
         )
-    max_deg = max(b.degree() for b in c.basis)
-    if degree_bound is None:
-        degree_bound = max_deg + 1
-    if degree_bound < max_deg + 1:
-        raise ValueError(
-            f"degree bound {degree_bound} cannot present the dual algebra; need >= {max_deg + 1}"
-        )
+    degree_bound = max(b.degree() for b in c.basis) + 1
     _check_dimension(c.n, degree_bound)
     pivots = _reduce_rows([b.terms for b in c.basis])
     if unit_monomial(c.n) not in pivots:
         raise ValueError(
             "the basis does not span the counit, so 1 annihilates it; its dual is not a Weil algebra"
         )
+    if len(pivots) != c.dimension:
+        raise ValueError(f"the basis spans {len(pivots)} dimensions, not {c.dimension}: it is linearly dependent")
     monomials = all_monomials(c.n, degree_bound)
     relations = []
     for m in monomials:
@@ -249,12 +247,6 @@ def dual_algebra(c: Subcoalgebra, degree_bound: int | None = None) -> WeilAlgebr
                 terms[lead] = -coeff * weight / _factorial(lead)
         relations.append(Polynomial(c.n, terms))
     kernel = _reduce_rows([r.terms for r in relations])
-    dimension = len(monomials) - len(kernel)
-    if dimension != c.dimension:
-        raise ValueError(
-            f"dual algebra came out {dimension}-dimensional, expected {c.dimension};"
-            " inconsistent degree bound"
-        )
     _check_ideal(kernel, c.n, degree_bound)
     return _presentation(c.n, degree_bound, kernel, relations)
 

@@ -52,7 +52,6 @@ from .weil import (
     _satisfies_isotropy,
     laplace_algebra,
     satisfies_laplace_relations,
-    tensor_algebra,
     truncated_algebra,
 )
 
@@ -198,26 +197,20 @@ def _square(d, upper):
 
 def gbar_eval(metric: MetricField, base, z, y=None, mode: str = EXACT) -> WeilElement:
     """The symmetric extension of g to third-order neighbor pairs:
-    (z-y)^T (G(p) + 1/2 D_{z-y}G(p)) (z-y) with p = base + y.
+    1/2 (g(base+y, base+z) + g(base+z, base+y)), y omitted meaning the base.
 
-    One jet of G at y + e (z-y) in the ambient algebra tensored with a
-    square-zero e gives G(p) + e D_{z-y}G(p); the sum is formed there and
-    its e-part is halved on the way back to the ambient algebra."""
+    z - y must be a third-order pair (its fourfold products vanish; float
+    mode reads them against ``DEFAULT_EPS``), else GeometryError.  Then
+    this is (z-y)^T (G(p) + 1/2 D_{z-y}G(p)) (z-y) with p = base + y, since
+    G(p + d) = G(p) + D_dG(p) + terms with two factors of d = z - y, which
+    the two outer factors of d raise to four."""
     z = tuple(z)
     algebra = z[0].algebra
     if algebra.degree_bound < 3:
         raise GeometryError("extended square distance needs an ambient algebra of order >= 3")
     y = tuple(y) if y is not None else tuple(algebra.zero() for _ in z)
-    d = tuple(zz - yy for zz, yy in zip(z, y))
-    line = truncated_algebra(1, 1)
-    pair, embed, embed_e = tensor_algebra(algebra, line)
-    e = embed_e(line.generators()[0])
-    dd = [embed(w) for w in d]
-    offsets = [embed(w) + v * e for w, v in zip(y, dd)]
-    total = _square(dd, {ij: jet_eval(e, base, offsets, mode) for ij, e in metric._upper.items()})
-    index = {m: i for i, m in enumerate(algebra.basis)}  # each product monomial is m e^0 or m e^1
-    back = [algebra.basis_element(index[m[:-1]]) * (Fraction(1, 2) if m[-1] else 1) for m in pair.basis]
-    return _in_mode(sum((v * c for v, c in zip(back, total.coords) if c != 0), start=algebra.zero()), mode)
+    _check_order([zz - yy for zz, yy in zip(z, y)], 3, DEFAULT_EPS if mode == FLOAT else None)
+    return (g_eval(metric, base, z, y, mode) + g_eval(metric, base, y, z, mode)) * Fraction(1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -572,27 +565,19 @@ def is_harmonic_at(metric: MetricField, f, x, mode: str = EXACT, eps: float = DE
     return scalars_equal(lap, 0, eps if mode == FLOAT else None)
 
 
-DEFAULT_SCALES = (Fraction(-1), Fraction(2), Fraction(1, 2))
+AFFINE_SCALES = (Fraction(-1), Fraction(2), Fraction(1, 2))
 
 
-def preserves_affine_combinations(
-    metric: MetricField,
-    f,
-    x,
-    scales=DEFAULT_SCALES,
-    mode: str = EXACT,
-    eps: float = DEFAULT_EPS,
-) -> bool:
+def preserves_affine_combinations(metric: MetricField, f, x, mode: str = EXACT, eps: float = DEFAULT_EPS) -> bool:
     """Whether f(s*x + (1-s)*z) = s*f(x) + (1-s)*f(z) at the universal
-    isotropic point (the one ``laplacian`` averages over), for each sampled
-    scale.  Equivalent to harmonicity.  The residue's Q coordinate is read
-    per unit of g(x, z)/n = d_1 Q, as in an orthonormal chart, before the
-    float tolerance applies.  f(x) is the unit coordinate of the jet f(z);
-    each scaled point takes a jet of its own, so this check stays
-    independent of ``laplacian``.  In float mode eps = 0 means exact float
-    equality: a scale that is not dyadic (1/3, 1/5, 3/7) can then answer
-    False for a harmonic f, since s f(x) + (1-s) f(x) need not round back
-    to f(x); the default scales are dyadic."""
+    isotropic point (the one ``laplacian`` averages over), for each s in
+    ``AFFINE_SCALES``.  Equivalent to harmonicity.  The residue's Q
+    coordinate is read per unit of g(x, z)/n = d_1 Q, as in an orthonormal
+    chart, before the float tolerance applies.  f(x) is the unit coordinate
+    of the jet f(z); each scaled point takes a jet of its own, so this check
+    stays independent of ``laplacian``.  In float mode eps = 0 means exact
+    float equality; the scales are dyadic, so the residue's unit
+    coordinate f(x) - (1-s) f(x) - s f(x) comes out an exact zero."""
     f = _as_scalar_model(f, metric.n)
     expr = f.components[0]
     chart, gens, d1 = _universal_point(metric, x, mode, eps)
@@ -600,7 +585,7 @@ def preserves_affine_combinations(
     tol = eps if mode == FLOAT else None
     f_z = jet_eval(expr, x, chart.push_offsets(gens), mode)
     f_x = f_z.coords[0]
-    for s in scales:
+    for s in AFFINE_SCALES:
         s = to_scalar(s, mode)
         scaled = tuple(g * (1 - s) for g in gens)
         lhs = jet_eval(expr, x, chart.push_offsets(scaled), mode)
@@ -630,8 +615,13 @@ def conformal_check(
     mode: str = EXACT,
     eps: float = DEFAULT_EPS,
 ) -> ConformalReport:
-    """Test whether the pullback of the target metric along df_x is a single
-    positive multiple of the source metric at x."""
+    """Test whether the pullback m = J^T H(f(x)) J of the target metric
+    along df_x is a single positive multiple of the source metric g at x.
+
+    Both modes take the least-squares k = sum m_ij g_ij / sum g_ij^2 over
+    the upper triangle and require the residual max |m_ij - k g_ij| to
+    vanish (within ``eps`` in float mode) and k > 0.  When m is a multiple
+    of g, k is that multiple exactly."""
     check_mode(mode)
     if f.n_in != f.n_out:
         raise ValueError("conformality needs a map between spaces of one dimension")
@@ -647,23 +637,13 @@ def conformal_check(
     m = _linalg.mat_mul(_linalg.transpose(jac), _linalg.mat_mul(h, jac))
     n = g_src.n
     pairs = [(m[i][j], g[i][j]) for i in range(n) for j in range(i, n)]
-    if mode == EXACT:
-        k = None
-        for mv, gv in pairs:
-            if gv != 0:
-                k = mv / gv
-                break
-        if k is None:
-            raise GeometryError("source metric vanishes identically at the point")
-        ok = all(mv == k * gv for mv, gv in pairs) and k > 0
-        return ConformalReport(ok, k if ok else None, ok and k == 1, EXACT, None)
     denom = sum(gv * gv for _, gv in pairs)
     if denom == 0:
         raise GeometryError("source metric vanishes identically at the point")
     k = sum(mv * gv for mv, gv in pairs) / denom
-    residual = max(abs(mv - k * gv) for mv, gv in pairs)
-    ok = residual <= eps and k > 0
-    return ConformalReport(ok, k if ok else None, ok and abs(k - 1) <= eps, FLOAT, eps)
+    tol = eps if mode == FLOAT else None
+    ok = scalars_equal(max(abs(mv - k * gv) for mv, gv in pairs), 0, tol) and k > 0
+    return ConformalReport(ok, k if ok else None, ok and scalars_equal(k, 1, tol), mode, tol)
 
 
 def _flat_laplace_jets(f: FunctionModel, x, mode):

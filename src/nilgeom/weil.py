@@ -596,7 +596,9 @@ class WeilElement:
         )
 
     def __hash__(self):
-        return hash((self.algebra, self.coords))
+        # an element with zero nilpotent part equals its unit coordinate as a scalar
+        coords = self.coords
+        return hash((self.algebra, coords) if any(coords[1:]) else coords[0])
 
     def is_zero(self, eps=None):
         if eps is None:

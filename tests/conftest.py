@@ -35,18 +35,20 @@ from nilgeom.expr import (
     taylor_coefficients,
 )
 from nilgeom.geometry import (
+    ConformalReport,
     CRReport,
     GeometryError,
     MetricField,
     _apply,
     _as_scalar_model,
     _check_order,
+    _square,
     _universal_point,
     geodesic_chart,
     is_harmonic_at,
 )
 from nilgeom.scalars import DEFAULT_EPS, EXACT, FLOAT, scalars_equal, to_scalar
-from nilgeom.weil import laplace_algebra, truncated_algebra
+from nilgeom.weil import _in_mode, laplace_algebra, tensor_algebra, truncated_algebra
 from nilgeom.weil import Polynomial, WeilElement, _reduce_rows, all_monomials, mono_key, quotient_algebra, satisfies_laplace_relations
 from nilgeom.weil import _homogeneous
 
@@ -396,11 +398,10 @@ def subcoalgebra_by_solve(d):
     return Subcoalgebra(d.n, tuple(basis), tuple(comult_rows))
 
 
-def dual_algebra_by_nullspace(c, degree_bound=None):
+def dual_algebra_by_nullspace(c):
     """``dual_algebra`` with the annihilator taken as the dense kernel of the
     pairing matrix b_k(m) * m!."""
-    if degree_bound is None:
-        degree_bound = max((b.degree() for b in c.basis), default=0) + 1
+    degree_bound = max((b.degree() for b in c.basis), default=0) + 1
     monos = all_monomials(c.n, degree_bound)
     matrix = [[b.terms.get(m, Fraction(0)) * _factorial(m) for m in monos] for b in c.basis]
     relations = [
@@ -540,6 +541,28 @@ def gbar_eval_by_diff(metric, base, z, y=None, mode=EXACT):
     return total
 
 
+def gbar_eval_by_tensor(metric, base, z, y=None, mode=EXACT):
+    """``gbar_eval`` from one jet of G at y + e (z-y), in the ambient algebra
+    tensored with a square-zero e: G(p) + e D_{z-y}G(p), p = base + y.  The
+    sum is formed there and its e-part is halved on the way back to the
+    ambient algebra.  Checks only the ambient order, not the pair's."""
+    z = tuple(z)
+    algebra = z[0].algebra
+    if algebra.degree_bound < 3:
+        raise GeometryError("extended square distance needs an ambient algebra of order >= 3")
+    y = tuple(y) if y is not None else tuple(algebra.zero() for _ in z)
+    d = tuple(zz - yy for zz, yy in zip(z, y))
+    line = truncated_algebra(1, 1)
+    pair, embed, embed_e = tensor_algebra(algebra, line)
+    e = embed_e(line.generators()[0])
+    dd = [embed(w) for w in d]
+    offsets = [embed(w) + v * e for w, v in zip(y, dd)]
+    total = _square(dd, {ij: jet_eval(g, base, offsets, mode) for ij, g in metric._upper.items()})
+    index = {m: i for i, m in enumerate(algebra.basis)}  # each product monomial is m e^0 or m e^1
+    back = [algebra.basis_element(index[m[:-1]]) * (Fraction(1, 2) if m[-1] else 1) for m in pair.basis]
+    return _in_mode(sum((v * c for v, c in zip(back, total.coords) if c != 0), start=algebra.zero()), mode)
+
+
 def is_laplace_neighbor_by_normal_chart(metric, x, z, eps=DEFAULT_EPS):
     """Float isotropy test in an orthonormal chart: coordinates A^-1 zeta,
     A = C diag(d)^-1/2 from the congruence C^T G(x) C = diag(d), so that
@@ -555,6 +578,25 @@ def is_laplace_neighbor_by_normal_chart(metric, x, z, eps=DEFAULT_EPS):
     eta = [sum((w * a for a, w in zip(row, zeta)), start=zero) for row in a_inv]
     _check_order(eta, 2, eps)
     return satisfies_laplace_relations(eta, eps)
+
+
+def conformal_check_by_ratio(f, g_src, g_dst, x):
+    """Exact ``conformal_check`` with k the first nonzero ratio m_ij / g_ij
+    over the upper triangle, and every pair then tested against it."""
+    x = tuple(to_scalar(c) for c in x)
+    jac = f.jacobian(x, EXACT)
+    if _linalg.det(jac) == 0:
+        raise GeometryError("map is singular at the base point")
+    h = g_dst.matrix_at(f.evaluate(x, EXACT))
+    g = g_src.matrix_at(x)
+    m = _linalg.mat_mul(_linalg.transpose(jac), _linalg.mat_mul(h, jac))
+    n = g_src.n
+    pairs = [(m[i][j], g[i][j]) for i in range(n) for j in range(i, n)]
+    k = next((mv / gv for mv, gv in pairs if gv != 0), None)
+    if k is None:
+        raise GeometryError("source metric vanishes identically at the point")
+    ok = all(mv == k * gv for mv, gv in pairs) and k > 0
+    return ConformalReport(ok, k if ok else None, ok and k == 1, EXACT, None)
 
 
 # -- plane-map detectors through separate jets: the reference for the one-jet detectors --

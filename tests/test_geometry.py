@@ -4,13 +4,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from nilgeom.expr import (
     Const,
     Var,
+    format_expr,
     jet_eval,
     parse_expr,
     parse_function,
+    polynomial_to_expr,
 )
 from nilgeom import geometry
 from nilgeom.geometry import (
@@ -41,9 +45,10 @@ from nilgeom.geometry import (
     preserves_laplace_neighbors,
     scalar_component,
 )
-from nilgeom.weil import laplace_algebra, satisfies_laplace_relations, tensor_algebra, truncated_algebra
+from nilgeom.weil import Polynomial, laplace_algebra, satisfies_laplace_relations, tensor_algebra, truncated_algebra
 from conftest import (
     compose,
+    conformal_check_by_ratio,
     diff,
     forward_model,
     inverse_model,
@@ -132,6 +137,12 @@ def test_gbar_requires_third_order_ambient():
     alg = truncated_algebra(2, 2)
     with pytest.raises(GeometryError):
         gbar_eval(FLAT2, ORIGIN2, alg.generators())
+
+
+def test_gbar_refuses_a_pair_that_is_not_third_order():
+    # the generators of a bound-4 algebra have nonzero fourfold products
+    with pytest.raises(GeometryError, match="order-3 neighbor"):
+        gbar_eval(FLAT2, ORIGIN2, truncated_algebra(2, 4).generators())
 
 
 def test_gbar_first_to_second_order_in_geodesic_coordinates():
@@ -747,6 +758,60 @@ def test_conformal_on_first_order_pairs():
     lhs = g_eval(FLAT2, fx, w2, y=w1)
     rhs = g_eval(FLAT2, x, y2, y=y1) * report.factor
     assert lhs == rhs
+
+
+def _complex_power_parts(k):
+    """Real and imaginary parts of (x1 + i x2)^k as polynomials."""
+    x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    re, im = Polynomial.constant(2, 1), Polynomial.constant(2, 0)
+    for _ in range(k):
+        re, im = re * x1 - im * x2, re * x2 + im * x1
+    return re, im
+
+
+@st.composite
+def conformal_cases(draw):
+    """A plane map, source and target metrics and a point, all seeded: a
+    (anti)holomorphic polynomial on the flat plane, conformal wherever its
+    derivative is nonzero; the identity into c times a curved metric,
+    conformal with factor c when c > 0; or a random quadratic map between a
+    curved metric and the flat or polar plane, rarely conformal."""
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    x = random_point(rng, 2)
+    kind = draw(st.sampled_from(("holomorphic", "antiholomorphic", "scaled", "random")))
+    if kind == "scaled":
+        metric = random_metric(rng, 2, x)
+        c = Const(F(rng.choice((-2, -1, 1, 2, 3)), rng.randint(1, 3)))
+        scaled = MetricField(2, [[c * metric.entry(i, j) for j in range(2)] for i in range(2)])
+        return parse_function("x1, x2", n=2), metric, scaled, x
+    if kind == "random":
+        texts = [format_expr(random_poly_expr(rng, 2, 2, 3)) for _ in range(2)]
+        return parse_function(", ".join(texts), n=2), random_metric(rng, 2, x), rng.choice((FLAT2, POLAR)), x
+    u, v = Polynomial.constant(2, 0), Polynomial.constant(2, 0)
+    for k in range(rng.randint(1, 3) + 1):
+        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
+        re, im = _complex_power_parts(k)
+        u, v = u + re * a - im * b, v + re * b + im * a
+    if kind == "antiholomorphic":
+        v = -v
+    texts = [format_expr(polynomial_to_expr(p)) for p in (u, v)]
+    return parse_function(", ".join(texts), n=2), FLAT2, FLAT2, x
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except GeometryError as exc:
+        return str(exc)
+
+
+@given(conformal_cases())
+@settings(max_examples=120, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+def test_exact_conformal_check_equals_the_first_ratio_route(case):
+    got = _outcome(conformal_check, *case)
+    assert got == _outcome(conformal_check_by_ratio, *case)
+    if not isinstance(got, str) and got.conformal:
+        assert isinstance(got.factor, Fraction)
 
 
 def test_isotropy_preservation_examples():

@@ -8,6 +8,7 @@ solves) and the extended square distance from symbolic partials.
 """
 
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -25,8 +26,15 @@ from nilgeom.geometry import (
     laplace_point,
     laplacian,
 )
-from nilgeom.weil import Polynomial, _isotropy_algebra, all_monomials, truncated_algebra
-from conftest import gbar_eval_by_diff, is_laplace_neighbor_by_normal_chart, laplacian_by_trace
+from nilgeom.weil import Polynomial, _isotropy_algebra, all_monomials, tensor_algebra, truncated_algebra
+from conftest import (
+    gbar_eval_by_diff,
+    gbar_eval_by_tensor,
+    is_laplace_neighbor_by_normal_chart,
+    laplacian_by_trace,
+    random_metric,
+    random_point,
+)
 from test_laplacian_route import PROPERTY, curved_metrics
 
 F = Fraction
@@ -233,3 +241,33 @@ def test_gbar_from_one_jet_equals_symbolic_partials(case):
     metric, x, y, z = case
     assert gbar_eval(metric, x, z, y=y) == gbar_eval_by_diff(metric, x, z, y=y)
     assert gbar_eval(metric, x, z) == gbar_eval_by_diff(metric, x, z)
+
+
+@st.composite
+def tensor_pairs(draw):
+    """A seeded ``random_metric`` and a third-order pair: y from the order-a
+    factor and z from both factors of the bound-3 tensor product of
+    truncated algebras of orders (a, b) = (1, 2) or (2, 1); y may be
+    omitted (the base)."""
+    rng = random.Random(draw(st.integers(0, 2 ** 16)))
+    n = draw(st.integers(1, 3))
+    x = random_point(rng, n)
+    metric = random_metric(rng, n, x)
+    a, b = (truncated_algebra(n, k) for k in draw(st.sampled_from(((1, 2), (2, 1)))))
+    _, left, right = tensor_algebra(a, b)
+
+    def nilpotent(algebra):
+        return algebra.element([F(0)] + [F(rng.randint(-2, 2)) * (rng.random() < 0.6) for _ in algebra.basis[1:]])
+
+    y = tuple(left(nilpotent(a)) for _ in range(n)) if draw(st.booleans()) else None
+    z = tuple(right(nilpotent(b)) + left(nilpotent(a)) for _ in range(n))
+    return metric, x, z, y
+
+
+@given(tensor_pairs())
+@settings(PROPERTY, max_examples=25)
+def test_gbar_as_symmetrised_g_equals_the_tensor_and_diff_routes(case):
+    metric, x, z, y = case
+    got = gbar_eval(metric, x, z, y=y)
+    assert got == gbar_eval_by_tensor(metric, x, z, y=y)
+    assert got == gbar_eval_by_diff(metric, x, z, y=y)

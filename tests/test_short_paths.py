@@ -69,6 +69,39 @@ def elements(draw):
     return algebra.element(coords)
 
 
+UNIT_VALUES = (0, 1, -1, 3, F(1, 2), F(-3, 4))
+
+
+def _forms(v):
+    """The value v as a Fraction, a float and (when whole) an int, and as
+    an exact and a float element with zero nilpotent part in each algebra."""
+    out = [F(v), float(v)] + ([int(v)] if F(v).denominator == 1 else [])
+    for algebra in ALGEBRAS:
+        out += [algebra.scalar(F(v)), algebra.element([float(v)] + [0.0] * (algebra.dimension - 1))]
+    return out
+
+
+operands = st.one_of(elements(), scalars, st.sampled_from(UNIT_VALUES).map(_forms).flatmap(st.sampled_from))
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two scalars or elements; half the time two forms of one value."""
+    if draw(st.booleans()):
+        forms = _forms(draw(st.sampled_from(UNIT_VALUES)))
+        return draw(st.sampled_from(forms)), draw(st.sampled_from(forms))
+    return draw(operands), draw(operands)
+
+
+@PROPERTY
+@given(operand_pairs())
+def test_equal_operands_hash_equal(pair):
+    a, b = pair
+    if a == b:
+        assert hash(a) == hash(b), (a, b)
+    assert len({a, b}) == (1 if a == b else 2)
+
+
 def _is_exact(value):
     return not isinstance(value, float)
 

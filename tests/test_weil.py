@@ -384,7 +384,7 @@ def test_tensor_of_deserialized_factors(algebra):
     assert [g.coords for g in c.generators()] == [g.coords for g in oc.generators()]
     for x, y in zip(back.generators(), algebra.generators()):
         assert embed(x) * embed_line(line.generators()[0]) == oracle(y) * oracle_line(line.generators()[0])
-    if algebra.degree_bound >= 3:  # gbar_eval tensors its ambient algebra with a square-zero line
+    if algebra.degree_bound >= 3:  # gbar_eval needs an ambient algebra of order >= 3
         polar = MetricField.from_strings([["1", "0"], ["0", "x1^2"]])
         base = (Fraction(1), Fraction(0))
         assert gbar_eval(polar, base, back.generators()) == gbar_eval(polar, base, algebra.generators())
@@ -392,7 +392,7 @@ def test_tensor_of_deserialized_factors(algebra):
 
 def test_gbar_eval_on_a_deserialized_ambient_without_generator_classes():
     # JSON keeps no normal forms, so the loaded algebra cannot name the class of Z2 (= Z1 here);
-    # the map back from the product needs only its basis
+    # gbar_eval needs only its basis and table
     x1, x2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
     algebra = quotient_algebra(2, 3, [x1 - x2])
     back = algebra_from_json(json.loads(json.dumps(algebra_to_json(algebra))))
