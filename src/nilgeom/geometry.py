@@ -18,13 +18,11 @@ are intrinsic, the same in every geodesic chart, so this one serves them
 all.  A neighbor is isotropic exactly when its chart coordinates satisfy
 zeta_i zeta_j = lam (G(x)^-1)_ij for one lam, a test with no square root,
 so exact mode decides it on every nondegenerate metric.  The universal
-isotropic point has chart coordinates C Z, with Z generating a weighted
-laplace_algebra (the plain one where G(x) = I), and averaging a function
-over it and its mirror image yields the Laplacian with no integration and
-no divergence/gradient detour.  One jet; the mirror image is the
-automorphism Z -> -Z, so the average is read off the Q coordinate of the
-single jet of f at the universal point.
-"""
+isotropic point has chart coordinates C Z, Z generating a weighted
+laplace_algebra (the plain one where G(x) = I), and a closed-form image
+on the manifold.  Averaging a function over it and its mirror image, the
+automorphism Z -> -Z, yields the Laplacian with no integration and no
+divergence/gradient detour: the Q coordinate of one jet of f there."""
 
 from __future__ import annotations
 
@@ -70,7 +68,7 @@ class MetricField:
     stored.  Mirrored entries must print alike (``format_expr``), so that
     an asymmetric matrix is rejected rather than read by its upper half."""
 
-    __slots__ = ("n", "_upper")
+    __slots__ = ("n", "_upper", "_variables")
 
     def __init__(self, n: int, entries):
         self.n = n
@@ -78,11 +76,12 @@ class MetricField:
             raise ValueError("metric matrix must be n x n")
         if not all(isinstance(e, Expr) for row in entries for e in row):
             raise TypeError("metric entries must be expressions")
-        self._upper = {}
+        self._upper, self._variables = {}, {}  # each upper entry, and the variables it uses
         for i in range(n):
             for j in range(i, n):
                 e = entries[i][j]
-                bad = [v for v in variables(e) if v >= n]
+                self._variables[(i, j)] = used = variables(e)
+                bad = [v for v in used if v >= n]
                 if bad:
                     raise ValueError(f"metric entry uses x{bad[0] + 1} beyond dimension {n}")
                 if i < j and format_expr(e) != format_expr(entries[j][i]):
@@ -230,8 +229,8 @@ class GeodesicChart:
     images, affine combinations and geodesic prolongations become plain
     coordinate algebra.
 
-    Each upper entry of G that has variables is jetted at one universal
-    first-order point x + Z, Z the generators of ``truncated_algebra(n, 1)``,
+    Each upper entry of G that has variables (``MetricField`` records them)
+    is jetted at x + Z, Z the generators of ``truncated_algebra(n, 1)``,
     which yields G(x) (``G0``) and its first partials; an entry without
     variables is only evaluated.  The Christoffel symbols are kept in one
     form, of the first kind, Gamma_l,jk = 1/2 (d_j G_lk + d_k G_lj - d_l G_jk):
@@ -242,12 +241,13 @@ class GeodesicChart:
     ``_linalg.congruence`` yields ``frame`` = (C, d) with C^T G(x) C =
     diag(d), the weights of ``laplace_point``; ``ginv`` = G(x)^-1 =
     C diag(1/d) C^T is accumulated column by column of C, in increasing k,
-    over the rows where column k is nonzero (n terms when C = I), and a
-    transport (``push_offsets``, ``pull_offsets``) applies it to the
-    lowered sums.  The second-kind ``gamma`` is built only when read.
-    Nothing that depends on the metric or the point is cached, only the
-    shape-keyed algebra of the jets.
-    """
+    over the rows where column k is nonzero (n terms when C = I).  The
+    transport of a general point (``push_offsets``, ``pull_offsets``)
+    applies it to the lowered sums (``_half_gamma``); that of the universal
+    isotropic point is push(s C Z) = s C Z - s^2 d_1 b Q in closed form
+    (``laplace_offsets``), b^i = 1/2 G^jk Gamma^i_jk.  The second-kind
+    ``gamma`` is built only when read.  Nothing that depends on the metric
+    or the point is cached, only the shape-keyed algebra of the jets."""
 
     __slots__ = ("metric", "base", "mode", "eps", "G0", "ginv", "frame", "_lowered", "_pairs")
 
@@ -260,7 +260,7 @@ class GeodesicChart:
         g = [[None] * n for _ in range(n)]
         lowered = [{} for _ in range(n)]  # lowered[l][j, k], j <= k
         for (a, b), e in metric._upper.items():
-            if variables(e):
+            if metric._variables[a, b]:
                 g[a][b], *partials = _in_mode(_jet(e, point, mode), mode).coords
             else:
                 g[a][b], partials = _jet(e, x, mode), ()
@@ -322,6 +322,24 @@ class GeodesicChart:
     def pull_offsets(self, w):
         """Manifold offsets from the base -> chart coordinates."""
         return tuple(a + c for a, c in zip(w, self._half_gamma(w)))
+
+    def laplace_offsets(self, scales=(1,)):
+        """push(s C Z) = (0, s C_i1 .. s C_in, -s^2 d_1 b_i) for each s in
+        ``scales`` (C Z: ``laplace_point``), with no Weil product; a zero Q
+        coordinate is +0.  d_1 b is formed once from d_1 G^jk, summed over a
+        of C_ja C_ka d_1/d_a as zeta_j zeta_k sums it: ``push_offsets``'s bits."""
+        c, d = self.frame
+        weights = [Fraction(d[0]) / Fraction(v) for v in d]
+        w = [to_scalar(v, self.mode) for v in weights]
+        squares = {(j, k): sum(p * q * v for p, q, v in zip(c[j], c[k], w) if p and q) for j, k in self._pairs}
+        h = _apply(self.ginv, [sum(squares[j, k] * v for j, k, v in terms) for terms in self._lowered])
+        algebra, zero = _isotropy_algebra(weights), Fraction(0)
+        out = []
+        for s in scales:
+            rows = c if s == 1 else [[v * s if v else v for v in row] for row in c]
+            out.append(tuple(WeilElement(algebra, (zero, *row, -(s * s) * hi if hi else zero))
+                             for row, hi in zip(rows, h)))
+        return out
 
     def from_chart(self, zeta):
         return tuple(_in_mode(w, self.mode) for w in make_point(self.base, self.push_offsets(zeta)))
@@ -445,21 +463,13 @@ def orthogonal_projection(chart: GeodesicChart, z, t: TangentVector):
 
 def laplace_point(chart: GeodesicChart):
     """The universal isotropic second-order neighbor of the chart base, on
-    any chart of any nondegenerate metric.
-
-    Its chart coordinates are C Z, where C^T G(x) C = diag(d) is the
-    chart's ``frame`` and the Z_i generate Z_i^2 = (d_1/d_i) Q, Z_i Z_j = 0,
-    so that g(x, z) = sum d_i Z_i^2 = n d_1 Q sees no direction.  Where
-    G(x) = I, C = I, d = 1 and the Z_i generate ``laplace_algebra(n)``.
-    An identity verified on this single point holds for every isotropic
-    neighbor.
-    """
-    return chart.from_chart(_weighted_point(*chart.frame))
-
-
-def _weighted_point(c, d):
-    """Chart coordinates C Z of the universal isotropic point of diag(d)."""
-    return _apply(c, _isotropy_algebra([Fraction(d[0]) / Fraction(v) for v in d]).generators())
+    any nondegenerate metric: chart coordinates C Z (``frame`` = (C, d)),
+    with Z_i^2 = (d_1/d_i) Q and Z_i Z_j = 0, so that g(x, z) = n d_1 Q sees
+    no direction, pushed in closed form to x + C Z - d_1 b Q, b = 1/2
+    Gamma-bar (``GeodesicChart.laplace_offsets``).  An identity verified on
+    this single point holds for every isotropic neighbor."""
+    (offsets,) = chart.laplace_offsets()
+    return tuple(_in_mode(w, chart.mode) for w in make_point(chart.base, offsets))
 
 
 def is_laplace_neighbor(metric: MetricField, x, z, mode: str = EXACT, eps: float = DEFAULT_EPS) -> bool:
@@ -501,35 +511,24 @@ def _as_scalar_model(f, n):
     raise TypeError("expected an expression or function model")
 
 
-def _universal_point(metric, x, mode, eps):
-    """The plain geodesic chart at x, the chart coordinates of its universal
-    isotropic point (see ``laplace_point``) and d_1, for any mode and any
-    nondegenerate (also indefinite) G."""
-    chart = geodesic_chart(metric, x, mode=mode, eps=eps)
-    return chart, _weighted_point(*chart.frame), chart.frame[1][0]
-
-
 def laplacian(metric: MetricField, f, x, mode: str = EXACT, eps: float = DEFAULT_EPS) -> Scalar:
     """The Laplacian at x by the mirror-image average.
 
-    Evaluate f at the universal isotropic point z and at its mirror image,
-    form f(z) + f(z') - 2 f(x); only the isotropic square-class coordinate
-    survives, and dividing by the matching coordinate of g(x, z) = n d_1 Q
-    gives the eigenvalue L.  The result is n * L.
-
-    One jet suffices: the mirror image is the automorphism Z -> -Z, Q -> Q
-    of the isotropy algebra, with which the chart map and the jet commute,
-    so f(z') is f(z) with its Z coordinates negated and the average is
-    2 q Q, q the Q coordinate of f(z).
-
-    Both modes take this one route, with no square root, on any
-    nondegenerate metric (see ``_universal_point``); an indefinite one gives
-    the wave operator.
+    Evaluate f at the universal isotropic point z = x + C Z - d_1 b Q
+    (``laplace_point``) and at its mirror image, form f(z) + f(z') - 2 f(x);
+    only the isotropic square-class coordinate survives, and dividing by
+    the matching coordinate of g(x, z) = n d_1 Q gives the eigenvalue L.
+    The result is n * L.  One jet, the only Weil arithmetic, suffices: the
+    mirror image is the automorphism Z -> -Z, Q -> Q, with which the chart
+    map and the jet commute, so the average is 2 q Q, q the Q coordinate
+    of f(z).  Both modes take this one route, with no square root, on any
+    nondegenerate metric; an indefinite one gives the wave operator.
     """
     f = _as_scalar_model(f, metric.n)
-    chart, gens, d1 = _universal_point(metric, x, mode, eps)
-    f_z = jet_eval(f.components[0], chart.base, chart.push_offsets(gens), mode)
-    return 2 * f_z.coords[metric.n + 1] / d1
+    chart = geodesic_chart(metric, x, mode=mode, eps=eps)
+    (offsets,) = chart.laplace_offsets()
+    f_z = jet_eval(f.components[0], chart.base, offsets, mode)
+    return 2 * f_z.coords[metric.n + 1] / chart.frame[1][0]
 
 
 def laplace_taylor(metric: MetricField, f, x, offsets, mode: str = EXACT) -> WeilElement:
@@ -571,24 +570,25 @@ AFFINE_SCALES = (Fraction(-1), Fraction(2), Fraction(1, 2))
 def preserves_affine_combinations(metric: MetricField, f, x, mode: str = EXACT, eps: float = DEFAULT_EPS) -> bool:
     """Whether f(s*x + (1-s)*z) = s*f(x) + (1-s)*f(z) at the universal
     isotropic point (the one ``laplacian`` averages over), for each s in
-    ``AFFINE_SCALES``.  Equivalent to harmonicity.  The residue's Q
-    coordinate is read per unit of g(x, z)/n = d_1 Q, as in an orthonormal
-    chart, before the float tolerance applies.  f(x) is the unit coordinate
-    of the jet f(z); each scaled point takes a jet of its own, so this check
-    stays independent of ``laplacian``.  In float mode eps = 0 means exact
-    float equality; the scales are dyadic, so the residue's unit
-    coordinate f(x) - (1-s) f(x) - s f(x) comes out an exact zero."""
-    f = _as_scalar_model(f, metric.n)
-    expr = f.components[0]
-    chart, gens, d1 = _universal_point(metric, x, mode, eps)
-    x = chart.base
+    ``AFFINE_SCALES``.  Equivalent to harmonicity.  z and s*x + (1-s)*z
+    are x + t C Z - t^2 d_1 b Q, t = 1 and 1 - s, from one
+    ``GeodesicChart.laplace_offsets`` call.  The residue's Q coordinate is
+    read per unit of g(x, z)/n = d_1 Q, as in an orthonormal chart, before
+    the float tolerance applies.  f(x) is the unit coordinate of the jet
+    f(z); each scaled point takes a jet of its own, so this check stays
+    independent of ``laplacian``.  In float mode eps = 0 means exact float
+    equality; the scales are dyadic, so the residue's unit coordinate
+    f(x) - (1-s) f(x) - s f(x) is an exact 0."""
+    expr = _as_scalar_model(f, metric.n).components[0]
+    chart = geodesic_chart(metric, x, mode=mode, eps=eps)
+    x, d1 = chart.base, chart.frame[1][0]
     tol = eps if mode == FLOAT else None
-    f_z = jet_eval(expr, x, chart.push_offsets(gens), mode)
+    scales = [to_scalar(s, mode) for s in AFFINE_SCALES]
+    unit, *scaled = chart.laplace_offsets((1, *(1 - s for s in scales)))
+    f_z = jet_eval(expr, x, unit, mode)
     f_x = f_z.coords[0]
-    for s in AFFINE_SCALES:
-        s = to_scalar(s, mode)
-        scaled = tuple(g * (1 - s) for g in gens)
-        lhs = jet_eval(expr, x, chart.push_offsets(scaled), mode)
+    for s, offsets in zip(scales, scaled):
+        lhs = jet_eval(expr, x, offsets, mode)
         *low, q = (lhs - f_z * (1 - s) - f_x * s).coords
         if not all(scalars_equal(c, 0, tol) for c in (*low, q / d1)):
             return False

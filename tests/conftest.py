@@ -43,12 +43,11 @@ from nilgeom.geometry import (
     _as_scalar_model,
     _check_order,
     _square,
-    _universal_point,
     geodesic_chart,
     is_harmonic_at,
 )
 from nilgeom.scalars import DEFAULT_EPS, EXACT, FLOAT, scalars_equal, to_scalar
-from nilgeom.weil import _in_mode, laplace_algebra, tensor_algebra, truncated_algebra
+from nilgeom.weil import _in_mode, _isotropy_algebra, laplace_algebra, tensor_algebra, truncated_algebra
 from nilgeom.weil import Polynomial, WeilElement, _reduce_rows, all_monomials, mono_key, quotient_algebra, satisfies_laplace_relations
 from nilgeom.weil import _homogeneous
 
@@ -494,18 +493,36 @@ def inverse_model(chart):
     return FunctionModel(chart.n, chart.n, chart.pull_offsets(offsets))
 
 
+def _weighted_point(c, d):
+    """Chart coordinates C Z of the universal isotropic point of diag(d),
+    by Weil products: the route ``GeodesicChart.laplace_offsets`` replaced."""
+    return _apply(c, _isotropy_algebra([Fraction(d[0]) / Fraction(v) for v in d]).generators())
+
+
+def _universal_point(metric, x, mode, eps):
+    """The plain geodesic chart at x, the chart coordinates of its universal
+    isotropic point (see ``laplace_point``) and d_1, for any mode and any
+    nondegenerate (also indefinite) G."""
+    chart = geodesic_chart(metric, x, mode=mode, eps=eps)
+    return chart, _weighted_point(*chart.frame), chart.frame[1][0]
+
+
 def laplacian_by_mirror_average(metric, f, x, mode=EXACT, eps=DEFAULT_EPS):
     """``laplacian`` as the paper defines it: f at the universal isotropic
     point z and at its mirror image z', f(x) evaluated on its own, and
     f(z) + f(z') - 2 f(x) checked to have nothing but a Q coordinate, which
-    over d_1 is the result."""
+    over d_1 is the result.  z and z' = -z are pushed by the closed form
+    that ``laplacian`` uses (``GeodesicChart.laplace_offsets``): the subject
+    here is the mirror; the transport is checked against
+    ``_universal_point``."""
     f = _as_scalar_model(f, metric.n)
-    chart, gens, d1 = _universal_point(metric, x, mode, eps)
-    x = chart.base
+    chart = geodesic_chart(metric, x, mode=mode, eps=eps)
+    x, d1 = chart.base, chart.frame[1][0]
     n = metric.n
     expr = f.components[0]
-    f_z = jet_eval(expr, x, chart.push_offsets(gens), mode)
-    f_mirror = jet_eval(expr, x, chart.push_offsets(tuple(-g for g in gens)), mode)
+    z, z_mirror = chart.laplace_offsets((1, -1))
+    f_z = jet_eval(expr, x, z, mode)
+    f_mirror = jet_eval(expr, x, z_mirror, mode)
     combined = f_z + f_mirror - evaluate_by_tree(expr, x, mode) * 2
     tol = eps if mode == FLOAT else None
     for c in combined.coords[: n + 1]:

@@ -15,8 +15,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from nilgeom import _linalg
-from nilgeom.expr import Const, Var, parse_expr, polynomial_to_expr
+from nilgeom.expr import Const, Var, jet_eval, parse_expr, polynomial_to_expr
 from nilgeom.geometry import (
+    AFFINE_SCALES,
     GeodesicChart,
     GeometryError,
     MetricField,
@@ -27,9 +28,10 @@ from nilgeom.geometry import (
     make_point,
     preserves_affine_combinations,
 )
-from nilgeom.scalars import EXACT, FLOAT
+from nilgeom.scalars import DEFAULT_EPS, EXACT, FLOAT
 from nilgeom.weil import Polynomial, all_monomials, laplace_algebra, truncated_algebra
 from conftest import (
+    _universal_point,
     christoffel_by_loop,
     half_gamma_all_terms,
     laplacian_by_mirror_average,
@@ -265,8 +267,9 @@ def test_float_tiny_pivot_keeps_precision():
 # -- one jet: the mirror image is the automorphism Z -> -Z --------------------------------
 
 def _assert_one_jet_equals_mirror_average(metric, f, x, mode):
-    # negation is exact and rounding is sign-symmetric, so the float values
-    # agree bit for bit, the sign of a zero included
+    # the oracle's z' is z with its Z coordinates negated, which is exact, and
+    # rounding is sign-symmetric, so the float values agree bit for bit, the
+    # sign of a zero included
     if mode == FLOAT:
         x = tuple(map(float, x))
     try:
@@ -350,3 +353,78 @@ def test_float_affine_detector_ignores_the_scale_of_g11():
     assert laplacian(big, h, (F(0), F(0))) == 0
     assert preserves_affine_combinations(big, h, (0.0, 0.0), mode="float") is True
 
+
+
+# -- the universal point in closed form: push(s C Z) = s C Z - s^2 d_1 b Q ----------------
+
+CLOSED_FORM_SCALES = (1, *(1 - s for s in AFFINE_SCALES))
+
+
+@st.composite
+def transport_problems(draw):
+    metric, x = draw(chart_problems())
+    return metric, x, _polynomial(draw, metric.n)
+
+
+@given(transport_problems(), st.sampled_from((EXACT, FLOAT)))
+@PROPERTY
+def test_closed_form_offsets_equal_the_weil_route(problem, mode):
+    # exact mode: equal Fractions; float mode: equal bits, so the float
+    # Laplacian is the one the Weil route gives, no farther from the exact one
+    metric, x, f = problem
+    if mode == FLOAT:
+        x = tuple(map(float, x))
+    try:
+        chart, gens, d1 = _universal_point(metric, x, mode, DEFAULT_EPS)
+    except GeometryError:
+        assume(False)
+    got = chart.laplace_offsets(CLOSED_FORM_SCALES)
+    want = [chart.push_offsets([g * s for g in gens]) for s in CLOSED_FORM_SCALES]
+    if mode == EXACT:
+        assert got == want
+        assert all(isinstance(c, Fraction) for offsets in got for w in offsets for c in w.coords)
+        return
+    for got_offsets, want_offsets in zip(got, want):
+        for a, b in zip(got_offsets, want_offsets):
+            assert [float(c).hex() for c in a.coords] == [float(c).hex() for c in b.coords]
+    weil = 2 * jet_eval(f, chart.base, want[0], FLOAT).coords[metric.n + 1] / d1
+    assert laplacian(metric, f, x, mode=FLOAT).hex() == weil.hex()
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+@PROPERTY
+def test_q_coordinate_is_the_classical_formula(seed, n):
+    # 2 q / d_1 = G^ij d_ij f - Gamma-bar^k d_k f, Gamma-bar^k = G^ij Gamma^k_ij
+    rng = random.Random(seed)
+    base = random_point(rng, n)
+    metric = random_metric(rng, n, base)
+    x = tuple(c + F(rng.randint(-2, 2), 5) for c in base)
+    f = random_poly_expr(rng, n, 3)
+    try:
+        chart = geodesic_chart(metric, x)
+    except GeometryError:
+        assume(False)
+    (offsets,) = chart.laplace_offsets()
+    q = jet_eval(f, chart.base, offsets).coords[n + 1]
+    algebra = truncated_algebra(n, 2)
+    jet = dict(zip(algebra.basis, jet_eval(f, x, algebra.generators()).coords))
+    unit = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    partial = [jet[u] for u in unit]
+    hessian = [[jet[tuple(a + b for a, b in zip(unit[i], unit[j]))] * (2 if i == j else 1) for j in range(n)]
+               for i in range(n)]
+    ginv, gamma = chart.ginv, chart.gamma
+    pairs = list(itertools.product(range(n), repeat=2))
+    gamma_bar = [sum(ginv[i][j] * gamma[k][i][j] for i, j in pairs) for k in range(n)]
+    classical = sum(ginv[i][j] * hessian[i][j] for i, j in pairs) - sum(g * p for g, p in zip(gamma_bar, partial))
+    assert 2 * q / chart.frame[1][0] == classical
+
+
+@pytest.mark.parametrize("rows, f", [
+    ([["2", "1"], ["1", "3"]], "x1 - 2*x2"),  # no Christoffel terms: b = 0
+    ([["1 + x2", "0"], ["0", "1"]], "x1"),  # b_1 = 0, b_2 != 0
+])
+def test_float_laplacian_of_a_harmonic_linear_function_is_a_positive_zero(rows, f):
+    # a zero Q coordinate of an offset is +0.0, never the -0.0 of -(d_1 * 0.0)
+    metric = MetricField.from_strings(rows)
+    value = laplacian(metric, parse_expr(f), (0.5, 0.25), mode=FLOAT)
+    assert value.hex() == "0x0.0p+0"
