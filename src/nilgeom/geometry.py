@@ -329,9 +329,8 @@ class GeodesicChart:
         coordinate is +0.  d_1 b is formed once from d_1 G^jk, summed over a
         of C_ja C_ka d_1/d_a as zeta_j zeta_k sums it: ``push_offsets``'s bits."""
         c, d = self.frame
-        weights = [Fraction(d[0]) / Fraction(v) for v in d]
-        w = [to_scalar(v, self.mode) for v in weights]
-        squares = {(j, k): sum(p * q * v for p, q, v in zip(c[j], c[k], w) if p and q) for j, k in self._pairs}
+        weights = [d[0] / v for v in d]  # in the mode's scalars; a float quotient is correctly rounded
+        squares = {(j, k): sum(p * q * v for p, q, v in zip(c[j], c[k], weights) if p and q) for j, k in self._pairs}
         h = _apply(self.ginv, [sum(squares[j, k] * v for j, k, v in terms) for terms in self._lowered])
         algebra, zero = _isotropy_algebra(weights), Fraction(0)
         out = []

@@ -26,18 +26,23 @@ polynomials each time they are read, keeping none.  Both algebras depend
 only on their arguments, so ``truncated_algebra`` and ``laplace_algebra``
 return the algebra they built last time for the same arguments: each
 checks them, then looks in a cache of the last 16, which retains about
-30 kB at the sizes the geometry uses (n <= 6) and at most about 250 MB at
+50 kB at the sizes the geometry uses (n <= 6) and at most about 130 MB at
 ``MAX_DIMENSION`` (see there).  Equal algebras are then mostly one object,
 and ``==`` tests identity first.
 
-Element arithmetic is coordinate vectors times structure constants, with
-one path for every scalar (``int``, ``Fraction`` or ``float``): a scalar
-added or subtracted changes coordinate 0 only, multiplying by one touches
-only the nonzero coordinates, ``w + 0`` and ``w * 1`` return ``w`` itself,
-and products skip zero coordinates and vanishing table entries.  A float
-element may therefore hold exact zeros, and a float zero either sign;
-``_in_mode`` makes every coordinate of a float-mode result a float where it
-leaves the library.
+Structure constants are held in the scalars the product uses: a constant
+1 is the int 1, and every table shares one entry ((k, 1),) per basis
+index; another integral constant is an int; a float-mode weighted
+isotropy algebra holds its float weights.  Element arithmetic is
+coordinate vectors times these constants, with one path for every scalar
+(``int``, ``Fraction`` or ``float``): a scalar added or subtracted changes
+coordinate 0 only, multiplying by one touches only the nonzero
+coordinates, ``w + 0`` and ``w * 1`` return ``w`` itself, and products
+skip zero coordinates and vanishing table entries and add a * b itself
+where the constant is 1.  A float element may therefore hold exact zeros,
+and a float zero either sign; ``_in_mode`` makes every coordinate of a
+float-mode result a float where it leaves the library.  Every coordinate
+the library writes in exact mode is a ``Fraction``, never an int.
 
 Everything is immutable after construction and safe to share.
 """
@@ -95,14 +100,51 @@ algebra builds in 0.6-1.2 s and the Laplace algebra in about 0.3 s
 
 ``truncated_algebra`` and ``laplace_algebra`` each keep the last
 ``_CACHE_SIZE`` = 16 algebras they built, keyed by their arguments.  One
-algebra at the cap retains up to 11.7 MB (``truncated_algebra(1, 499)``;
-``truncated_algebra(2, 30)`` 5.6 MB, ``laplace_algebra(498)`` 4.1 MB, by
-tracemalloc), so the two caches hold at most about 16 x 11.7 MB + 16 x
-4.1 MB, 250 MB; at the sizes the geometry uses (n <= 6) about 30 kB.
-Reading ``relations`` of a Laplace algebra builds its n^2 relation
-polynomials, n^3 exponents, afresh; the algebra does not keep them."""
+algebra at the cap retains up to about 4.1 MB, by tracemalloc: the table's
+row lists (2 MB at dimension 500) and the basis monomials, whose length
+is n, while the table entries of constant 1 are the shared ``_UNITS``
+(56 kB, held once).  ``truncated_algebra(498, 1)`` and
+``laplace_algebra(498)`` retain 4.1 MB each, ``truncated_algebra(1, 499)``
+2.1 MB and ``truncated_algebra(2, 30)`` 2.1 MB (11.6 and 5.6 MB while each
+entry held its own ``Fraction(1)``).  So the two caches hold at most
+about 16 x 4.1 MB + 16 x 4.1 MB, 130 MB; ``truncated_algebra(n, 1)``,
+``truncated_algebra(n, 2)`` and ``laplace_algebra(n)`` for n <= 6, the
+sizes the geometry uses, hold about 50 kB together.  Reading
+``relations`` of a Laplace algebra builds its n^2 relation polynomials,
+n^3 exponents, afresh; the algebra does not keep them."""
 
 _CACHE_SIZE = 16
+
+_ZERO = Fraction(0)  # an untouched coordinate of a product
+
+_UNITS = tuple(((k, 1),) for k in range(MAX_DIMENSION))
+"""The table entry ((k, 1),) of each basis index k below ``MAX_DIMENSION``,
+one tuple shared by every table."""
+
+
+def _constant(c):
+    """A structure constant in the scalars the product uses: a constant
+    equal to 1, of any type, is the int 1, so the product adds a * b itself;
+    another integral ``Fraction`` is an int; the rest (a non-integral
+    ``Fraction``, a float weight of a float-mode chart) stay as they are."""
+    if c == 1:
+        return 1
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
+
+
+def _unit(k):
+    """The table entry ((k, 1),), shared below ``MAX_DIMENSION``."""
+    return _UNITS[k] if 0 <= k < MAX_DIMENSION else ((k, 1),)
+
+
+def _entry(terms):
+    """A table entry, the tuple of (basis index, constant) pairs of
+    ``terms`` with each constant passed through ``_constant``; a lone
+    constant 1 is the ``_unit`` of its index."""
+    entry = tuple((k, _constant(c)) for k, c in terms)
+    return _unit(entry[0][0]) if len(entry) == 1 and entry[0][1] == 1 else entry
 
 
 def _check_dimension(n: int, degree: int) -> None:
@@ -298,7 +340,11 @@ class WeilAlgebra:
     called on each read and its result not kept.  The table is built from
     the normal forms unless one is given (rows of tuples of (basis index,
     coefficient) pairs), and the normal forms then serve only
-    ``generators``.  Tables are checked where they come from outside:
+    ``generators``.  Constructors write their constants through ``_entry``
+    and ``_unit``: a constant 1 is the int 1, an entry that is one basis
+    element is the shared ``_unit(k)``, other integral constants are
+    ints, and ``generators`` turns them into ``Fraction``s.  Tables are
+    checked where they come from outside:
     ``algebra_from_json`` checks shape, symmetry, the unit row,
     associativity and nilpotency, while the library's own truncated,
     quotient, weighted and tensor tables are associative and nilpotent by
@@ -330,7 +376,7 @@ class WeilAlgebra:
             return ()
         if m in self._nf:
             return self._nf[m]
-        return ((self._index[m], Fraction(1)),)
+        return _unit(self._index[m])
 
     def _build_table(self):
         dim = len(self.basis)
@@ -455,8 +501,8 @@ class WeilAlgebra:
                         f"serialized algebra does not record the class of generator Z{i + 1}"
                     ) from None
                 coords = [Fraction(0)] * self.dimension
-                for k, c in entries:
-                    coords[k] = c
+                for k, c in entries:  # an int constant becomes a Fraction, as in a product
+                    coords[k] = Fraction(c) if isinstance(c, int) else c
                 gens.append(self.element(coords))
             self._gens = tuple(gens)
         return list(self._gens)
@@ -499,8 +545,12 @@ class WeilElement:
     by it touches only the nonzero coordinates, and ``w + 0``, ``w - 0`` and
     ``w * 1`` return ``w`` itself (elements are immutable).  Products of two
     elements skip zero coordinates on both sides and table entries that
-    vanish.  A coordinate no operation touched keeps its type, so float
-    mode fixes its results with ``_in_mode``.
+    vanish, add a * b itself where the constant is 1, and write the first
+    term t of an output coordinate as ``Fraction(0) + t`` leaves it (a
+    ``Fraction`` as it is, a float as t + 0.0, so -0.0 becomes +0.0, an
+    int as a ``Fraction``); a coordinate no term reaches is ``Fraction(0)``.
+    A coordinate no operation touched keeps its type, so float mode fixes
+    its results with ``_in_mode``.
     """
 
     __slots__ = ("algebra", "coords")
@@ -555,9 +605,8 @@ class WeilElement:
         other = self._match(other)
         if other is NotImplemented:
             return NotImplemented
-        dim = self.algebra.dimension
         table = self.algebra._table
-        out = [Fraction(0)] * dim
+        out = [_ZERO] * self.algebra.dimension
         right = [(j, b) for j, b in enumerate(other.coords) if b]
         for i, a in enumerate(self.coords):
             if not a:
@@ -569,7 +618,17 @@ class WeilElement:
                     continue
                 ab = a * b
                 for k, c in entry:
-                    out[k] = out[k] + ab * c
+                    t = ab if c == 1 else ab * c
+                    o = out[k]
+                    if o is not _ZERO:
+                        out[k] = o + t
+                    # the first term, as Fraction(0) + t leaves it
+                    elif t.__class__ is Fraction:
+                        out[k] = t
+                    elif t.__class__ is float:
+                        out[k] = t + 0.0  # -0.0 becomes +0.0
+                    else:
+                        out[k] = Fraction(t)
         return WeilElement(self.algebra, out)
 
     __rmul__ = __mul__
@@ -676,7 +735,7 @@ def laplace_algebra(n: int) -> WeilAlgebra:
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _laplace(n):
-    return _weighted_algebra((Fraction(1),) * n)
+    return _weighted_algebra((1,) * n)
 
 
 def _isotropy_algebra(weights) -> WeilAlgebra:
@@ -701,9 +760,9 @@ def _weighted_algebra(weights) -> WeilAlgebra:
     dim = n + 2
     table = [[()] * dim for _ in range(dim)]
     for k in range(dim):
-        table[0][k] = table[k][0] = ((k, Fraction(1)),)
+        table[0][k] = table[k][0] = _unit(k)
     for i, w in enumerate(weights, start=1):
-        table[i][i] = ((n + 1, w),)
+        table[i][i] = _entry(((n + 1, w),))
     return WeilAlgebra(n, 2, basis, {}, functools.partial(_isotropy_relations, tuple(weights)), table=table)
 
 
@@ -712,7 +771,7 @@ def _isotropy_relations(weights):
     n = len(weights)
     gens = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     q_mono = mono_mul(gens[0], gens[0])
-    return [Polynomial(n, {q_mono: weights[i], mono_mul(gens[i], gens[i]): -1}) for i in range(1, n)] + [
+    return [Polynomial(n, {q_mono: Fraction(weights[i]), mono_mul(gens[i], gens[i]): -1}) for i in range(1, n)] + [
         Polynomial(n, {mono_mul(g1, g2): 1}) for g1, g2 in itertools.combinations(gens, 2)
     ]
 
@@ -761,7 +820,7 @@ def _presentation(n, degree_bound, pivots, relations) -> WeilAlgebra:
     index = {m: i for i, m in enumerate(basis)}
     nf = {}
     for lead, row in pivots.items():
-        nf[lead] = tuple(
+        nf[lead] = _entry(
             (index[m], -c) for m, c in sorted(row.items(), key=lambda kv: mono_key(kv[0]))
             if m != lead
         )
@@ -790,14 +849,14 @@ def tensor_algebra(a: WeilAlgebra, b: WeilAlgebra):
         for s in range(r, dim):
             j, l = pairs[s]
             entry = sorted((index[p, q], x * y) for p, x in a._table[i][j] for q, y in b._table[k][l])
-            table[r][s] = table[s][r] = tuple((t, v) for t, v in entry if v)
+            table[r][s] = table[s][r] = _entry((t, v) for t, v in entry if v)
     place_a = [index[i, 0] for i in range(a.dimension)]
     place_b = [index[0, k] for k in range(b.dimension)]
     nf = {}  # the class of each generator, where its factor records one
     for g in _homogeneous(a.n + b.n, 1):
         factor, place, m = (a, place_a, g[:a.n]) if any(g[:a.n]) else (b, place_b, g[a.n:])
         try:
-            nf[g] = tuple((place[i], v) for i, v in factor._reduce_monomial(m))
+            nf[g] = _entry((place[i], v) for i, v in factor._reduce_monomial(m))
         except KeyError:  # a deserialized factor without normal forms
             pass
     basis = [a.basis[i] + b.basis[k] for i, k in pairs]
@@ -887,7 +946,7 @@ def algebra_from_json(doc: dict) -> WeilAlgebra:
     if any(len(m) != n for m in basis):
         raise ValueError(f"serialized basis monomials must have {n} exponents")
     table = [
-        [tuple((int(k), parse_rational(c)) for c, k in entry) for entry in row]
+        [_entry((int(k), parse_rational(c)) for c, k in entry) for entry in row]
         for row in doc["table"]
     ]
     algebra = WeilAlgebra(n, bound, basis, {}, (), table=table)

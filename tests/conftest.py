@@ -732,3 +732,25 @@ def generators_from_normal_forms(algebra):
             coords[k] = c
         gens.append(algebra.element(coords))
     return gens
+
+
+def product_by_fraction_loop(x, y):
+    """The product of two Weil elements as ``WeilElement.__mul__`` formed it
+    while table constants were ``Fraction``s: each output coordinate starts
+    at ``Fraction(0)`` and every table term adds ``ab * c``, also c = 1."""
+    dim = x.algebra.dimension
+    table = x.algebra._table
+    out = [Fraction(0)] * dim
+    right = [(j, b) for j, b in enumerate(y.coords) if b]
+    for i, a in enumerate(x.coords):
+        if not a:
+            continue
+        row = table[i]
+        for j, b in right:
+            entry = row[j]
+            if not entry:  # the two basis monomials multiply to 0
+                continue
+            ab = a * b
+            for k, c in entry:
+                out[k] = out[k] + ab * c
+    return WeilElement(x.algebra, out)

@@ -391,6 +391,15 @@ def test_closed_form_offsets_equal_the_weil_route(problem, mode):
     assert laplacian(metric, f, x, mode=FLOAT).hex() == weil.hex()
 
 
+def test_isotropy_weights_are_in_the_mode_s_scalars():
+    # float mode multiplies float weights, not Fractions with 2^52 denominators
+    metric = MetricField.from_strings([["1+x2^2", "x1"], ["x1", "2+x1*x2"]])
+    for mode, x, kind in ((FLOAT, (0.5, 0.3), float), (EXACT, (F(1, 2), F(1, 3)), (int, Fraction))):
+        (offsets,) = geodesic_chart(metric, x, mode).laplace_offsets()
+        ((q, weight),) = offsets[0].algebra._table[2][2]
+        assert q == 3 and isinstance(weight, kind) and weight != 1
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(1, 4))
 @PROPERTY
 def test_q_coordinate_is_the_classical_formula(seed, n):

@@ -8,7 +8,10 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from nilgeom import weil
 from nilgeom.geometry import MetricField, gbar_eval
 from nilgeom.scalars import format_scalar
 from nilgeom.weil import (
@@ -29,7 +32,7 @@ from nilgeom.weil import (
     tensor_algebra,
     truncated_algebra,
 )
-from conftest import tensor_algebra_by_quotient
+from conftest import product_by_fraction_loop, tensor_algebra_by_quotient
 
 
 def dl_relations(n):
@@ -532,3 +535,101 @@ def test_one_back_substitution_pass_leaves_no_pivot_in_any_tail():
         for lead, row in pivots.items():
             assert row[lead] == 1 and max(row, key=mono_key) == lead
             assert not any(m in pivots for m in row if m != lead)
+
+
+# -- structure constants in the product's own scalars ---------------------------------------
+
+F = Fraction
+# a relation whose lead is a generator (x2 = 2 x1) and one with non-integral constants
+INT_QUOTIENT = quotient_algebra(2, 2, [X2 - X1 * 2])
+FRACTION_QUOTIENT = quotient_algebra(2, 3, [X1 * X1 * 2 - X1 * X2 * 3, X2 * X2 * X2])
+PRODUCT_ALGEBRAS = [
+    truncated_algebra(1, 3),
+    truncated_algebra(2, 2),
+    truncated_algebra(3, 2),
+    laplace_algebra(3),
+    _isotropy_algebra((F(1), F(2), F(-1, 3))),  # exact weights, indefinite
+    _isotropy_algebra((1.0, 2.5, -0.75, 1.0)),  # float weights of a float-mode chart, indefinite
+    _isotropy_algebra((1.0, 1 / 3)),
+    INT_QUOTIENT,
+    FRACTION_QUOTIENT,
+    tensor_algebra(laplace_algebra(2), truncated_algebra(1, 1))[0],
+    tensor_algebra(_isotropy_algebra((1.0, -2.5)), truncated_algebra(1, 1))[0],
+    tensor_algebra(FRACTION_QUOTIENT, truncated_algebra(1, 1))[0],
+    algebra_from_json(algebra_to_json(FRACTION_QUOTIENT)),
+    algebra_from_json(algebra_to_json(_isotropy_algebra((F(1), F(-3), F(5, 2))))),
+]
+EXACT_COORD = st.one_of(st.just(F(0)), st.fractions(min_value=-5, max_value=5, max_denominator=7),
+                        st.integers(-3, 3))  # an int, as a caller may pass one to ``element``
+FLOAT_COORD = st.one_of(
+    st.just(F(0)),  # an exact zero, as float-mode elements may hold
+    st.sampled_from((0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 1e300, -1e300)),
+    st.floats(min_value=-10, max_value=10),
+)
+
+
+def _coordinates(algebra, kind):
+    """Coordinate vectors: all exact, all float, or mixed (a float unit
+    coordinate with an exact nilpotent part, as float ``jet_eval`` makes
+    them)."""
+    nilpotent = FLOAT_COORD if kind == "float" else EXACT_COORD
+    unit = EXACT_COORD if kind == "exact" else FLOAT_COORD
+    return st.tuples(unit, st.lists(nilpotent, min_size=algebra.dimension - 1, max_size=algebra.dimension - 1))
+
+
+def _has_float_constants(algebra):
+    return any(isinstance(c, float) for row in algebra._table for entry in row for _, c in entry)
+
+
+def _typed(w):
+    return [(type(c), c.hex() if isinstance(c, float) else c) for c in w.coords]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(PRODUCT_ALGEBRAS), st.sampled_from(("exact", "float", "mixed")), st.data())
+def test_product_equals_the_fraction_loop(algebra, kind, data):
+    # the same types and values as Fraction(0) + ab * c, float bits and zero signs included
+    x, y = (algebra.element((u, *rest)) for u, rest in (data.draw(_coordinates(algebra, kind)) for _ in "xy"))
+    for a, b in ((x, y), (y, x), (x, x)):
+        got, want = a * b, product_by_fraction_loop(a, b)
+        assert _typed(got) == _typed(want)
+        if kind == "exact" and not _has_float_constants(algebra):
+            assert all(type(c) is Fraction for c in got.coords)
+
+
+@pytest.mark.parametrize("algebra", [
+    truncated_algebra(2, 3),
+    laplace_algebra(3),
+    _isotropy_algebra((F(1), F(2), F(-3))),
+    INT_QUOTIENT,
+    FRACTION_QUOTIENT,
+    tensor_algebra(INT_QUOTIENT, truncated_algebra(1, 1))[0],
+    algebra_from_json(algebra_to_json(INT_QUOTIENT)),
+], ids=repr)
+def test_exact_elements_hold_only_fractions(algebra):
+    # int table constants must not reach an element: p / 2 of an int is a float
+    try:
+        gens = algebra.generators()
+    except ValueError:  # a deserialized algebra records no generator classes
+        gens = []
+    basis = [algebra.basis_element(i) for i in range(algebra.dimension)]
+    scalars = [algebra.scalar(3), algebra.scalar(F(1, 2)), algebra.one(), algebra.zero()]
+    products = [x * y for x in gens + basis for y in gens + basis] + [x * 2 for x in gens + basis]
+    for w in gens + basis + scalars + products:
+        assert all(type(c) is Fraction for c in w.coords), w
+    if gens:
+        z1, zn = Polynomial.variable(algebra.n, 0), Polynomial.variable(algebra.n, algebra.n - 1)
+        assert all(type(c) is Fraction for c in algebra.from_polynomial(z1 * z1 * 3 - zn).coords)
+
+
+def test_constants_are_ints_and_unit_entries_are_shared():
+    algebras = [truncated_algebra(2, 4), laplace_algebra(5), INT_QUOTIENT, _isotropy_algebra((1.0, 2.0, 1.0)),
+                algebra_from_json(algebra_to_json(truncated_algebra(1, 3)))]
+    for algebra in algebras:
+        for row in algebra._table:
+            for entry in row:
+                assert all(type(c) is not Fraction or c.denominator != 1 for _, c in entry)
+                if len(entry) == 1 and entry[0][1] == 1:
+                    assert entry is weil._UNITS[entry[0][0]]
+    assert _isotropy_algebra((1.0, 2.0, 1.0))._table[2][2] == ((4, 2.0),)
+    assert type(_isotropy_algebra((1.0, 2.0, 1.0))._table[2][2][0][1]) is float
