@@ -18,10 +18,6 @@ def identity(n, one=Fraction(1)):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def mat_vec(a, v):
-    return [sum(a[i][j] * v[j] for j in range(len(v))) for i in range(len(a))]
-
-
 def mat_mul(a, b):
     rows, inner, cols = len(a), len(b), len(b[0])
     return [

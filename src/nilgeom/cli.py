@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 
 from .scalars import DEFAULT_EPS, EXACT, FLOAT, format_scalar, parse_rational, scalars_equal
 from .weil import algebra_to_json, laplace_algebra, quotient_algebra, truncated_algebra
@@ -32,15 +31,12 @@ from .geometry import (
 
 
 def _encode(value):
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, (int, Fraction, float)):
-        return format_scalar(value)
+    """A scalar as its printed form, a tuple as a list of them, None as is."""
+    if value is None:
+        return None
     if isinstance(value, (tuple, list)):
         return [_encode(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _encode(v) for k, v in value.items()}
-    return value
+    return format_scalar(value)
 
 
 def _emit(doc: dict, args) -> None:
@@ -124,7 +120,7 @@ def cmd_laplacian(args) -> dict:
     if metric.n != len(point):
         raise ValueError("point dimension does not match the metric")
     fn = parse_expr(args.fn, n=metric.n)
-    value = laplacian(metric, fn, point, mode=args.mode, eps=args.epsilon)
+    value = laplacian(metric, fn, point, mode=args.mode)
     doc = {"value": _encode(value), "function": args.fn, "point": _encode(point)}
     doc.update(_mode_fields(args))
     return doc
@@ -152,7 +148,7 @@ def cmd_check(args) -> dict:
             raise ValueError("check harmonic needs --fn")
         metric = _load_metric(args.metric, n)
         fn = parse_expr(args.fn, n=n)
-        value = laplacian(metric, fn, point, mode=args.mode, eps=args.epsilon)
+        value = laplacian(metric, fn, point, mode=args.mode)
         doc.update(
             harmonic=scalars_equal(value, 0, args.epsilon if args.mode == FLOAT else None),
             laplacian=_encode(value),

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from ._record import Record
 from .scalars import EXACT, FLOAT, check_mode, format_scalar, to_scalar
-from .weil import Polynomial, WeilElement, _in_mode, mono_degree, truncated_algebra
+from .weil import Polynomial, WeilElement, _in_mode, mono_key, truncated_algebra
 
 PRIMITIVES = ("exp", "log", "sin", "cos", "sqrt")
 
@@ -429,7 +429,7 @@ def expr_to_polynomial(e: Expr, n: int) -> Polynomial:
 
 def polynomial_to_expr(p: Polynomial) -> Expr:
     out = Const(Fraction(0))
-    for m in sorted(p.terms, key=lambda mm: (mono_degree(mm), tuple(-x for x in mm))):
+    for m in sorted(p.terms, key=mono_key):
         term = Const(p.terms[m])
         for i, e in enumerate(m):
             term = mul(term, pow_(Var(i), e))
@@ -600,9 +600,10 @@ def parse_expr(text: str, n=None, prefix: str = "x") -> Expr:
     return node
 
 
-def parse_function(text: str, n=None, prefix: str = "x") -> FunctionModel:
-    """Parse a comma-separated list of component expressions into a map."""
-    parser = _Parser(text, prefix, n)
+def parse_function(text: str, n=None) -> FunctionModel:
+    """Parse a comma-separated list of component expressions in x1..xn into
+    a map."""
+    parser = _Parser(text, n=n)
     components = [parser.parse_expr()[0]]
     while parser.peek() == ("op", ","):
         parser.take()
@@ -615,31 +616,28 @@ def parse_function(text: str, n=None, prefix: str = "x") -> FunctionModel:
 _PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Pow: 3}
 
 
-def format_expr(e: Expr, prefix: str = "x") -> str:
-    """Deterministic pretty-printer; output reparses to the same function."""
-    return _format(e, prefix)
-
-
-def _format(e, prefix):
+def format_expr(e: Expr) -> str:
+    """Deterministic pretty-printer in the variables x1, x2, ...; output
+    reparses to the same function."""
     if isinstance(e, Const):
         if e.value < 0:
             return f"-{format_scalar(-e.value)}"
         return format_scalar(e.value)
     if isinstance(e, Var):
-        return f"{prefix}{e.index + 1}"
+        return f"x{e.index + 1}"
     if isinstance(e, Call):
-        return f"{e.name}({_format(e.arg, prefix)})"
+        return f"{e.name}({format_expr(e.arg)})"
     if isinstance(e, Pow):
-        return f"{_wrap(e.base, 3, prefix, tight=True)}^{e.exponent}"
+        return f"{_wrap(e.base, 3, tight=True)}^{e.exponent}"
     ops = {Add: " + ", Sub: " - ", Mul: "*", Div: "/"}
     prec = _PREC[type(e)]
-    left = _wrap(e.left, prec, prefix)
-    right = _wrap(e.right, prec, prefix, tight=type(e) in (Sub, Div))
+    left = _wrap(e.left, prec)
+    right = _wrap(e.right, prec, tight=type(e) in (Sub, Div))
     return f"{left}{ops[type(e)]}{right}"
 
 
-def _wrap(e, parent_prec, prefix, tight=False):
-    text = _format(e, prefix)
+def _wrap(e, parent_prec, tight=False):
+    text = format_expr(e)
     prec = _PREC.get(type(e), 4)
     if isinstance(e, Const) and text.startswith("-"):
         prec = 0

@@ -121,9 +121,6 @@ class MetricField:
         _congruence(g, x)
         return g
 
-    def to_strings(self):
-        return [[format_expr(self.entry(i, j)) for j in range(self.n)] for i in range(self.n)]
-
 
 def _congruence(g, x):
     """C and d with C^T G(x) C = diag(d); a zero pivot means G(x) is singular."""
@@ -306,14 +303,17 @@ class GeodesicChart:
 
     # -- point transport ---------------------------------------------------
 
+    def _contract(self, products):
+        """G(x)^-1 applied to the lowered sums, each component's terms
+        summed in their order over ``products`` {(j, k): w_j w_k}, one per
+        pair that a lowered term needs; a metric of constants gives scalar
+        zeros."""
+        return _apply(self.ginv, [sum(products[j, k] * c for j, k, c in terms) for terms in self._lowered])
+
     def _half_gamma(self, w):
         """1/2 Gamma(w, w), componentwise, for Weil elements or expressions:
-        each pair product w_j w_k that a lowered term needs is formed once
-        (at most n(n+1)/2), each component's terms are summed in their
-        order, and G(x)^-1 is applied once; a metric of constants gives
-        scalar zeros."""
-        products = {(j, k): w[j] * w[k] for j, k in self._pairs}
-        return _apply(self.ginv, [sum(products[j, k] * c for j, k, c in terms) for terms in self._lowered])
+        each pair product w_j w_k is formed once (at most n(n+1)/2)."""
+        return self._contract({(j, k): w[j] * w[k] for j, k in self._pairs})
 
     def push_offsets(self, zeta):
         """Chart coordinates (nilpotent) -> manifold offsets from the base."""
@@ -330,8 +330,8 @@ class GeodesicChart:
         of C_ja C_ka d_1/d_a as zeta_j zeta_k sums it: ``push_offsets``'s bits."""
         c, d = self.frame
         weights = [d[0] / v for v in d]  # in the mode's scalars; a float quotient is correctly rounded
-        squares = {(j, k): sum(p * q * v for p, q, v in zip(c[j], c[k], weights) if p and q) for j, k in self._pairs}
-        h = _apply(self.ginv, [sum(squares[j, k] * v for j, k, v in terms) for terms in self._lowered])
+        h = self._contract({(j, k): sum(p * q * v for p, q, v in zip(c[j], c[k], weights) if p and q)
+                            for j, k in self._pairs})
         algebra, zero = _isotropy_algebra(weights), Fraction(0)
         out = []
         for s in scales:
@@ -376,10 +376,9 @@ def geodesic_chart(metric: MetricField, x, mode: str = EXACT, eps: float = DEFAU
 # ---------------------------------------------------------------------------
 
 def mirror(chart: GeodesicChart, z):
-    """Mirror image of z in the chart base: negation of chart coordinates,
-    intrinsically the affine combination 2x - z."""
-    zeta = chart.to_chart(z)
-    return chart.from_chart(tuple(-c for c in zeta))
+    """Mirror image of z in the chart base, the affine combination 2x - z:
+    negation of chart coordinates."""
+    return affine_combination(chart, 2, z)
 
 
 def affine_combination(chart: GeodesicChart, t, z):
@@ -439,8 +438,9 @@ def scalar_component(chart: GeodesicChart, z, t: TangentVector) -> WeilElement:
     """
     if tuple(t.base) != chart.base:
         raise GeometryError("tangent is not based at the chart base")
-    gu = _linalg.mat_vec(chart.G0, t.u)
-    norm = sum(a * b for a, b in zip(t.u, gu))
+    u = [to_scalar(c, chart.mode) for c in t.u]
+    gu = _apply(chart.G0, u)
+    norm = sum(a * b for a, b in zip(u, gu))
     if norm == 0 or (chart.mode == FLOAT and abs(norm) <= chart.eps):
         raise GeometryError("improper tangent: <t,t> is not invertible")
     zeta = chart.to_chart(z)
@@ -500,18 +500,8 @@ def is_laplace_neighbor(metric: MetricField, x, z, mode: str = EXACT, eps: float
     return _satisfies_isotropy(eta, signs, tol)
 
 
-def _as_scalar_model(f, n):
-    if isinstance(f, Expr):
-        return scalar_function(f, n)
-    if isinstance(f, FunctionModel):
-        if f.n_out != 1:
-            raise ValueError("expected a scalar function model")
-        return f
-    raise TypeError("expected an expression or function model")
-
-
-def laplacian(metric: MetricField, f, x, mode: str = EXACT, eps: float = DEFAULT_EPS) -> Scalar:
-    """The Laplacian at x by the mirror-image average.
+def laplacian(metric: MetricField, f: Expr, x, mode: str = EXACT) -> Scalar:
+    """The Laplacian of the expression f at x by the mirror-image average.
 
     Evaluate f at the universal isotropic point z = x + C Z - d_1 b Q
     (``laplace_point``) and at its mirror image, form f(z) + f(z') - 2 f(x);
@@ -521,18 +511,18 @@ def laplacian(metric: MetricField, f, x, mode: str = EXACT, eps: float = DEFAULT
     mirror image is the automorphism Z -> -Z, Q -> Q, with which the chart
     map and the jet commute, so the average is 2 q Q, q the Q coordinate
     of f(z).  Both modes take this one route, with no square root, on any
-    nondegenerate metric; an indefinite one gives the wave operator.
+    nondegenerate metric; an indefinite one gives the wave operator.  No
+    step compares against a tolerance, so there is no ``eps``.
     """
-    f = _as_scalar_model(f, metric.n)
-    chart = geodesic_chart(metric, x, mode=mode, eps=eps)
+    chart = geodesic_chart(metric, x, mode=mode)
     (offsets,) = chart.laplace_offsets()
-    f_z = jet_eval(f.components[0], chart.base, offsets, mode)
+    f_z = jet_eval(f, chart.base, offsets, mode)
     return 2 * f_z.coords[metric.n + 1] / chart.frame[1][0]
 
 
-def laplace_taylor(metric: MetricField, f, x, offsets, mode: str = EXACT) -> WeilElement:
-    """Reconstruct f at an isotropic neighbor from value, differential and
-    Laplacian: f(x) + df_x(z-x) + (Laplacian/2n) ||z-x||^2.
+def laplace_taylor(metric: MetricField, f: Expr, x, offsets, mode: str = EXACT) -> WeilElement:
+    """Reconstruct the expression f at an isotropic neighbor from value,
+    differential and Laplacian: f(x) + df_x(z-x) + (Laplacian/2n) ||z-x||^2.
 
     Only valid over the standard flat metric; the result equals the jet of f
     exactly whenever the offsets satisfy the isotropy relations.  One jet at
@@ -541,10 +531,9 @@ def laplace_taylor(metric: MetricField, f, x, offsets, mode: str = EXACT) -> Wei
     """
     if not metric.is_standard_flat():
         raise GeometryError("the Taylor reconstruction requires the standard flat metric")
-    f = _as_scalar_model(f, metric.n)
     check_mode(mode)
     n = metric.n
-    _, (jet,), _ = _flat_laplace_jets(f, tuple(to_scalar(c, mode) for c in x), mode)
+    (jet,), _ = _flat_laplace_jets(scalar_function(f, n), tuple(to_scalar(c, mode) for c in x), mode)
     value, *partials, q = jet.coords
     offsets = tuple(offsets)
     algebra = offsets[0].algebra
@@ -557,37 +546,38 @@ def laplace_taylor(metric: MetricField, f, x, offsets, mode: str = EXACT) -> Wei
     return _in_mode(out + norm_sq * (q / n), mode)  # Laplacian/2n = q/n
 
 
-def is_harmonic_at(metric: MetricField, f, x, mode: str = EXACT, eps: float = DEFAULT_EPS) -> bool:
+def is_harmonic_at(metric: MetricField, f: Expr, x, mode: str = EXACT, eps: float = DEFAULT_EPS) -> bool:
     """Vanishing Laplacian at x (exactly, or within eps in float mode)."""
-    lap = laplacian(metric, f, x, mode=mode, eps=eps)
+    lap = laplacian(metric, f, x, mode=mode)
     return scalars_equal(lap, 0, eps if mode == FLOAT else None)
 
 
 AFFINE_SCALES = (Fraction(-1), Fraction(2), Fraction(1, 2))
 
 
-def preserves_affine_combinations(metric: MetricField, f, x, mode: str = EXACT, eps: float = DEFAULT_EPS) -> bool:
-    """Whether f(s*x + (1-s)*z) = s*f(x) + (1-s)*f(z) at the universal
-    isotropic point (the one ``laplacian`` averages over), for each s in
-    ``AFFINE_SCALES``.  Equivalent to harmonicity.  z and s*x + (1-s)*z
-    are x + t C Z - t^2 d_1 b Q, t = 1 and 1 - s, from one
+def preserves_affine_combinations(metric: MetricField, f: Expr, x, mode: str = EXACT,
+                                  eps: float = DEFAULT_EPS) -> bool:
+    """Whether the expression f has f(s*x + (1-s)*z) = s*f(x) + (1-s)*f(z)
+    at the universal isotropic point (the one ``laplacian`` averages over),
+    for each s in ``AFFINE_SCALES``.  Equivalent to harmonicity.  z and
+    s*x + (1-s)*z are x + t C Z - t^2 d_1 b Q, t = 1 and 1 - s, from one
     ``GeodesicChart.laplace_offsets`` call.  The residue's Q coordinate is
     read per unit of g(x, z)/n = d_1 Q, as in an orthonormal chart, before
     the float tolerance applies.  f(x) is the unit coordinate of the jet
     f(z); each scaled point takes a jet of its own, so this check stays
-    independent of ``laplacian``.  In float mode eps = 0 means exact float
-    equality; the scales are dyadic, so the residue's unit coordinate
+    independent of ``laplacian``.  ``eps`` is only that tolerance, the
+    chart takes none.  In float mode eps = 0 means exact float equality;
+    the scales are dyadic, so the residue's unit coordinate
     f(x) - (1-s) f(x) - s f(x) is an exact 0."""
-    expr = _as_scalar_model(f, metric.n).components[0]
-    chart = geodesic_chart(metric, x, mode=mode, eps=eps)
+    chart = geodesic_chart(metric, x, mode=mode)
     x, d1 = chart.base, chart.frame[1][0]
     tol = eps if mode == FLOAT else None
     scales = [to_scalar(s, mode) for s in AFFINE_SCALES]
     unit, *scaled = chart.laplace_offsets((1, *(1 - s for s in scales)))
-    f_z = jet_eval(expr, x, unit, mode)
+    f_z = jet_eval(f, x, unit, mode)
     f_x = f_z.coords[0]
     for s, offsets in zip(scales, scaled):
-        lhs = jet_eval(expr, x, offsets, mode)
+        lhs = jet_eval(f, x, offsets, mode)
         *low, q = (lhs - f_z * (1 - s) - f_x * s).coords
         if not all(scalars_equal(c, 0, tol) for c in (*low, q / d1)):
             return False
@@ -646,14 +636,12 @@ def conformal_check(
 
 
 def _flat_laplace_jets(f: FunctionModel, x, mode):
-    """The generators of ``laplace_algebra(n)``, the universal isotropic
-    point of flat n-space, and f's jets there, with the Jacobian they
-    carry: each jet has coordinates [f_i(x), d_1 f_i .. d_n f_i,
-    1/2 sum_k d_kk f_i], so one jet gives the first partials and the flat
-    Laplacian 2 Q."""
-    gens = laplace_algebra(f.n_in).generators()
-    image = f.jet(x, gens, mode)
-    return gens, image, [list(w.coords[1:f.n_in + 1]) for w in image]
+    """f's jets at the generators of ``laplace_algebra(n)``, the universal
+    isotropic point of flat n-space, with the Jacobian they carry: each jet
+    has coordinates [f_i(x), d_1 f_i .. d_n f_i, 1/2 sum_k d_kk f_i], so
+    one jet gives the first partials and the flat Laplacian 2 Q."""
+    image = f.jet(x, laplace_algebra(f.n_in).generators(), mode)
+    return image, [list(w.coords[1:f.n_in + 1]) for w in image]
 
 
 def preserves_laplace_neighbors(f: FunctionModel, x, mode: str = EXACT, eps: float = DEFAULT_EPS) -> bool:
@@ -664,7 +652,7 @@ def preserves_laplace_neighbors(f: FunctionModel, x, mode: str = EXACT, eps: flo
     if f.n_in != f.n_out:
         raise ValueError("isotropy preservation needs a self-map dimension-wise")
     x = tuple(to_scalar(c, mode) for c in x)
-    _, image, jac = _flat_laplace_jets(f, x, mode)
+    image, jac = _flat_laplace_jets(f, x, mode)
     if _linalg.det(jac) == 0:
         raise GeometryError("map is singular at the base point")
     return satisfies_laplace_relations([w.nilpotent_part() for w in image], eps if mode == FLOAT else None)
@@ -684,31 +672,26 @@ def cr_check(f: FunctionModel, x, mode: str = EXACT, eps: float = DEFAULT_EPS) -
     """Cauchy-Riemann detector for plane maps.
 
     Checks the first-order equations and orientation; when the components
-    are additionally harmonic at x, reports the complex derivative and
-    verifies the first-order complex identity f(z) = f(x) + f'(x)(z-x)
-    on the universal isotropic point of the plane.  The components' jets
-    at that point give all three: the Jacobian, and each Laplacian as
-    twice the Q coordinate.
+    are additionally harmonic at x, reports the complex derivative f'(x) =
+    a + ib.  The components' jets at the universal isotropic point of the
+    plane give all three: the Jacobian, and each Laplacian as twice the Q
+    coordinate.  The first-order complex identity f(z) = f(x) + f'(x)(z-x)
+    on that point then holds by construction: the difference of its two
+    sides has coordinates 0, j01 + j10, j11 - j00 and q in each component,
+    which the Cauchy-Riemann and harmonicity tests have already bounded.
     """
     check_mode(mode)
     if f.n_in != 2 or f.n_out != 2:
         raise ValueError("the Cauchy-Riemann detector expects a plane map")
     x = tuple(to_scalar(c, mode) for c in x)
-    gens, image, jac = _flat_laplace_jets(f, x, mode)
+    image, jac = _flat_laplace_jets(f, x, mode)
     tol = eps if mode == FLOAT else None
     cr = scalars_equal(jac[0][0], jac[1][1], tol) and scalars_equal(jac[0][1], -jac[1][0], tol)
     orientation = _linalg.det(jac) > 0
     harmonic = all(scalars_equal(2 * w.coords[3], 0, tol) for w in image)
     holomorphic = cr and orientation
-    derivative = None
-    if holomorphic and harmonic:
-        a, b = jac[0][0], jac[1][0]
-        expected = (gens[0] * a - gens[1] * b, gens[0] * b + gens[1] * a)
-        for got, want in zip(image, expected):
-            if not (got.nilpotent_part() - want).is_zero(tol):
-                raise GeometryError("complex derivative failed to reproduce the map on the isotropic point")
-        derivative = (a, b)
-    return CRReport(holomorphic, derivative, cr, orientation, harmonic, mode, eps if mode == FLOAT else None)
+    derivative = (jac[0][0], jac[1][0]) if holomorphic and harmonic else None
+    return CRReport(holomorphic, derivative, cr, orientation, harmonic, mode, tol)
 
 
 def almost_complex_apply(x, z):

@@ -191,10 +191,6 @@ class Polynomial:
                     self.terms[tuple(mono)] = coeff
 
     @classmethod
-    def zero(cls, n):
-        return cls(n)
-
-    @classmethod
     def constant(cls, n, value):
         return cls(n, {unit_monomial(n): value})
 
@@ -389,14 +385,13 @@ class WeilAlgebra:
         return table
 
     def _check_table(self):
-        """Reject a table that is not square over the basis, names a basis
+        """Reject repeated basis monomials, and a table (square over the
+        basis, as ``algebra_from_json`` has checked) that names a basis
         index out of range, is not symmetric, has a wrong unit row or is not
         associative."""
         table, dim = self._table, len(self.basis)
         if len(self._index) != dim:
             raise ValueError("basis monomials are not distinct")
-        if len(table) != dim or any(len(row) != dim for row in table):
-            raise ValueError("multiplication table has wrong shape")
         for i, row in enumerate(table):
             for j, entry in enumerate(row):
                 for k, _ in entry:
@@ -938,17 +933,23 @@ def algebra_to_json(a: WeilAlgebra) -> dict:
 
 
 def algebra_from_json(doc: dict) -> WeilAlgebra:
+    """The algebra of an ``algebra_to_json`` document.  The basis (at most
+    ``MAX_DIMENSION`` monomials, the unit first) and the table's shape (one
+    row per basis monomial, each as long as the basis) are checked before
+    any table entry is read; then ``_check_table`` and ``_check_nilpotent``."""
     n = int(doc["n"])
     bound = int(doc["degree_bound"])
+    if len(doc["basis"]) > MAX_DIMENSION:
+        raise ValueError(f"serialized basis has {len(doc['basis'])} monomials > MAX_DIMENSION = {MAX_DIMENSION}")
     basis = [tuple(int(e) for e in m) for m in doc["basis"]]
     if not basis or basis[0] != unit_monomial(n):
         raise ValueError("serialized algebra has no unit monomial first")
     if any(len(m) != n for m in basis):
         raise ValueError(f"serialized basis monomials must have {n} exponents")
-    table = [
-        [_entry((int(k), parse_rational(c)) for c, k in entry) for entry in row]
-        for row in doc["table"]
-    ]
+    rows = doc["table"]
+    if len(rows) != len(basis) or any(len(row) != len(basis) for row in rows):
+        raise ValueError("multiplication table has wrong shape")
+    table = [[_entry((int(k), parse_rational(c)) for c, k in entry) for entry in row] for row in rows]
     algebra = WeilAlgebra(n, bound, basis, {}, (), table=table)
     algebra._check_table()
     algebra._check_nilpotent()

@@ -40,7 +40,6 @@ from nilgeom.geometry import (
     GeometryError,
     MetricField,
     _apply,
-    _as_scalar_model,
     _check_order,
     _square,
     geodesic_chart,
@@ -515,15 +514,13 @@ def laplacian_by_mirror_average(metric, f, x, mode=EXACT, eps=DEFAULT_EPS):
     that ``laplacian`` uses (``GeodesicChart.laplace_offsets``): the subject
     here is the mirror; the transport is checked against
     ``_universal_point``."""
-    f = _as_scalar_model(f, metric.n)
     chart = geodesic_chart(metric, x, mode=mode, eps=eps)
     x, d1 = chart.base, chart.frame[1][0]
     n = metric.n
-    expr = f.components[0]
     z, z_mirror = chart.laplace_offsets((1, -1))
-    f_z = jet_eval(expr, x, z, mode)
-    f_mirror = jet_eval(expr, x, z_mirror, mode)
-    combined = f_z + f_mirror - evaluate_by_tree(expr, x, mode) * 2
+    f_z = jet_eval(f, x, z, mode)
+    f_mirror = jet_eval(f, x, z_mirror, mode)
+    combined = f_z + f_mirror - evaluate_by_tree(f, x, mode) * 2
     tol = eps if mode == FLOAT else None
     for c in combined.coords[: n + 1]:
         if not scalars_equal(c, 0, tol):

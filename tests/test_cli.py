@@ -247,9 +247,27 @@ def test_singular_metric_names_the_point_in_numbers(tmp_path, capsys, mode, wher
     assert err == f"error: metric is singular at {where}\n"
 
 
-def test_missing_map_exits_2(capsys):
-    code, _, _ = run(capsys, "check", "conformal", "--point", "0,0")
-    assert code == 2
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["check", "conformal", "--point", "0,0"], "check conformal needs --map"),
+        (["algebra", "dl"], "algebra dl needs --n"),
+        (["algebra", "quotient", "--n", "2"], "algebra quotient needs --n and --bound"),
+        (["laplacian", "--metric", "{polar}", "--fn", "x1", "--point", "1,2,3"],
+         "point dimension does not match the metric"),
+        (["check", "harmonic", "--point", "0,0"], "check harmonic needs --fn"),
+        (["check", "l-neighbor", "--point", "0,0"], "check l-neighbor needs --z"),
+        (["check", "l-neighbor", "--point", "0,0", "--z", "1+d1,d2"],
+         "neighbor coordinates must be nilpotent (no constant term)"),
+        (["check", "l-neighbor", "--point", "0,0", "--z", "d1"], "need one coordinate expression per dimension"),
+        (["coalgebra", "--dist", "d1-d1", "--n", "1"], "the zero distribution generates nothing"),
+    ],
+    ids=["conformal-no-map", "dl-no-n", "quotient-no-bound", "point-beyond-metric", "harmonic-no-fn",
+         "l-neighbor-no-z", "l-neighbor-constant-term", "l-neighbor-too-few", "zero-distribution"],
+)
+def test_missing_map_exits_2(capsys, polar_file, argv, message):
+    code, out, err = run(capsys, *(a.replace("{polar}", polar_file) for a in argv))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from nilgeom.expr import (
     polynomial_to_expr,
     taylor_coefficients,
 )
-from nilgeom.weil import laplace_algebra, truncated_algebra
+from nilgeom.weil import Polynomial, laplace_algebra, truncated_algebra
 from conftest import compose, diff, random_poly_expr, random_point
 
 F = Fraction
@@ -297,3 +297,9 @@ def test_polynomial_bridge_rejects_primitives():
         expr_to_polynomial(parse_expr("exp(x1)"), 1)
     with pytest.raises(ValueError):
         expr_to_polynomial(parse_expr("1/(1 - x1)"), 1)
+
+
+def test_polynomial_bridge_divides_by_constants_only():
+    assert expr_to_polynomial(parse_expr("x1^2/2"), 1) == Polynomial(1, {(2,): F(1, 2)})
+    with pytest.raises(ZeroDivisionError):
+        expr_to_polynomial(parse_expr("x1/(x2-x2)"), 2)

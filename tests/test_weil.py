@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nilgeom import weil
+from nilgeom.expr import expr_to_polynomial, parse_expr
 from nilgeom.geometry import MetricField, gbar_eval
 from nilgeom.scalars import format_scalar
 from nilgeom.weil import (
@@ -436,6 +437,30 @@ def test_json_round_trip_without_generator_classes():
     assert back == q
     with pytest.raises(ValueError, match="does not record the class of generator Z2"):
         back.generators()
+    # a tensor factor without the class of Z2 gives a product without it
+    product, _, _ = tensor_algebra(back, truncated_algebra(1, 1))
+    assert product == tensor_algebra(q, truncated_algebra(1, 1))[0]
+    with pytest.raises(ValueError, match="does not record the class of generator Z2"):
+        product.generators()
+
+
+def test_json_refuses_a_basis_or_table_of_the_wrong_size_before_reading_entries(monkeypatch):
+    # a hand-written k[a]/(a^600): 600 monomials, one more than MAX_DIMENSION allows
+    dim = MAX_DIMENSION + 100
+    entries = [[["1", k]] for k in range(dim)]
+    table = [[entries[i + j] if i + j < dim else [] for j in range(dim)] for i in range(dim)]
+    doc = {"n": 1, "degree_bound": dim - 1, "basis": [[k] for k in range(dim)], "table": table}
+    read = []
+    monkeypatch.setattr(weil, "_entry", lambda terms: read.append(terms))
+    with pytest.raises(ValueError, match=f"^serialized basis has {dim} monomials > MAX_DIMENSION = {MAX_DIMENSION}$"):
+        algebra_from_json(doc)
+    short = {"n": 1, "degree_bound": 2, "basis": [[0], [1], [2]], "table": [[[["1", 0]]] * 3] * 2}
+    long = {**short, "table": [[[["1", 0]]] * 3] * 3 + [[]]}
+    ragged = {**short, "table": [[[["1", 0]]] * 3, [[["1", 0]]] * 3, [[["1", 0]]] * 2]}
+    for bad in (short, long, ragged):
+        with pytest.raises(ValueError, match="^multiplication table has wrong shape$"):
+            algebra_from_json(bad)
+    assert read == []
 
 
 def test_json_schema_shape():
@@ -518,6 +543,19 @@ def test_isomorphism_found_and_refused():
     other = quotient_algebra(2, 2, [Polynomial(2, {(2, 0): 1}), Polynomial(2, {(0, 2): 1})])
     assert other.dimension == a.dimension
     assert algebra_isomorphism(other, a) is None
+    # same dimension, different generator counts
+    assert algebra_isomorphism(truncated_algebra(1, 2), truncated_algebra(2, 1)) is None
+    # the basis monomials 1, Z1, Z2, Z1^2 are a basis of both, but Z2^2 is Z1^2
+    # in the source and 0 in the target
+    square_free = quotient_algebra(2, 2, [Polynomial(2, {(1, 1): 1}), Polynomial(2, {(0, 2): 1})])
+    assert square_free.basis == a.basis
+    assert algebra_isomorphism(a, square_free) is None
+
+
+def test_a_zero_relation_is_skipped():
+    zero = expr_to_polynomial(parse_expr("x1-x1"), 1)
+    assert zero.is_zero()
+    assert quotient_algebra(1, 3, [zero]) == truncated_algebra(1, 3)
 
 
 def test_one_back_substitution_pass_leaves_no_pivot_in_any_tail():
