@@ -117,8 +117,6 @@ def cmd_algebra(args) -> dict:
 def cmd_laplacian(args) -> dict:
     point = _parse_point(args.point, args.mode)
     metric = _load_metric(args.metric, len(point))
-    if metric.n != len(point):
-        raise ValueError("point dimension does not match the metric")
     fn = parse_expr(args.fn, n=metric.n)
     value = laplacian(metric, fn, point, mode=args.mode)
     doc = {"value": _encode(value), "function": args.fn, "point": _encode(point)}

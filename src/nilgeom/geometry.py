@@ -45,6 +45,7 @@ from .expr import (
 )
 from .weil import (
     WeilElement,
+    _check_laplace_dimension,
     _in_mode,
     _isotropy_algebra,
     _satisfies_isotropy,
@@ -66,11 +67,14 @@ class GeometryError(ArithmeticError):
 class MetricField:
     """Symmetric n x n matrix of expressions; only the upper triangle is
     stored.  Mirrored entries must print alike (``format_expr``), so that
-    an asymmetric matrix is rejected rather than read by its upper half."""
+    an asymmetric matrix is rejected rather than read by its upper half.
+    n + 2, the dimension of the Laplacian's ``laplace_algebra(n)``, may not
+    exceed ``MAX_DIMENSION``: checked before any entry is built or printed."""
 
     __slots__ = ("n", "_upper", "_variables")
 
     def __init__(self, n: int, entries):
+        _check_laplace_dimension(n)
         self.n = n
         if len(entries) != n or any(len(row) != n for row in entries):
             raise ValueError("metric matrix must be n x n")
@@ -92,14 +96,16 @@ class MetricField:
 
     @classmethod
     def standard_flat(cls, n: int) -> "MetricField":
+        _check_laplace_dimension(n)
         return cls(n, [[Const(Fraction(1 if i == j else 0)) for j in range(n)] for i in range(n)])
 
     @classmethod
     def from_strings(cls, rows) -> "MetricField":
         """Rows of expression strings; a row that is no list is refused, not read per character."""
+        n = len(rows)
+        _check_laplace_dimension(n)
         if not all(isinstance(row, (list, tuple)) and all(isinstance(s, str) for s in row) for row in rows):
             raise TypeError("metric rows must be lists of expression strings")
-        n = len(rows)
         return cls(n, [[parse_expr(s, n=n) for s in row] for row in rows])
 
     def entry(self, i, j) -> Expr:
@@ -253,6 +259,8 @@ class GeodesicChart:
         n = metric.n
         self.metric, self.mode, self.eps = metric, mode, eps
         self.base = x = tuple(to_scalar(c, mode) for c in x)
+        if len(x) != n:
+            raise ValueError("point dimension does not match the metric")
         point = [z + b for z, b in zip(truncated_algebra(n, 1).generators(), x)]  # x + Z
         g = [[None] * n for _ in range(n)]
         lowered = [{} for _ in range(n)]  # lowered[l][j, k], j <= k

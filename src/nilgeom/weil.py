@@ -30,6 +30,10 @@ checks them, then looks in a cache of the last 16, which retains about
 ``MAX_DIMENSION`` (see there).  Equal algebras are then mostly one object,
 and ``==`` tests identity first.
 
+``algebra_from_json`` reads the generators and the powers of the nilpotent
+part off a document's table, not off its basis labels, and refuses a degree
+bound that the table exceeds.
+
 Structure constants are held in the scalars the product uses: a constant
 1 is the int 1, and every table shares one entry ((k, 1),) per basis
 index; another integral constant is an int; a float-mode weighted
@@ -265,11 +269,7 @@ class Polynomial:
         parts = []
         for m in sorted(self.terms, key=mono_key):
             c = self.terms[m]
-            factors = [
-                f"{prefix}{i + 1}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(m)
-                if e > 0
-            ]
+            factors = [f"{prefix}{i + 1}" + (f"^{e}" if e > 1 else "") for i, e in enumerate(m) if e > 0]
             body = "*".join(factors)
             if not factors:
                 parts.append(format_scalar(c))
@@ -279,8 +279,7 @@ class Polynomial:
                 parts.append(f"-{body}")
             else:
                 parts.append(f"{format_scalar(c)}*{body}")
-        text = " + ".join(parts).replace("+ -", "- ")
-        return text
+        return " + ".join(parts).replace("+ -", "- ")
 
     def __repr__(self):
         return f"Polynomial({self.to_string()})"
@@ -340,11 +339,10 @@ class WeilAlgebra:
     and ``_unit``: a constant 1 is the int 1, an entry that is one basis
     element is the shared ``_unit(k)``, other integral constants are
     ints, and ``generators`` turns them into ``Fraction``s.  Tables are
-    checked where they come from outside:
-    ``algebra_from_json`` checks shape, symmetry, the unit row,
-    associativity and nilpotency, while the library's own truncated,
-    quotient, weighted and tensor tables are associative and nilpotent by
-    construction and are not checked.
+    checked where they come from outside: ``algebra_from_json`` checks
+    shape, symmetry, the unit row, associativity and the degree bound, all
+    read off the table (``_filtration``), while the library's own tables
+    are associative and nilpotent by construction and are not checked.
     """
 
     __slots__ = ("n", "degree_bound", "basis", "_relations", "_index", "_nf", "_table", "_gens")
@@ -379,77 +377,76 @@ class WeilAlgebra:
         table = [[None] * dim for _ in range(dim)]
         for i in range(dim):
             for j in range(i, dim):
-                entry = self._reduce_monomial(mono_mul(self.basis[i], self.basis[j]))
-                table[i][j] = entry
-                table[j][i] = entry
+                table[i][j] = table[j][i] = self._reduce_monomial(mono_mul(self.basis[i], self.basis[j]))
         return table
 
     def _check_table(self):
         """Reject repeated basis monomials, and a table (square over the
         basis, as ``algebra_from_json`` has checked) that names a basis
-        index out of range, is not symmetric, has a wrong unit row or is not
-        associative."""
+        index out of range, is not symmetric, has a wrong unit row, or fails
+        ``_filtration`` or ``_check_associative``."""
         table, dim = self._table, len(self.basis)
         if len(self._index) != dim:
             raise ValueError("basis monomials are not distinct")
         for i, row in enumerate(table):
             for j, entry in enumerate(row):
-                for k, _ in entry:
-                    if not 0 <= k < dim:
-                        raise ValueError(
-                            f"table entry ({i}, {j}) names basis index {k}; the dimension is {dim}"
-                        )
+                if any(not 0 <= k < dim for k, _ in entry):
+                    raise ValueError(f"table entry ({i}, {j}) names a basis index outside 0..{dim - 1}")
                 if entry != table[j][i]:
                     raise ValueError(f"multiplication table is not symmetric at ({i}, {j})")
             if table[0][i] != ((i, 1),):
                 raise ValueError(f"unit row of the table does not fix basis element {i}")
-        self._check_associative(table)
-
-    def _check_associative(self, table):
-        """Light's test: the b_g with (b_x b_g) b_y = b_x (b_g b_y) for all x, y
-        span a subalgebra, so testing generators suffices: the degree-1 basis
-        elements if each other basis monomial m is a nonzero multiple of
-        b_g b_(m/Z_g), Z_g the first variable of m (as in every table the
-        constructors write), else all.  By commutativity b_x (b_g b_y) =
-        (b_y b_g) b_x; only nonzero products are visited."""
-        index, dim = self._index, len(table)
-
-        def chained(t, m):
-            g = next(v for v, e in enumerate(m) if e)
-            z, s = tuple(int(v == g) for v in range(self.n)), tuple(e - (v == g) for v, e in enumerate(m))
-            entry = table[index[z]][index[s]] if z in index and s in index else ()
-            return len(entry) == 1 and entry[0][0] == t and entry[0][1] != 0
-
-        def times(entry, k):
-            out = {}
-            for p, v in entry:
-                for q, w in table[p][k]:
-                    out[q] = out[q] + v * w if q in out else v * w
-            return {q: v for q, v in out.items() if v}
-
-        gens = [t for t, m in enumerate(self.basis) if sum(m) == 1]
-        if not all(chained(t, m) for t, m in enumerate(self.basis) if t and sum(m) != 1):
-            gens = range(1, dim)
         nonzero = [[k for k, entry in enumerate(row) if entry] for row in table]
+        self._check_associative(self._filtration(nonzero), nonzero)
+
+    def _times(self, entry, k):
+        """(basis index, constant) pairs times b_k, as {index: constant} without zeros."""
+        out = {}
+        for p, v in entry:
+            for q, w in self._table[p][k]:
+                out[q] = out[q] + v * w if q in out else v * w
+        return {q: v for q, v in out.items() if v}
+
+    def _filtration(self, nonzero):
+        """The indices of S, the nonunit basis elements that lead no row of
+        the reduced span of N^2 (N: the span of all nonunit ones), whatever
+        the labels say.  W_1 = span S, W_(k+1) = span(S W_k); ValueError when
+        W_(bound+1) or W_dim is not 0 or the W_k do not span N (by Nakayama,
+        N is then not nilpotent).  Once S passes ``_check_associative``, N^k
+        is the sum of the W_j, j >= k, so a bound that passes is honest."""
+        basis, index, dim = self.basis, self._index, len(self.basis)
+        # each distinct entry of N^2 once, without zero constants and in Fractions, as _reduce_rows divides
+        entries = {e for row in self._table[1:] for e in row[1:] if e}
+        square = _reduce_rows({basis[k]: Fraction(c) for k, c in e if c} for e in entries)
+        gens = dict.fromkeys(s for s in range(1, dim) if basis[s] not in square)
+        layer, span, k = [{basis[s]: Fraction(1)} for s in gens], [], 1
+        while layer and k < dim:  # a nilpotent N, of dimension dim - 1, has N^dim = 0
+            if k > self.degree_bound:
+                raise ValueError(f"a product of {k} nonunit basis elements is not 0:"
+                                 f" degree bound {self.degree_bound} is too small")
+            span += layer
+            # b_s w for s in S and w in W_k, but not where b_s's table row vanishes on w's support
+            products = (self._times([(index[m], c) for m, c in row.items()], s) for row in layer
+                        for s in dict.fromkeys(s for m in row for s in nonzero[index[m]] if s in gens))
+            layer = list(_reduce_rows({basis[q]: v for q, v in p.items()} for p in products).values())
+            k += 1
+        span = _reduce_rows(span)
+        if layer or len(span) != dim - 1 or any(basis[0] in row for row in span.values()):
+            raise ValueError("the nonunit basis elements are not nilpotent; not a Weil algebra")
+        return gens
+
+    def _check_associative(self, gens, nonzero):
+        """Light's test on S, the ``gens`` of ``_filtration``: the b_g with
+        (b_x b_g) b_y = b_x (b_g b_y) for all x, y span a subalgebra, and S
+        generates.  By commutativity b_x (b_g b_y) = (b_y b_g) b_x; only the
+        products that ``nonzero`` lists are visited."""
+        table = self._table
         for g in gens:
             for x in nonzero[g][1:]:
                 xg = table[x][g]
                 for y in sorted({y for p, _ in xg for y in nonzero[p]} - {0}):
-                    if times(xg, y) != times(table[y][g], x):
+                    if self._times(xg, y) != self._times(table[y][g], x):
                         raise ValueError(f"multiplication table is not associative on basis triple ({x}, {g}, {y})")
-
-    def _check_nilpotent(self):
-        for i, m in enumerate(self.basis):
-            if mono_degree(m) == 0:
-                continue
-            elem = self.basis_element(i)
-            power = elem
-            for _ in range(len(self.basis) + 1):
-                if power.is_zero():
-                    break
-                power = power * elem
-            else:
-                raise ValueError(f"basis monomial {m} is not nilpotent; not a Weil algebra")
 
     # -- elements -----------------------------------------------------------
 
@@ -723,9 +720,14 @@ def laplace_algebra(n: int) -> WeilAlgebra:
     """
     if n < 1:
         raise ValueError("need at least one generator")
+    _check_laplace_dimension(n)
+    return _laplace(n)
+
+
+def _check_laplace_dimension(n: int) -> None:
+    """ValueError when n + 2, the dimension of ``laplace_algebra(n)``, exceeds ``MAX_DIMENSION``."""
     if n + 2 > MAX_DIMENSION:
         raise ValueError(f"laplace_algebra({n}) has dimension {n + 2} > MAX_DIMENSION = {MAX_DIMENSION}")
-    return _laplace(n)
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -736,7 +738,9 @@ def _laplace(n):
 def _isotropy_algebra(weights) -> WeilAlgebra:
     """Z_i^2 = weights[i] * Q, Z_i Z_j = 0 on the basis {1, Z_1..Z_n, Q};
     Q is represented by Z_1^2, so weights[0] must be 1.  All weights 1 (a
-    flat metric, or G(x) = I) give the shared ``laplace_algebra(n)``."""
+    flat metric, or G(x) = I) give the shared ``laplace_algebra(n)``; more
+    than ``MAX_DIMENSION`` - 2 weights are refused, as there."""
+    _check_laplace_dimension(len(weights))
     if all(w == 1 for w in weights):
         return _laplace(len(weights))
     return _weighted_algebra(weights)
@@ -920,10 +924,7 @@ def _satisfies_isotropy(zs, ginv, eps=None) -> bool:
 
 def algebra_to_json(a: WeilAlgebra) -> dict:
     """JSON document: basis exponent vectors plus structure constants."""
-    table = [
-        [[[format_scalar(c), k] for k, c in entry] for entry in row]
-        for row in a._table
-    ]
+    table = [[[[format_scalar(c), k] for k, c in entry] for entry in row] for row in a._table]
     return {
         "n": a.n,
         "degree_bound": a.degree_bound,
@@ -936,7 +937,8 @@ def algebra_from_json(doc: dict) -> WeilAlgebra:
     """The algebra of an ``algebra_to_json`` document.  The basis (at most
     ``MAX_DIMENSION`` monomials, the unit first) and the table's shape (one
     row per basis monomial, each as long as the basis) are checked before
-    any table entry is read; then ``_check_table`` and ``_check_nilpotent``."""
+    any table entry is read; then ``_check_table``, which also refuses a
+    ``degree_bound`` below the table's own."""
     n = int(doc["n"])
     bound = int(doc["degree_bound"])
     if len(doc["basis"]) > MAX_DIMENSION:
@@ -952,7 +954,6 @@ def algebra_from_json(doc: dict) -> WeilAlgebra:
     table = [[_entry((int(k), parse_rational(c)) for c, k in entry) for entry in row] for row in rows]
     algebra = WeilAlgebra(n, bound, basis, {}, (), table=table)
     algebra._check_table()
-    algebra._check_nilpotent()
     return algebra
 
 
@@ -962,9 +963,7 @@ def algebra_isomorphism(src: WeilAlgebra, dst: WeilAlgebra):
     images of src basis elements) or None if the map fails to be one."""
     from . import _linalg
 
-    if src.dimension != dst.dimension:
-        return None
-    if src.n != dst.n:
+    if src.dimension != dst.dimension or src.n != dst.n:
         return None
     images = [dst.from_polynomial(Polynomial(src.n, {m: 1})) for m in src.basis]
     matrix = [[images[j].coords[i] for j in range(src.dimension)] for i in range(dst.dimension)]

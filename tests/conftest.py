@@ -47,7 +47,7 @@ from nilgeom.geometry import (
 )
 from nilgeom.scalars import DEFAULT_EPS, EXACT, FLOAT, scalars_equal, to_scalar
 from nilgeom.weil import _in_mode, _isotropy_algebra, laplace_algebra, tensor_algebra, truncated_algebra
-from nilgeom.weil import Polynomial, WeilElement, _reduce_rows, all_monomials, mono_key, quotient_algebra, satisfies_laplace_relations
+from nilgeom.weil import Polynomial, WeilAlgebra, WeilElement, _reduce_rows, all_monomials, mono_key, quotient_algebra, satisfies_laplace_relations
 from nilgeom.weil import _homogeneous
 
 
@@ -751,3 +751,53 @@ def product_by_fraction_loop(x, y):
             for k, c in entry:
                 out[k] = out[k] + ab * c
     return WeilElement(x.algebra, out)
+
+
+def check_nilpotent(algebra):
+    """ValueError unless each nonunit basis element is nilpotent: raised to
+    powers, with up to dim products each.  ``algebra_from_json`` ran this
+    until it read the powers of the nonunit part off the table."""
+    for i, m in enumerate(algebra.basis):
+        if sum(m) == 0:
+            continue
+        elem = algebra.basis_element(i)
+        power = elem
+        for _ in range(len(algebra.basis) + 1):
+            if power.is_zero():
+                break
+            power = power * elem
+        else:
+            raise ValueError(f"basis monomial {m} is not nilpotent; not a Weil algebra")
+
+
+def is_weil_document_by_brute_force(doc):
+    """Whether an ``algebra_to_json`` document, of the right shape,
+    presents a Weil algebra with its degree bound: distinct basis monomials,
+    the unit first, table indices in range, a symmetric table whose unit row
+    fixes each basis element, (b_i b_j) b_k = b_i (b_j b_k) on every basis
+    triple, each nonunit basis element nilpotent (``check_nilpotent``) and
+    every product of bound + 1 nonunit basis elements zero."""
+    n, bound = doc["n"], doc["degree_bound"]
+    basis = [tuple(m) for m in doc["basis"]]
+    dim = len(basis)
+    table = [[tuple((k, Fraction(c)) for c, k in entry) for entry in row] for row in doc["table"]]
+    if len(set(basis)) != dim or basis[0] != (0,) * n:
+        return False
+    if any(not 0 <= k < dim for row in table for entry in row for k, _ in entry):
+        return False
+    if any(table[i][j] != table[j][i] for i in range(dim) for j in range(dim)):
+        return False
+    if any(table[0][i] != ((i, 1),) for i in range(dim)):
+        return False
+    algebra = WeilAlgebra(n, bound, basis, {}, (), table=table)
+    b = [algebra.basis_element(i) for i in range(dim)]
+    if any((x * y) * z != x * (y * z) for x in b for y in b for z in b):
+        return False
+    try:
+        check_nilpotent(algebra)
+    except ValueError:
+        return False
+    products = {w.coords: w for w in b[1:]}
+    for _ in range(bound):
+        products = {p.coords: p for p in (w * x for w in products.values() for x in b[1:]) if not p.is_zero()}
+    return not products

@@ -255,6 +255,10 @@ def test_singular_metric_names_the_point_in_numbers(tmp_path, capsys, mode, wher
         (["algebra", "quotient", "--n", "2"], "algebra quotient needs --n and --bound"),
         (["laplacian", "--metric", "{polar}", "--fn", "x1", "--point", "1,2,3"],
          "point dimension does not match the metric"),
+        (["check", "harmonic", "--metric", "{polar}", "--fn", "x1^2", "--point", "1"],
+         "point dimension does not match the metric"),
+        (["check", "l-neighbor", "--metric", "{polar}", "--z", "d1,d2,d3", "--point", "1,2,3"],
+         "point dimension does not match the metric"),
         (["check", "harmonic", "--point", "0,0"], "check harmonic needs --fn"),
         (["check", "l-neighbor", "--point", "0,0"], "check l-neighbor needs --z"),
         (["check", "l-neighbor", "--point", "0,0", "--z", "1+d1,d2"],
@@ -262,7 +266,8 @@ def test_singular_metric_names_the_point_in_numbers(tmp_path, capsys, mode, wher
         (["check", "l-neighbor", "--point", "0,0", "--z", "d1"], "need one coordinate expression per dimension"),
         (["coalgebra", "--dist", "d1-d1", "--n", "1"], "the zero distribution generates nothing"),
     ],
-    ids=["conformal-no-map", "dl-no-n", "quotient-no-bound", "point-beyond-metric", "harmonic-no-fn",
+    ids=["conformal-no-map", "dl-no-n", "quotient-no-bound", "point-beyond-metric", "harmonic-point-below-metric",
+         "l-neighbor-point-beyond-metric", "harmonic-no-fn",
          "l-neighbor-no-z", "l-neighbor-constant-term", "l-neighbor-too-few", "zero-distribution"],
 )
 def test_missing_map_exits_2(capsys, polar_file, argv, message):
@@ -299,8 +304,13 @@ def test_too_deep_expression_exits_2(capsys, fn):
 
 @pytest.mark.parametrize(
     "argv",
-    [["algebra", "dk", "--n", "12", "--k", "6"], ["coalgebra", "--dist", "d1^6", "--n", "30"]],
-    ids=["dk-dimension-18564", "coalgebra-1947792-monomials"],
+    [["algebra", "dk", "--n", "12", "--k", "6"], ["coalgebra", "--dist", "d1^6", "--n", "30"],
+     # the universal point needs laplace_algebra(n), of dimension n + 2; no flat metric is built
+     ["laplacian", "--fn", "x1^2", "--point", ",".join(["0"] * 499)],
+     ["laplacian", "--fn", "x1^2", "--point", ",".join(["0"] * 2000)],
+     ["check", "harmonic", "--fn", "x1^2", "--point", ",".join(["0"] * 499)]],
+    ids=["dk-dimension-18564", "coalgebra-1947792-monomials", "laplacian-499-coordinates",
+         "laplacian-2000-coordinates", "harmonic-499-coordinates"],
 )
 def test_oversized_algebra_exits_2_at_once(capsys, argv):
     start = time.perf_counter()

@@ -949,3 +949,31 @@ def test_affine_combination_is_critical_point_flat(n):
             return gbar_eval(metric, x, y) * t + gbar_eval(metric, x, y, y=z) * (1 - t)
 
         assert objective(moved) == objective(y0)  # the v-dependence cancels exactly
+
+
+# -- sizes checked before the work ---------------------------------------------------------
+
+def test_metrics_and_isotropy_algebras_refuse_more_than_the_cap_before_building():
+    from nilgeom.weil import MAX_DIMENSION, _check_laplace_dimension, _isotropy_algebra
+
+    n = MAX_DIMENSION - 1
+    message = f"^laplace_algebra\\({n}\\) has dimension {n + 2} > MAX_DIMENSION = {MAX_DIMENSION}$"
+    rows = [["not parsed"]] * n  # refused before any entry is parsed
+    for build in (lambda: MetricField.standard_flat(n), lambda: MetricField.from_strings(rows),
+                  lambda: MetricField(n, []), lambda: _isotropy_algebra((1,) * n),
+                  lambda: _isotropy_algebra((1, 2) + (1,) * (n - 2))):
+        with pytest.raises(ValueError, match=message):
+            build()
+    with pytest.raises(ValueError, match="MAX_DIMENSION"):
+        MetricField.standard_flat(10**9)  # would hold 10^18 entries
+    _check_laplace_dimension(MAX_DIMENSION - 2)  # 498 coordinates pass
+
+
+@pytest.mark.parametrize("point", [(F(1),), (F(1), F(2), F(3))], ids=["short", "long"])
+def test_a_point_of_another_dimension_than_the_metric_is_refused(point):
+    for metric in (POLAR, FLAT2):
+        for detector in (laplacian, is_harmonic_at, preserves_affine_combinations):
+            with pytest.raises(ValueError, match="^point dimension does not match the metric$"):
+                detector(metric, parse_expr("x1^2", n=len(point)), point)
+        with pytest.raises(ValueError, match="^point dimension does not match the metric$"):
+            geodesic_chart(metric, point)
