@@ -211,8 +211,8 @@ def dual_algebra(c: Subcoalgebra) -> WeilAlgebra:
     codimension dim c.  When c is closed under comultiplication its
     annihilator is an ideal, and this span is all of its part up to the
     bound; the ideal the relations generate adds nothing, so reducing the
-    relations alone gives the reduced echelon form, and with it the basis
-    and normal forms, that ``quotient_algebra`` would.
+    relations alone gives the reduced echelon form, and with it the basis,
+    table and generator classes, that ``quotient_algebra`` would.
 
     A hand-built ``Subcoalgebra`` need not be closed, and then the span is
     no ideal.  The guard multiplies every reduced relation by every

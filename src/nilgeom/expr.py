@@ -248,6 +248,8 @@ def jet_eval(e: Expr, base, offsets, mode: str = EXACT) -> WeilElement:
     offsets = list(offsets)
     if not offsets:
         raise ValueError("need at least one offset coordinate")
+    if len(base) != len(offsets):
+        raise ValueError(f"base point has {len(base)} coordinates for {len(offsets)} offsets")
     algebra = offsets[0].algebra
     for z in offsets:
         if not isinstance(z, WeilElement):

@@ -121,6 +121,8 @@ class MetricField:
         """Numeric G(x), entries only evaluated; raises GeometryError when singular."""
         check_mode(mode)
         x = tuple(to_scalar(c, mode) for c in x)
+        if len(x) != self.n:
+            raise ValueError("point dimension does not match the metric")
         g = [[None] * self.n for _ in range(self.n)]
         for (i, j), e in self._upper.items():
             g[i][j] = g[j][i] = _jet(e, x, mode)

@@ -2,9 +2,9 @@
 
 A Weil algebra here is a finite-dimensional quotient of a polynomial ring
 by an ideal of nilpotents, presented concretely: an ordered monomial basis
-(unit first), a normal-form map for monomials, and a multiplication table
-of structure constants.  Three constructors cover everything the rest of
-the library needs:
+(unit first), a multiplication table of structure constants, and the class
+of each generator as a table entry.  Three constructors cover everything
+the rest of the library needs:
 
 * ``truncated_algebra(n, order)``: kill all monomials of degree > order,
   the coordinate ring of the order-k infinitesimal neighborhood of 0.
@@ -30,9 +30,10 @@ checks them, then looks in a cache of the last 16, which retains about
 ``MAX_DIMENSION`` (see there).  Equal algebras are then mostly one object,
 and ``==`` tests identity first.
 
-``algebra_from_json`` reads the generators and the powers of the nilpotent
-part off a document's table, not off its basis labels, and refuses a degree
-bound that the table exceeds.
+Normal forms live only in ``_presentation``, which writes the table and
+the generator classes of truncated, quotient and dual algebras.
+``algebra_from_json`` refuses a degree bound that the table exceeds and a
+basis label Z^m that is not the product it names.
 
 Structure constants are held in the scalars the product uses: a constant
 1 is the int 1, and every table shares one entry ((k, 1),) per basis
@@ -328,65 +329,48 @@ class WeilAlgebra:
     """Finite-dimensional nilpotent quotient with explicit structure constants.
 
     Attributes: ``n`` generators, ``degree_bound`` (monomials above it all
-    reduce to zero), ``basis`` (ordered monomials, unit first), and the
-    multiplication table.  ``relations`` records the defining relations of
-    a quotient or Laplace algebra (empty for tensor products and
-    deserialized algebras); a constructor may pass a function instead,
-    called on each read and its result not kept.  The table is built from
-    the normal forms unless one is given (rows of tuples of (basis index,
-    coefficient) pairs), and the normal forms then serve only
-    ``generators``.  Constructors write their constants through ``_entry``
+    reduce to zero), ``basis`` (ordered monomials, unit first, each the
+    product it names), the multiplication table (rows of tuples of (basis
+    index, coefficient) pairs), and each generator's class as a table
+    entry, or None where it is not recorded, for ``generators``.
+    ``relations`` records the defining relations of a quotient or Laplace
+    algebra (empty for truncated, tensor and deserialized algebras); a
+    constructor may pass a function instead, called on each read and its
+    result not kept.  Constructors write their constants through ``_entry``
     and ``_unit``: a constant 1 is the int 1, an entry that is one basis
     element is the shared ``_unit(k)``, other integral constants are
     ints, and ``generators`` turns them into ``Fraction``s.  Tables are
     checked where they come from outside: ``algebra_from_json`` checks
-    shape, symmetry, the unit row, associativity and the degree bound, all
-    read off the table (``_filtration``), while the library's own tables
-    are associative and nilpotent by construction and are not checked.
+    shape, symmetry, the unit row, associativity, the degree bound and the
+    labels (``_check_table``), while the library's own tables are right by
+    construction and are not checked.
     """
 
-    __slots__ = ("n", "degree_bound", "basis", "_relations", "_index", "_nf", "_table", "_gens")
+    __slots__ = ("n", "degree_bound", "basis", "_table", "_classes", "_relations", "_gens")
 
-    def __init__(self, n, degree_bound, basis, normal_form, relations, table=None):
+    def __init__(self, n, degree_bound, basis, table, classes, relations):
         self.n = n
         self.degree_bound = degree_bound
         self.basis = tuple(basis)
+        self._table = table
+        self._classes = tuple(classes)  # generator i -> its table entry, or None
         self._relations = relations if callable(relations) else tuple(relations)
-        self._index = {m: i for i, m in enumerate(self.basis)}
-        self._nf = normal_form  # monomial -> tuple of (basis index, coeff)
         self._gens = None  # the generators, once ``generators`` has built them
-        if self.basis[0] != unit_monomial(n):
-            raise AssertionError("quotient lost its unit")
-        self._table = self._build_table() if table is None else table
 
     @property
     def relations(self):
         return tuple(self._relations()) if callable(self._relations) else self._relations
 
-    # -- construction helpers ---------------------------------------------
-
-    def _reduce_monomial(self, m):
-        if mono_degree(m) > self.degree_bound:
-            return ()
-        if m in self._nf:
-            return self._nf[m]
-        return _unit(self._index[m])
-
-    def _build_table(self):
-        dim = len(self.basis)
-        table = [[None] * dim for _ in range(dim)]
-        for i in range(dim):
-            for j in range(i, dim):
-                table[i][j] = table[j][i] = self._reduce_monomial(mono_mul(self.basis[i], self.basis[j]))
-        return table
-
     def _check_table(self):
         """Reject repeated basis monomials, and a table (square over the
         basis, as ``algebra_from_json`` has checked) that names a basis
         index out of range, is not symmetric, has a wrong unit row, or fails
-        ``_filtration`` or ``_check_associative``."""
-        table, dim = self._table, len(self.basis)
-        if len(self._index) != dim:
+        ``_filtration`` or ``_check_associative``; then a negative exponent,
+        or a label m of degree >= 2 with b_(m-e_g) b_(e_g) != b_m, g its
+        first nonzero index, so that by induction each label is its product."""
+        table, basis, dim = self._table, self.basis, len(self.basis)
+        index = {m: i for i, m in enumerate(basis)}
+        if len(index) != dim:
             raise ValueError("basis monomials are not distinct")
         for i, row in enumerate(table):
             for j, entry in enumerate(row):
@@ -397,7 +381,16 @@ class WeilAlgebra:
             if table[0][i] != ((i, 1),):
                 raise ValueError(f"unit row of the table does not fix basis element {i}")
         nonzero = [[k for k, entry in enumerate(row) if entry] for row in table]
-        self._check_associative(self._filtration(nonzero), nonzero)
+        self._check_associative(self._filtration(nonzero, index), nonzero)
+        for i, m in enumerate(basis):
+            if any(e < 0 for e in m):
+                raise ValueError(f"basis label {list(m)} has a negative exponent")
+            if sum(m) > 1:
+                g = next(g for g, e in enumerate(m) if e)
+                e_g = (0,) * g + (1,) + (0,) * (len(m) - g - 1)
+                unit, rest = index.get(e_g), index.get(m[:g] + (m[g] - 1,) + m[g + 1:])
+                if unit is None or rest is None or table[rest][unit] != ((i, 1),):
+                    raise ValueError(f"basis label {list(m)} is not the product it names")
 
     def _times(self, entry, k):
         """(basis index, constant) pairs times b_k, as {index: constant} without zeros."""
@@ -407,14 +400,14 @@ class WeilAlgebra:
                 out[q] = out[q] + v * w if q in out else v * w
         return {q: v for q, v in out.items() if v}
 
-    def _filtration(self, nonzero):
+    def _filtration(self, nonzero, index):
         """The indices of S, the nonunit basis elements that lead no row of
         the reduced span of N^2 (N: the span of all nonunit ones), whatever
         the labels say.  W_1 = span S, W_(k+1) = span(S W_k); ValueError when
         W_(bound+1) or W_dim is not 0 or the W_k do not span N (by Nakayama,
         N is then not nilpotent).  Once S passes ``_check_associative``, N^k
         is the sum of the W_j, j >= k, so a bound that passes is honest."""
-        basis, index, dim = self.basis, self._index, len(self.basis)
+        basis, dim = self.basis, len(self.basis)
         # each distinct entry of N^2 once, without zero constants and in Fractions, as _reduce_rows divides
         entries = {e for row in self._table[1:] for e in row[1:] if e}
         square = _reduce_rows({basis[k]: Fraction(c) for k, c in e if c} for e in entries)
@@ -479,21 +472,15 @@ class WeilAlgebra:
     def generators(self):
         """Images of the ring generators Z_1..Z_n as elements, in a fresh
         list on each call.  The elements are immutable, so they are built on
-        the first call and shared after it; an algebra whose normal forms do
-        not record a generator raises ValueError on every call."""
+        the first call and shared after it; an algebra that does not record
+        a generator's class raises ValueError on every call."""
         if self._gens is None:
             gens = []
-            for i in range(self.n):
-                mono = tuple(1 if j == i else 0 for j in range(self.n))
-                try:
-                    entries = self._reduce_monomial(mono)
-                except KeyError:
-                    # algebra_from_json keeps the table only, not the normal forms
-                    raise ValueError(
-                        f"serialized algebra does not record the class of generator Z{i + 1}"
-                    ) from None
+            for i, entry in enumerate(self._classes):
+                if entry is None:  # a deserialized algebra without the label e_i
+                    raise ValueError(f"serialized algebra does not record the class of generator Z{i + 1}")
                 coords = [Fraction(0)] * self.dimension
-                for k, c in entries:  # an int constant becomes a Fraction, as in a product
+                for k, c in entry:  # an int constant becomes a Fraction, as in a product
                     coords[k] = Fraction(c) if isinstance(c, int) else c
                 gens.append(self.element(coords))
             self._gens = tuple(gens)
@@ -708,7 +695,7 @@ def truncated_algebra(n: int, order: int) -> WeilAlgebra:
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _truncated(n, order):
-    return WeilAlgebra(n, order, all_monomials(n, order), {}, relations=())
+    return _presentation(n, order, {}, ())
 
 
 def laplace_algebra(n: int) -> WeilAlgebra:
@@ -762,7 +749,8 @@ def _weighted_algebra(weights) -> WeilAlgebra:
         table[0][k] = table[k][0] = _unit(k)
     for i, w in enumerate(weights, start=1):
         table[i][i] = _entry(((n + 1, w),))
-    return WeilAlgebra(n, 2, basis, {}, functools.partial(_isotropy_relations, tuple(weights)), table=table)
+    classes = [_unit(i) for i in range(1, n + 1)]
+    return WeilAlgebra(n, 2, basis, table, classes, functools.partial(_isotropy_relations, tuple(weights)))
 
 
 def _isotropy_relations(weights):
@@ -812,18 +800,25 @@ def quotient_algebra(n: int, degree_bound: int, relations) -> WeilAlgebra:
 def _presentation(n, degree_bound, pivots, relations) -> WeilAlgebra:
     """The quotient whose kernel in degrees <= degree_bound has the reduced
     echelon rows ``pivots`` (lead monomial -> row, as ``_reduce_rows``
-    returns them): the monomials that lead no row form the basis, and a
-    lead's normal form is minus the tail of its row."""
+    returns them; {} for the truncated algebra): the monomials that lead no
+    row form the basis, and a lead's normal form is minus the tail of its
+    row.  The normal forms write the table and the generator classes."""
     assert unit_monomial(n) not in pivots, "zero-constant-term relations cannot kill the unit"
     basis = [m for m in all_monomials(n, degree_bound) if m not in pivots]
     index = {m: i for i, m in enumerate(basis)}
-    nf = {}
+    nf = {m: _unit(i) for m, i in index.items()}
     for lead, row in pivots.items():
         nf[lead] = _entry(
             (index[m], -c) for m, c in sorted(row.items(), key=lambda kv: mono_key(kv[0]))
             if m != lead
         )
-    return WeilAlgebra(n, degree_bound, basis, nf, tuple(relations))
+    dim = len(basis)
+    table = [[None] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            table[i][j] = table[j][i] = nf.get(mono_mul(basis[i], basis[j]), ())
+    classes = {m.index(1): entry for m, entry in nf.items() if sum(m) == 1}  # past the bound, Z_g is 0
+    return WeilAlgebra(n, degree_bound, basis, table, [classes.get(g, ()) for g in range(n)], relations)
 
 
 def tensor_algebra(a: WeilAlgebra, b: WeilAlgebra):
@@ -851,15 +846,10 @@ def tensor_algebra(a: WeilAlgebra, b: WeilAlgebra):
             table[r][s] = table[s][r] = _entry((t, v) for t, v in entry if v)
     place_a = [index[i, 0] for i in range(a.dimension)]
     place_b = [index[0, k] for k in range(b.dimension)]
-    nf = {}  # the class of each generator, where its factor records one
-    for g in _homogeneous(a.n + b.n, 1):
-        factor, place, m = (a, place_a, g[:a.n]) if any(g[:a.n]) else (b, place_b, g[a.n:])
-        try:
-            nf[g] = _entry((place[i], v) for i, v in factor._reduce_monomial(m))
-        except KeyError:  # a deserialized factor without normal forms
-            pass
+    classes = [entry if entry is None else _entry((place[k], v) for k, v in entry)  # placed, where recorded
+               for factor, place in ((a, place_a), (b, place_b)) for entry in factor._classes]
     basis = [a.basis[i] + b.basis[k] for i, k in pairs]
-    c = WeilAlgebra(a.n + b.n, a.degree_bound + b.degree_bound, basis, nf, (), table=table)
+    c = WeilAlgebra(a.n + b.n, a.degree_bound + b.degree_bound, basis, table, classes, ())
 
     def _embedding(factor, place):
         def embed(elem):
@@ -938,7 +928,9 @@ def algebra_from_json(doc: dict) -> WeilAlgebra:
     ``MAX_DIMENSION`` monomials, the unit first) and the table's shape (one
     row per basis monomial, each as long as the basis) are checked before
     any table entry is read; then ``_check_table``, which also refuses a
-    ``degree_bound`` below the table's own."""
+    ``degree_bound`` below the table's own and a label that is not the
+    product it names.  Z_g's class is the element labelled e_g, 0 past the
+    degree bound, and else not recorded."""
     n = int(doc["n"])
     bound = int(doc["degree_bound"])
     if len(doc["basis"]) > MAX_DIMENSION:
@@ -952,7 +944,9 @@ def algebra_from_json(doc: dict) -> WeilAlgebra:
     if len(rows) != len(basis) or any(len(row) != len(basis) for row in rows):
         raise ValueError("multiplication table has wrong shape")
     table = [[_entry((int(k), parse_rational(c)) for c, k in entry) for entry in row] for row in rows]
-    algebra = WeilAlgebra(n, bound, basis, {}, (), table=table)
+    units = {m.index(1): _unit(i) for i, m in enumerate(basis) if sum(m) == 1 and m.count(0) == n - 1}
+    classes = [units.get(g, () if bound < 1 else None) for g in range(n)]
+    algebra = WeilAlgebra(n, bound, basis, table, classes, ())
     algebra._check_table()
     return algebra
 

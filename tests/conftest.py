@@ -721,14 +721,10 @@ def check_order_all_sequences(offsets, order, eps=None):
 
 
 def generators_from_normal_forms(algebra):
-    """The generators Z_1..Z_n built from the normal forms on every call."""
-    gens = []
-    for i in range(algebra.n):
-        coords = [Fraction(0)] * algebra.dimension
-        for k, c in algebra._reduce_monomial(tuple(int(j == i) for j in range(algebra.n))):
-            coords[k] = c
-        gens.append(algebra.element(coords))
-    return gens
+    """The generators Z_1..Z_n built on every call from the basis labels:
+    Z_i is the basis element labelled e_i."""
+    labels = [tuple(int(j == i) for j in range(algebra.n)) for i in range(algebra.n)]
+    return [algebra.basis_element(algebra.basis.index(e)) for e in labels]
 
 
 def product_by_fraction_loop(x, y):
@@ -775,8 +771,10 @@ def is_weil_document_by_brute_force(doc):
     presents a Weil algebra with its degree bound: distinct basis monomials,
     the unit first, table indices in range, a symmetric table whose unit row
     fixes each basis element, (b_i b_j) b_k = b_i (b_j b_k) on every basis
-    triple, each nonunit basis element nilpotent (``check_nilpotent``) and
-    every product of bound + 1 nonunit basis elements zero."""
+    triple, each nonunit basis element nilpotent (``check_nilpotent``),
+    every product of bound + 1 nonunit basis elements zero, and every label
+    Z^m, its exponents non-negative, equal to the product of the basis
+    elements labelled by its generators: b_m = prod over g of b_(e_g)^m_g."""
     n, bound = doc["n"], doc["degree_bound"]
     basis = [tuple(m) for m in doc["basis"]]
     dim = len(basis)
@@ -789,7 +787,7 @@ def is_weil_document_by_brute_force(doc):
         return False
     if any(table[0][i] != ((i, 1),) for i in range(dim)):
         return False
-    algebra = WeilAlgebra(n, bound, basis, {}, (), table=table)
+    algebra = WeilAlgebra(n, bound, basis, table, (), ())
     b = [algebra.basis_element(i) for i in range(dim)]
     if any((x * y) * z != x * (y * z) for x in b for y in b for z in b):
         return False
@@ -800,4 +798,17 @@ def is_weil_document_by_brute_force(doc):
     products = {w.coords: w for w in b[1:]}
     for _ in range(bound):
         products = {p.coords: p for p in (w * x for w in products.values() for x in b[1:]) if not p.is_zero()}
-    return not products
+    if products:
+        return False
+    labelled = dict(zip(basis, b))
+    for m, x in labelled.items():
+        product = algebra.one()
+        for g, e in enumerate(m):
+            e_g = tuple(int(h == g) for h in range(n))
+            if e < 0 or (e and e_g not in labelled):
+                return False
+            if e:
+                product = product * labelled[e_g] ** e
+        if product != x:
+            return False
+    return True

@@ -255,6 +255,16 @@ def test_jet_rejects_mixed_and_unit():
         jet_eval(parse_expr("x1"), (F(0),), [a.one()])
 
 
+def test_jet_refuses_a_base_and_offsets_of_different_lengths():
+    # zip dropped the coordinates past the shorter of the two
+    gens = laplace_algebra(2).generators()
+    for base in ((F(1), F(2), F(3)), (F(1),)):
+        with pytest.raises(ValueError, match=f"^base point has {len(base)} coordinates for 2 offsets$"):
+            jet_eval(parse_expr("x1"), base, gens)
+    with pytest.raises(ValueError, match="^base point has 3 coordinates for 2 offsets$"):
+        parse_function("x1^2 - x2^2, 2*x1*x2").jacobian((F(1), F(2), F(3)))
+
+
 # -- function models ------------------------------------------------------------------
 
 def test_function_model_validates_arity():

@@ -430,6 +430,19 @@ def test_inner_product_flat():
     assert inner_product(FLAT2, e1, e2) == 0
 
 
+def test_a_point_beyond_the_metric_is_refused():
+    # G(2, 0, 7) was read as G(2, 0), and <e1, e1> came out as 1
+    e1 = TangentVector((F(2), F(0), F(7)), (F(1), F(0), F(0)))
+    for call in (lambda: inner_product(POLAR, e1, e1), lambda: POLAR.matrix_at((F(2),))):
+        with pytest.raises(ValueError, match="^point dimension does not match the metric$"):
+            call()
+    plane = parse_function("x1^2 - x2^2, 2*x1*x2")
+    with pytest.raises(ValueError, match="^base point has 3 coordinates for 2 offsets$"):
+        cr_check(plane, (F(1), F(2), F(3)))
+    with pytest.raises(ValueError, match="^base point has 3 coordinates for 2 offsets$"):
+        laplace_taylor(FLAT2, parse_expr("x1*x2"), (F(1), F(2), F(3)), laplace_algebra(2).generators())
+
+
 def test_inner_product_defining_identity_random_metrics():
     # d1 d2 <t, s> = -1/2 g(t(d1), s(d2)) for independent square-zero scalars
     rng = random.Random(113)

@@ -555,15 +555,74 @@ def test_a_bound_below_the_table_is_refused():
         algebra_from_json({"n": 1, "degree_bound": 10**9, "basis": [[0], [1], [2]], "table": table})
 
 
-def test_a_relabelled_document_at_the_cap_loads_in_seconds():
-    # the labels of Z and Z^2 swapped: the generator is read off the table, not off the labels
+def test_a_relabelled_document_at_the_cap_is_refused_in_seconds():
+    # the labels of Z and Z^2 swapped: b_1, labelled Z^2, is not b_2 b_2 = Z^4
     algebra = truncated_algebra(1, MAX_DIMENSION - 2)
     doc = json.loads(json.dumps(algebra_to_json(algebra)))
     doc["basis"][1], doc["basis"][2] = doc["basis"][2], doc["basis"][1]
     start = time.perf_counter()
-    back = algebra_from_json(doc)
+    with pytest.raises(ValueError, match=r"^basis label \[2\] is not the product it names$"):
+        algebra_from_json(doc)
     assert time.perf_counter() - start < 5
-    assert back._table == algebra._table
+
+
+def test_labels_must_name_their_products():
+    # Z1 and Z1^2 swapped in k[Z]/(Z^4): the generator read off the labels was Z^2, and the jet of x1^2 there 0
+    doc = json.loads(json.dumps(algebra_to_json(truncated_algebra(1, 3))))
+    doc["basis"][1], doc["basis"][2] = [2], [1]
+    with pytest.raises(ValueError, match=r"^basis label \[2\] is not the product it names$"):
+        algebra_from_json(doc)
+    # k[Z]/(Z^2) with Z labelled Z^2: no label names the generator of that product
+    square = {**algebra_to_json(truncated_algebra(1, 1)), "basis": [[0], [2]]}
+    with pytest.raises(ValueError, match=r"^basis label \[2\] is not the product it names$"):
+        algebra_from_json(square)
+    negative = {**algebra_to_json(truncated_algebra(2, 1)), "basis": [[0, 0], [2, -1], [0, 1]]}
+    with pytest.raises(ValueError, match=r"^basis label \[2, -1\] has a negative exponent$"):
+        algebra_from_json(negative)
+    # the table's own checks come first: this bound is refused before the labels are read
+    with pytest.raises(ValueError, match="degree bound 2 is too small$"):
+        algebra_from_json({**doc, "degree_bound": 2})
+
+
+LIBRARY_KINDS = ("truncated", "Laplace", "weighted", "quotient", "tensor", "dual")
+
+
+def _library_algebra(kind, rng):
+    """A random algebra of one library constructor, at most 100-dimensional."""
+    n = rng.choice((1, 2, 3))
+    if kind == "truncated":
+        return truncated_algebra(n, rng.randint(0, {1: 6, 2: 3, 3: 2}[n]))
+    if kind == "Laplace":
+        return laplace_algebra(rng.randint(1, 5))
+    if kind == "weighted":
+        weights = (Fraction(rng.choice((-3, -1, 2, 5)), rng.randint(1, 3)) for _ in range(n))
+        return _isotropy_algebra((Fraction(1), *weights))
+    if kind == "quotient":
+        return _documents(rng)[0]
+    if kind == "tensor":
+        factors = (_library_algebra(rng.choice(("truncated", "Laplace", "quotient")), rng) for _ in "ab")
+        return tensor_algebra(*factors)[0]
+    monos = rng.sample(all_monomials(n, 3), rng.randint(1, 3))
+    return dual_algebra(subcoalgebra_generated(Distribution(n, {m: rng.choice((-2, 1, 3)) for m in monos})))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(LIBRARY_KINDS), st.integers(0, 2**32 - 1))
+def test_library_algebras_round_trip_with_labels_that_name_their_products(kind, seed):
+    algebra = _library_algebra(kind, random.Random(seed))
+    back = algebra_from_json(json.loads(json.dumps(algebra_to_json(algebra))))
+    assert back.basis == algebra.basis and back._table == algebra._table
+    # a generator within the bound whose class is no basis monomial: JSON does not name that class
+    if algebra.degree_bound and any(sum(m) == 1 and m not in algebra.basis for m in all_monomials(algebra.n, 1)):
+        with pytest.raises(ValueError, match="does not record the class of generator"):
+            back.generators()
+        loaded = [algebra]
+    else:
+        assert [g.coords for g in back.generators()] == [g.coords for g in algebra.generators()]
+        loaded = [algebra, back]
+    for a in loaded:
+        for i, m in enumerate(a.basis):
+            assert a.from_polynomial(Polynomial(a.n, {m: 1})) == a.basis_element(i)
 
 
 def _accepts(doc):
@@ -577,8 +636,9 @@ def _accepts(doc):
 def _documents(rng):
     """A random quotient algebra on up to 10 monomials and (kind, document)
     pairs: its own document, a lowered bound, one table entry and its mirror
-    replaced (a written zero constant included), and two nonunit basis
-    labels swapped, with and without a lowered bound."""
+    replaced (a written zero constant included), two nonunit basis labels
+    swapped, with and without a lowered bound, and a nonunit label with a
+    negative exponent."""
     n = rng.choice((1, 2, 3))
     bound = rng.randint(1, {1: 5, 2: 3, 3: 2}[n])
     relations = []
@@ -600,6 +660,12 @@ def _documents(rng):
         relabelled["basis"][i], relabelled["basis"][j] = doc["basis"][j], doc["basis"][i]
         documents += [("relabelled", relabelled),
                       ("relabelled, lowered", {**relabelled, "degree_bound": rng.randint(0, bound - 1)})]
+    if dim > 1:
+        negative = json.loads(json.dumps(doc))
+        label = negative["basis"][rng.randint(1, dim - 1)]
+        g = rng.randrange(n)
+        label[g] = -label[g] - 1
+        documents.append(("negative", negative))
     return algebra, documents
 
 
