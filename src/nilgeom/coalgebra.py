@@ -7,11 +7,13 @@ symbols composes the operators).  Multiplication of test polynomials
 dualizes to a comultiplication on these functionals, the generalized
 Leibniz rule, which expands each monomial of the symbol binomially.  The
 left factors of that expansion index the divided (Hasse) derivatives of
-the symbol, and the right factors are their terms; the derivatives span
-the finite-dimensional subcoalgebra the distribution generates.  Dualizing
-that subcoalgebra back yields a Weil algebra: starting from the sum of
-pure second derivatives, this loop lands, up to an explicit table
-isomorphism, on ``laplace_algebra(n)``.
+the symbol, and the right factors are their terms.  Over Q the partial
+derivatives d/d(d_i), taken repeatedly, span what the divided ones span:
+the finite-dimensional subcoalgebra the distribution generates, which one
+row reduction with a closing map finds.  Dualizing that subcoalgebra back
+yields a Weil algebra: starting from the sum of pure second derivatives,
+this loop lands, up to an explicit table isomorphism, on
+``laplace_algebra(n)``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .weil import (
     _presentation,
     _reduce_rows,
     all_monomials,
-    mono_degree,
     mono_key,
     unit_monomial,
 )
@@ -150,35 +151,28 @@ class Subcoalgebra(Record):
         return len(self.basis)
 
 
-def divided_derivatives(d: Distribution) -> list:
-    """All nonzero divided (Hasse) derivatives D^beta d of the symbol, d
-    included, ordered by beta in basis order.
-
-    The divided derivative D^beta d is the sum of the right factors paired
-    with the left factor d^beta in ``comultiply(d)``; its terms come from
-    distinct terms of d, so none cancel.
-    """
-    _check_dimension(d.n, d.degree())
-    groups = {}
-    for (beta, gamma), c in comultiply(d).items():
-        groups.setdefault(beta, {})[gamma] = c
-    return [Distribution(d.n, groups[beta]) for beta in sorted(groups, key=mono_key)]
+def _partials(terms):
+    """The partial derivatives d/d(d_i) of a nonzero symbol's terms map, one
+    terms map for each i: d^alpha goes to alpha_i d^(alpha - e_i)."""
+    n = len(next(iter(terms)))
+    return [{m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i] for m, c in terms.items() if m[i]} for i in range(n)]
 
 
 def subcoalgebra_generated(d: Distribution) -> Subcoalgebra:
     """Smallest subcoalgebra containing d, with its comultiplication table.
 
-    The span S of the divided derivatives of the symbol is closed under
-    comultiplication: the expansion of b in S is symmetric, and its right
-    factors are divided derivatives of b, so of d
-    (D^beta D^gamma d = C(beta + gamma, beta) D^(beta+gamma) d), hence in S;
-    by symmetry so are its left factors.  Row reduction gives a reduced
-    echelon basis ordered by lead monomial.  Each lead occurs, with
+    ``_reduce_rows`` closes d under the partial derivatives.  The closure S
+    spans the divided derivatives D^beta d (the order-beta partial over
+    beta!), and is closed under comultiplication: the expansion of b in S
+    is symmetric, and its right factors are divided derivatives of b, so
+    of d (D^beta D^gamma d = C(beta + gamma, beta) D^(beta+gamma) d), hence
+    in S; by symmetry so are its left factors.  The basis is the unique
+    reduced echelon one, ordered by lead monomial.  Each lead occurs, with
     coefficient 1, in its own basis element only, so the coefficient of
-    b_i (x) b_j in the comultiplication of b is the coefficient of
-    (lead_i, lead_j).
+    b_i (x) b_j in the comultiplication of b is that of (lead_i, lead_j).
     """
-    pivots = _reduce_rows([dd.terms for dd in divided_derivatives(d)])
+    _check_dimension(d.n, d.degree())
+    pivots = _reduce_rows([d.terms], _partials)
     leads = sorted(pivots, key=mono_key)
     basis = [Distribution(d.n, pivots[lead]) for lead in leads]
     index = {lead: i for i, lead in enumerate(leads)}
@@ -215,11 +209,14 @@ def dual_algebra(c: Subcoalgebra) -> WeilAlgebra:
     table and generator classes, that ``quotient_algebra`` would.
 
     A hand-built ``Subcoalgebra`` need not be closed, and then the span is
-    no ideal.  The guard multiplies every reduced relation by every
-    generator and requires the product, truncated at the bound, to reduce
-    to zero; a basis without the counit (evaluation at 0) would put 1 in
-    the annihilator.  Both raise ValueError, as does a linearly dependent
-    basis, whose quotient would have fewer dimensions than it lists.
+    no ideal.  A basis without the counit (evaluation at 0) would put 1 in
+    the annihilator, and a linearly dependent one would give fewer
+    dimensions than it lists; both raise ValueError.  So does a span that
+    closing under the derivatives grows, naming an element it adds:
+    d/d(d_i) is adjoint to x_i (<d/d(d_i) d^alpha, x^beta> and
+    <d^alpha, x_i x^beta> are both alpha! when alpha = beta + e_i, else 0),
+    so the annihilator is an ideal exactly when the span is closed under
+    them.
     """
     if not c.basis:
         raise ValueError(
@@ -234,9 +231,15 @@ def dual_algebra(c: Subcoalgebra) -> WeilAlgebra:
         )
     if len(pivots) != c.dimension:
         raise ValueError(f"the basis spans {len(pivots)} dimensions, not {c.dimension}: it is linearly dependent")
-    monomials = all_monomials(c.n, degree_bound)
+    closed = _reduce_rows(pivots.values(), _partials)
+    added = [lead for lead in closed if lead not in pivots]
+    if added:
+        witness = Distribution(c.n, closed[min(added, key=mono_key)]).to_string()
+        raise ValueError(
+            f"the basis is not closed under comultiplication: its derivatives span {witness}, which it does not"
+        )
     relations = []
-    for m in monomials:
+    for m in all_monomials(c.n, degree_bound):
         if m in pivots:
             continue
         weight = _factorial(m)
@@ -247,33 +250,7 @@ def dual_algebra(c: Subcoalgebra) -> WeilAlgebra:
                 terms[lead] = -coeff * weight / _factorial(lead)
         relations.append(Polynomial(c.n, terms))
     kernel = _reduce_rows([r.terms for r in relations])
-    _check_ideal(kernel, c.n, degree_bound)
     return _presentation(c.n, degree_bound, kernel, relations)
-
-
-def _check_ideal(kernel, n, degree_bound):
-    """ValueError unless the span of the reduced echelon rows ``kernel`` is
-    closed under multiplication by each generator in the ring truncated at
-    the bound.  Row tails hold no lead, so one pass of subtraction reduces
-    a product; what is left on the non-lead monomials must vanish."""
-    for row in kernel.values():
-        for i in range(n):
-            product = {}
-            for m, coeff in row.items():
-                if mono_degree(m) < degree_bound:
-                    product[m[:i] + (m[i] + 1,) + m[i + 1:]] = coeff
-            rest = {m: v for m, v in product.items() if m not in kernel}
-            for lead, factor in product.items():
-                if lead not in kernel:
-                    continue
-                for m, v in kernel[lead].items():
-                    if m != lead:
-                        rest[m] = rest.get(m, Fraction(0)) - factor * v
-            if any(rest.values()):
-                raise ValueError(
-                    f"the basis is not closed under comultiplication: x{i + 1} times an"
-                    " annihilating relation leaves the annihilator"
-                )
 
 
 def distribution_report(d: Distribution) -> dict:

@@ -12,12 +12,13 @@ the rest of the library needs:
   "all generator squares equal, distinct-generator products vanish"; the
   natural support of the mirror-average Laplacian.
 * ``quotient_algebra(n, degree_bound, relations)``: generic quotient by a
-  relation list, computed by exact row reduction of the ideal the
-  relations generate.  The tests use it as the oracle for the hand-written
-  tables and for ``tensor_algebra``, which multiplies the factors' tables
-  instead.  The coalgebra pipeline does not call it either: the
-  annihilator it presents is already an ideal, so ``dual_algebra`` reduces
-  its relations once and shares only the last step, ``_presentation``.
+  relation list: ``_reduce_rows`` closes the relations under
+  multiplication by each generator.  The tests use it as the oracle for
+  the hand-written tables and for ``tensor_algebra``, which multiplies
+  the factors' tables instead.  The coalgebra pipeline does not call it
+  either: the annihilator it presents is already an ideal, so
+  ``dual_algebra`` reduces its relations once and shares only the last
+  step, ``_presentation``.
 
 Every constructor counts its monomials before building anything and
 refuses more than ``MAX_DIMENSION`` of them.  ``laplace_algebra`` writes
@@ -87,18 +88,25 @@ def unit_monomial(n: int) -> Monomial:
 
 
 def all_monomials(n: int, max_degree: int) -> list:
-    """Every exponent vector of total degree <= max_degree, in basis order."""
+    """Every exponent vector of total degree <= max_degree, in basis order:
+    ``combinations_with_replacement`` lists each degree's variable indices
+    in ascending lexicographic order, so the exponents come in basis order."""
     result = []
     for total in range(max_degree + 1):
-        result.extend(_homogeneous(n, total))
-    return sorted(result, key=mono_key)
+        for indices in itertools.combinations_with_replacement(range(n), total):
+            m = [0] * n
+            for i in indices:
+                m[i] += 1
+            result.append(tuple(m))
+    return result
 
 
 MAX_DIMENSION = 500
 """Most monomials an algebra constructor or the coalgebra pipeline may work
 with: C(n + k, k) for n generators up to degree k (``truncated_algebra``,
-``quotient_algebra``, ``divided_derivatives``, ``dual_algebra``) and n + 2
-for ``laplace_algebra``.  A multiplication table holds the square of the
+``quotient_algebra``, ``subcoalgebra_generated``, ``dual_algebra``, which
+also refuse n >= MAX_DIMENSION at degree 0) and n + 2 for
+``laplace_algebra``.  A multiplication table holds the square of the
 dimension, and so does the cost of building it: at the cap a truncated
 algebra builds in 0.6-1.2 s and the Laplace algebra in about 0.3 s
 (2-core VM, Python 3.11).
@@ -156,7 +164,8 @@ def _check_dimension(n: int, degree: int) -> None:
     """ValueError when C(n + degree, degree), the number of monomials of
     degree <= degree in n variables, exceeds ``MAX_DIMENSION``.  Counts up
     along the smaller argument and stops once past the cap, so huge inputs
-    cost a few steps."""
+    cost a few steps.  The count is 1 at degree 0, so n itself must then
+    stay below ``MAX_DIMENSION``, where degree 1 passes the cap."""
     count, high = 1, max(n, degree)
     for i in range(1, min(n, degree) + 1):
         count = count * (high + i) // i
@@ -165,15 +174,8 @@ def _check_dimension(n: int, degree: int) -> None:
                 f"{n} generators up to degree {degree} give more than"
                 f" MAX_DIMENSION = {MAX_DIMENSION} monomials"
             )
-
-
-def _homogeneous(n, total):
-    if n == 1:
-        return [(total,)]
-    out = []
-    for first in range(total + 1):
-        out.extend((first,) + rest for rest in _homogeneous(n - 1, total - first))
-    return out
+    if n >= MAX_DIMENSION:
+        raise ValueError(f"{n} generators are more than MAX_DIMENSION - 1 = {MAX_DIMENSION - 1}")
 
 
 class Polynomial:
@@ -290,12 +292,20 @@ class Polynomial:
 # sparse exact row reduction over monomial columns
 # ---------------------------------------------------------------------------
 
-def _reduce_rows(rows):
+def _reduce_rows(rows, close=None):
     """Gauss-Jordan on sparse {monomial: coeff} rows; pivots on the largest
-    monomial of each row so small monomials survive as quotient basis."""
+    monomial of each row so small monomials survive as quotient basis.
+
+    ``close``, a linear map from a row to a list of rows, closes the span:
+    the images of each row that yields a new pivot join the rows to reduce.
+    Those rows, taken as given (which keeps them sparse), span what the
+    pivot rows span, so the result is the reduced echelon form, which is
+    unique, of the smallest span that holds ``rows`` and is closed under
+    ``close``."""
     pivots = {}  # pivot monomial -> reduced row
-    for row in rows:
-        row = dict(row)
+    queue = list(rows)
+    for given in queue:  # the loop reaches the rows that ``close`` appends
+        row = dict(given)
         while row:
             lead = max(row, key=mono_key)
             if lead in pivots:
@@ -308,6 +318,8 @@ def _reduce_rows(rows):
                 inv = row[lead]
                 row = {m: c / inv for m, c in row.items()}
                 pivots[lead] = row
+                if close is not None:
+                    queue.extend(close(given))
                 break
     # back-substitute so pivot rows mention no other pivot in their tail: one
     # pass in increasing lead order suffices, because a tail holds only
@@ -767,9 +779,10 @@ def quotient_algebra(n: int, degree_bound: int, relations) -> WeilAlgebra:
     """Quotient of the degree-truncated ring by the ideal the relations generate.
 
     Relations must have zero constant term (so the quotient keeps its unit).
-    The ideal's span in degrees <= degree_bound is produced by multiplying
-    each relation by every monomial and discarding terms past the bound,
-    then row-reducing exactly; the surviving monomials form the basis.
+    ``_reduce_rows`` closes the relations under multiplication by each
+    generator, terms past the bound dropped throughout (they would stay
+    past it), which spans the ideal in degrees <= degree_bound; the
+    monomials that lead no row form the basis.
     """
     if n < 1:
         raise ValueError("need at least one generator")
@@ -782,19 +795,13 @@ def quotient_algebra(n: int, degree_bound: int, relations) -> WeilAlgebra:
             raise ValueError("relation arity does not match n")
         if r.constant_term() != 0:
             raise ValueError("relations must have zero constant term")
-    rows = []
-    for r in relations:
-        if r.is_zero():
-            continue
-        for m in all_monomials(n, max(degree_bound - 1, 0)):
-            truncated = {
-                mono_mul(m, mm): c
-                for mm, c in r.terms.items()
-                if mono_degree(mono_mul(m, mm)) <= degree_bound
-            }
-            if truncated:
-                rows.append(truncated)
-    return _presentation(n, degree_bound, _reduce_rows(rows), relations)
+
+    def times_generators(row):
+        return [{m[:i] + (m[i] + 1,) + m[i + 1:]: c for m, c in row.items() if mono_degree(m) < degree_bound}
+                for i in range(n)]
+
+    rows = [{m: c for m, c in r.terms.items() if mono_degree(m) <= degree_bound} for r in relations]
+    return _presentation(n, degree_bound, _reduce_rows(rows, times_generators), relations)
 
 
 def _presentation(n, degree_bound, pivots, relations) -> WeilAlgebra:

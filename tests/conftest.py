@@ -48,7 +48,7 @@ from nilgeom.geometry import (
 from nilgeom.scalars import DEFAULT_EPS, EXACT, FLOAT, scalars_equal, to_scalar
 from nilgeom.weil import _in_mode, _isotropy_algebra, laplace_algebra, tensor_algebra, truncated_algebra
 from nilgeom.weil import Polynomial, WeilAlgebra, WeilElement, _reduce_rows, all_monomials, mono_key, quotient_algebra, satisfies_laplace_relations
-from nilgeom.weil import _homogeneous
+from nilgeom.weil import _presentation, mono_degree, mono_mul
 
 
 def random_polynomial(rng: random.Random, n: int, degree: int, terms: int = 5) -> Polynomial:
@@ -136,7 +136,8 @@ def tensor_algebra_by_quotient(a, b):
     relations = []
     for factor, offset in ((a, 0), (b, a.n)):
         relations += [Polynomial(n, {shift(m, offset): c for m, c in r.terms.items()}) for r in factor.relations]
-        relations += [Polynomial(n, {shift(m, offset): 1}) for m in _homogeneous(factor.n, factor.degree_bound + 1)]
+        top = factor.degree_bound + 1
+        relations += [Polynomial(n, {shift(m, offset): 1}) for m in all_monomials(factor.n, top) if sum(m) == top]
     c = quotient_algebra(n, a.degree_bound + b.degree_bound, relations)
     assert c.dimension == a.dimension * b.dimension, "tensor construction lost dimensions"
 
@@ -151,6 +152,39 @@ def tensor_algebra_by_quotient(a, b):
         return embed
 
     return c, embedding(a, 0), embedding(b, a.n)
+
+
+# -- quotients by expanding every relation against every monomial --
+
+def quotient_algebra_by_expansion(n, degree_bound, relations):
+    """``quotient_algebra`` with the ideal's part up to the bound spanned
+    outright: every relation times every monomial of degree <= bound - 1,
+    terms past the bound dropped, then one row reduction with no closure."""
+    relations = [r if isinstance(r, Polynomial) else Polynomial(n, r) for r in relations]
+    rows = []
+    for r in relations:
+        if r.is_zero():
+            continue
+        for m in all_monomials(n, max(degree_bound - 1, 0)):
+            truncated = {
+                mono_mul(m, mm): c
+                for mm, c in r.terms.items()
+                if mono_degree(mono_mul(m, mm)) <= degree_bound
+            }
+            if truncated:
+                rows.append(truncated)
+    return _presentation(n, degree_bound, _reduce_rows(rows), relations)
+
+
+def all_monomials_by_sorting(n, max_degree):
+    """``all_monomials`` as the unit and its products with generators,
+    max_degree times over, collected in a set and sorted by ``mono_key``."""
+    found = {(0,) * n}
+    layer = set(found)
+    for _ in range(max_degree):
+        layer = {m[:i] + (m[i] + 1,) + m[i + 1:] for m in layer for i in range(n)}
+        found |= layer
+    return sorted(found, key=mono_key)
 
 
 # -- a recursive interpreter and symbolic calculus on expression trees --
@@ -355,9 +389,10 @@ def solve_general(a, b):
 
 
 def divided_derivatives_by_monomials(d):
-    """``divided_derivatives`` by visiting every monomial beta up to the
-    symbol's degree and summing C(alpha, beta) c_alpha d^(alpha-beta) over
-    the terms alpha >= beta; zero derivatives are dropped."""
+    """The divided (Hasse) derivatives of a symbol, by visiting every
+    monomial beta up to the symbol's degree and summing
+    C(alpha, beta) c_alpha d^(alpha-beta) over the terms alpha >= beta;
+    zero derivatives are dropped."""
     out = []
     for beta in all_monomials(d.n, d.degree()):
         terms = {}

@@ -266,11 +266,13 @@ def test_singular_metric_names_the_point_in_numbers(tmp_path, capsys, mode, wher
         (["check", "l-neighbor", "--point", "0,0", "--z", "d1"], "need one coordinate expression per dimension"),
         (["coalgebra", "--dist", "d1-d1", "--n", "1"], "the zero distribution generates nothing"),
         (["check", "cr", "--map", "x1^2-x2^2,2*x1*x2", "--point", "1,2,3"], "base point has 3 coordinates for 2 offsets"),
+        (["algebra", "dk", "--n", "1000", "--k", "0"], "1000 generators are more than MAX_DIMENSION - 1 = 499"),
+        (["algebra", "quotient", "--n", "1000", "--bound", "0"], "1000 generators are more than MAX_DIMENSION - 1 = 499"),
     ],
     ids=["conformal-no-map", "dl-no-n", "quotient-no-bound", "point-beyond-metric", "harmonic-point-below-metric",
          "l-neighbor-point-beyond-metric", "harmonic-no-fn",
          "l-neighbor-no-z", "l-neighbor-constant-term", "l-neighbor-too-few", "zero-distribution",
-         "cr-point-beyond-plane"],
+         "cr-point-beyond-plane", "dk-1000-generators", "quotient-1000-generators"],
 )
 def test_missing_map_exits_2(capsys, polar_file, argv, message):
     code, out, err = run(capsys, *(a.replace("{polar}", polar_file) for a in argv))

@@ -35,8 +35,10 @@ from nilgeom.weil import (
 )
 from nilgeom.coalgebra import Distribution, dual_algebra, subcoalgebra_generated
 from conftest import (
+    all_monomials_by_sorting,
     is_weil_document_by_brute_force,
     product_by_fraction_loop,
+    quotient_algebra_by_expansion,
     random_point,
     random_polynomial,
     tensor_algebra_by_quotient,
@@ -90,6 +92,24 @@ def test_dimension_cap_at_the_boundary():
     for n, k in ((1, MAX_DIMENSION), (MAX_DIMENSION, 1), (12, 6), (10**9, 10**9)):
         with pytest.raises(ValueError, match="MAX_DIMENSION"):
             _check_dimension(n, k)
+
+
+def test_monomials_are_enumerated_in_basis_order():
+    at_the_cap = [(MAX_DIMENSION - 2, 1), (1, MAX_DIMENSION - 2)]
+    for n, max_degree in [(n, k) for n in range(1, 7) for k in range(7)] + at_the_cap:
+        assert all_monomials(n, max_degree) == all_monomials_by_sorting(n, max_degree)
+
+
+def test_degree_zero_refuses_as_many_generators_as_degree_one():
+    # C(n, 0) = 1 for every n; the generators themselves are capped where degree 1 is
+    assert truncated_algebra(MAX_DIMENSION - 1, 0).dimension == 1
+    assert quotient_algebra(MAX_DIMENSION - 1, 0, []).basis == ((0,) * (MAX_DIMENSION - 1),)
+    message = f"{MAX_DIMENSION} generators are more than MAX_DIMENSION - 1 = {MAX_DIMENSION - 1}"
+    for call in (lambda: truncated_algebra(MAX_DIMENSION, 0), lambda: quotient_algebra(MAX_DIMENSION, 0, []),
+                 lambda: subcoalgebra_generated(Distribution(MAX_DIMENSION, {(0,) * MAX_DIMENSION: 1}))):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
 
 
 def test_constructors_refuse_oversized_algebras():
@@ -179,6 +199,49 @@ def test_idempotent_relation_collapses_to_scalars():
     q = quotient_algebra(1, 3, [Polynomial(1, {(2,): 1, (1,): -1})])
     assert q.dimension == 1
     assert q.generators()[0].is_zero()
+
+
+# -- the quotient's closure against the expansion by every monomial -------------
+
+def _assert_quotient_matches_expansion(n, bound, relations):
+    closed = quotient_algebra(n, bound, relations)
+    expanded = quotient_algebra_by_expansion(n, bound, relations)
+    assert algebra_to_json(closed) == algebra_to_json(expanded)
+    assert [g.coords for g in closed.generators()] == [g.coords for g in expanded.generators()]
+
+
+@st.composite
+def quotient_inputs(draw):
+    """n = 1..3, a bound 0..5 and 0..4 relations with zero constant term; a
+    relation may be zero or hold terms up to two degrees past the bound."""
+    n = draw(st.integers(1, 3))
+    bound = draw(st.integers(0, 5))
+    monos = all_monomials(n, bound + 2)[1:]
+    coeffs = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+    terms = st.dictionaries(st.sampled_from(monos), coeffs, max_size=4)
+    return n, bound, draw(st.lists(terms.map(lambda t: Polynomial(n, t)), max_size=4))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(quotient_inputs())
+def test_quotient_closure_matches_the_expansion(inputs):
+    _assert_quotient_matches_expansion(*inputs)
+
+
+def _forty_relations():
+    """40 seeded relations in two variables, each of three terms of degree
+    4 to 32, so some terms lie past a bound of 30."""
+    rng = random.Random(2)
+    monos = [m for m in all_monomials(2, 32) if sum(m) >= 4]
+    return [Polynomial(2, {m: rng.choice((-3, -2, -1, 1, 2, 3)) for m in rng.sample(monos, 3)}) for _ in range(40)]
+
+
+@pytest.mark.parametrize("n, bound, relations", [
+    (2, 30, _forty_relations()),
+    (2, 30, [Polynomial(2, {(2, 0): 1, (0, 2): -1}), Polynomial(2, {(1, 1): 1})]),
+], ids=["forty-relations", "laplace-relations-to-degree-30"])
+def test_quotient_closure_matches_the_expansion_on_named_cases(n, bound, relations):
+    _assert_quotient_matches_expansion(n, bound, relations)
 
 
 # -- laplace relations in the table --------------------------------------------
