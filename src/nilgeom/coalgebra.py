@@ -18,6 +18,7 @@ this loop lands, up to an explicit table isomorphism, on
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -31,7 +32,6 @@ from .weil import (
     _presentation,
     _reduce_rows,
     all_monomials,
-    mono_key,
     unit_monomial,
 )
 
@@ -74,6 +74,9 @@ class Distribution(Polynomial):
 
     def __repr__(self):
         return f"Distribution({self.to_string()})"
+
+
+_ONE = Fraction(1)
 
 
 def _factorial(mono):
@@ -155,7 +158,8 @@ def _partials(terms):
     """The partial derivatives d/d(d_i) of a nonzero symbol's terms map, one
     terms map for each i: d^alpha goes to alpha_i d^(alpha - e_i)."""
     n = len(next(iter(terms)))
-    return [{m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i] for m, c in terms.items() if m[i]} for i in range(n)]
+    return [{m[:i] + (m[i] - 1,) + m[i + 1:]: c if m[i] == 1 else c * m[i] for m, c in terms.items() if m[i]}
+            for i in range(n)]
 
 
 def subcoalgebra_generated(d: Distribution) -> Subcoalgebra:
@@ -172,19 +176,30 @@ def subcoalgebra_generated(d: Distribution) -> Subcoalgebra:
     b_i (x) b_j in the comultiplication of b is that of (lead_i, lead_j).
     """
     _check_dimension(d.n, d.degree())
-    pivots = _reduce_rows([d.terms], _partials)
-    leads = sorted(pivots, key=mono_key)
+    monos = all_monomials(d.n, d.degree())
+    pivots = _reduce_rows([d.terms], {m: i for i, m in enumerate(monos)}, _partials)
+    leads = [m for m in monos if m in pivots]
     basis = [Distribution(d.n, pivots[lead]) for lead in leads]
     index = {lead: i for i, lead in enumerate(leads)}
-    comult = tuple(
-        dict(sorted(
-            ((index[mu], index[nu]), c)
-            for (mu, nu), c in comultiply(b).items()
-            if mu in index and nu in index
-        ))
-        for b in basis
-    )
-    return Subcoalgebra(d.n, tuple(basis), comult)
+    return Subcoalgebra(d.n, tuple(basis), tuple(_comult_row(b.terms, index) for b in basis))
+
+
+def _comult_row(terms, index):
+    """The comultiplication of the symbol ``terms`` in basis-pair
+    coordinates: the terms of ``comultiply`` whose two factors are both
+    leads in ``index``, keyed and sorted by the pair of lead indices.  The
+    binomial weight is formed for those pairs only, and a weight of 1
+    multiplies nothing."""
+    row = {}
+    for alpha, c in terms.items():
+        for mu in itertools.product(*(range(a + 1) for a in alpha)):
+            i = index.get(mu)
+            if i is not None:
+                j = index.get(tuple(a - b for a, b in zip(alpha, mu)))
+                if j is not None:
+                    weight = _multi_binomial(alpha, mu)
+                    row[i, j] = c if weight == 1 else c * weight
+    return dict(sorted(row.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -206,17 +221,22 @@ def dual_algebra(c: Subcoalgebra) -> WeilAlgebra:
     annihilator is an ideal, and this span is all of its part up to the
     bound; the ideal the relations generate adds nothing, so reducing the
     relations alone gives the reduced echelon form, and with it the basis,
-    table and generator classes, that ``quotient_algebra`` would.
+    table and generator classes, that ``quotient_algebra`` would.  The
+    relations are filled in as plain rows by walking the tail of each
+    basis element once.  The algebra keeps only a reference to the basis:
+    each read of ``relations`` builds them again, as ``Polynomial``s.
 
     A hand-built ``Subcoalgebra`` need not be closed, and then the span is
-    no ideal.  A basis without the counit (evaluation at 0) would put 1 in
-    the annihilator, and a linearly dependent one would give fewer
-    dimensions than it lists; both raise ValueError.  So does a span that
-    closing under the derivatives grows, naming an element it adds:
-    d/d(d_i) is adjoint to x_i (<d/d(d_i) d^alpha, x^beta> and
-    <d^alpha, x_i x^beta> are both alpha! when alpha = beta + e_i, else 0),
-    so the annihilator is an ideal exactly when the span is closed under
-    them.
+    no ideal.  A linearly dependent basis would give fewer dimensions than
+    it lists, and raises ValueError.  So does a span that closing under the
+    derivatives grows, naming an element it adds: d/d(d_i) is adjoint to
+    x_i (<d/d(d_i) d^alpha, x^beta> and <d^alpha, x_i x^beta> are both
+    alpha! when alpha = beta + e_i, else 0), so the annihilator is an ideal
+    exactly when the span is closed under them.  A closed nonzero span
+    holds the counit (evaluation at 0), so 1 never annihilates it: the
+    alpha-th derivative of an element with a top-degree term c d^alpha is
+    c alpha! times the counit.  A basis without the counit is therefore
+    refused as not closed.
     """
     if not c.basis:
         raise ValueError(
@@ -224,33 +244,44 @@ def dual_algebra(c: Subcoalgebra) -> WeilAlgebra:
         )
     degree_bound = max(b.degree() for b in c.basis) + 1
     _check_dimension(c.n, degree_bound)
-    pivots = _reduce_rows([b.terms for b in c.basis])
-    if unit_monomial(c.n) not in pivots:
-        raise ValueError(
-            "the basis does not span the counit, so 1 annihilates it; its dual is not a Weil algebra"
-        )
+    rank, pivots = _echelon(c.n, degree_bound, c.basis)
     if len(pivots) != c.dimension:
         raise ValueError(f"the basis spans {len(pivots)} dimensions, not {c.dimension}: it is linearly dependent")
-    closed = _reduce_rows(pivots.values(), _partials)
+    closed = _reduce_rows(pivots.values(), rank, _partials)
     added = [lead for lead in closed if lead not in pivots]
     if added:
-        witness = Distribution(c.n, closed[min(added, key=mono_key)]).to_string()
+        witness = Distribution(c.n, closed[min(added, key=rank.__getitem__)]).to_string()
         raise ValueError(
             f"the basis is not closed under comultiplication: its derivatives span {witness}, which it does not"
         )
-    relations = []
-    for m in all_monomials(c.n, degree_bound):
-        if m in pivots:
-            continue
-        weight = _factorial(m)
-        terms = {m: Fraction(1)}
-        for lead, row in pivots.items():
-            coeff = row.get(m)
-            if coeff:
-                terms[lead] = -coeff * weight / _factorial(lead)
-        relations.append(Polynomial(c.n, terms))
-    kernel = _reduce_rows([r.terms for r in relations])
-    return _presentation(c.n, degree_bound, kernel, relations)
+    kernel = _reduce_rows(_relation_rows(rank, pivots), rank)
+    return _presentation(c.n, degree_bound, rank, kernel, functools.partial(_relations, c.n, degree_bound, c.basis))
+
+
+def _echelon(n, degree_bound, basis):
+    """The monomials up to the bound ranked in basis order, and the basis in
+    reduced echelon form (lead monomial -> row)."""
+    rank = {m: i for i, m in enumerate(all_monomials(n, degree_bound))}
+    return rank, _reduce_rows([b.terms for b in basis], rank)
+
+
+def _relation_rows(rank, pivots):
+    """One relation row per ranked monomial m that leads no pivot row,
+    x^m - sum over k of b_k[m] * m!/lead_k! * x^lead_k, filled in by
+    walking the tail of each pivot row once."""
+    rows = {m: {m: _ONE} for m in rank if m not in pivots}
+    for lead, row in pivots.items():
+        scale = _factorial(lead)
+        for m, coeff in row.items():
+            if m != lead:
+                rows[m][lead] = -coeff * _factorial(m) / scale
+    return list(rows.values())
+
+
+def _relations(n, degree_bound, basis):
+    """The relations of ``dual_algebra``, rebuilt from the basis as
+    ``Polynomial``s."""
+    return [Polynomial(n, row) for row in _relation_rows(*_echelon(n, degree_bound, basis))]
 
 
 def distribution_report(d: Distribution) -> dict:

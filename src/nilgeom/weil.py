@@ -17,8 +17,10 @@ the rest of the library needs:
   the hand-written tables and for ``tensor_algebra``, which multiplies
   the factors' tables instead.  The coalgebra pipeline does not call it
   either: the annihilator it presents is already an ideal, so
-  ``dual_algebra`` reduces its relations once and shares only the last
-  step, ``_presentation``.
+  ``dual_algebra`` reduces its relation rows once, with no closing map,
+  and shares only the last step, ``_presentation``; like the Laplace
+  algebras, it builds its relation polynomials only when ``relations``
+  is read.
 
 Every constructor counts its monomials before building anything and
 refuses more than ``MAX_DIMENSION`` of them.  ``laplace_algebra`` writes
@@ -292,9 +294,16 @@ class Polynomial:
 # sparse exact row reduction over monomial columns
 # ---------------------------------------------------------------------------
 
-def _reduce_rows(rows, close=None):
+def _reduce_rows(rows, rank, close=None):
     """Gauss-Jordan on sparse {monomial: coeff} rows; pivots on the largest
     monomial of each row so small monomials survive as quotient basis.
+
+    ``rank`` maps every monomial that can occur, in ``rows`` or in what
+    ``close`` yields, to a value that orders as ``mono_key`` does (its
+    position in ``all_monomials``, say), so no step recomputes a key.  Rows
+    hold exact scalars (``Fraction``s).  Every pivot row has lead
+    coefficient 1: a reduced row whose lead coefficient is already 1 is
+    stored as it is, and any other is divided by its lead coefficient.
 
     ``close``, a linear map from a row to a list of rows, closes the span:
     the images of each row that yields a new pivot join the rows to reduce.
@@ -302,21 +311,20 @@ def _reduce_rows(rows, close=None):
     pivot rows span, so the result is the reduced echelon form, which is
     unique, of the smallest span that holds ``rows`` and is closed under
     ``close``."""
+    key = rank.__getitem__
     pivots = {}  # pivot monomial -> reduced row
     queue = list(rows)
     for given in queue:  # the loop reaches the rows that ``close`` appends
         row = dict(given)
         while row:
-            lead = max(row, key=mono_key)
-            if lead in pivots:
-                factor = row[lead]
-                for m, c in pivots[lead].items():
-                    row[m] = row.get(m, Fraction(0)) - factor * c
-                    if row[m] == 0:
-                        del row[m]
+            lead = max(row, key=key)
+            pivot = pivots.get(lead)
+            if pivot is not None:
+                _subtract(row, row[lead], pivot)
             else:
                 inv = row[lead]
-                row = {m: c / inv for m, c in row.items()}
+                if inv != 1:
+                    row = {m: c / inv for m, c in row.items()}
                 pivots[lead] = row
                 if close is not None:
                     queue.extend(close(given))
@@ -324,17 +332,26 @@ def _reduce_rows(rows, close=None):
     # back-substitute so pivot rows mention no other pivot in their tail: one
     # pass in increasing lead order suffices, because a tail holds only
     # monomials smaller than its lead, whose pivot rows are reduced already
-    for lead in sorted(pivots, key=mono_key):
+    for lead in sorted(pivots, key=key):
         row = pivots[lead]
-        for m in list(row):
-            if m != lead and m in pivots:
-                factor = row.pop(m)
-                for mm, cc in pivots[m].items():
-                    if mm != m:
-                        row[mm] = row.get(mm, Fraction(0)) + (-factor) * cc
-                        if row[mm] == 0:
-                            del row[mm]
+        for m in [m for m in row if m != lead and m in pivots]:
+            _subtract(row, row[m], pivots[m])
     return pivots
+
+
+def _subtract(row, factor, pivot):
+    """row -= factor * pivot in place, dropping the terms that cancel (the
+    pivot's lead among them); a factor of 1 multiplies nothing."""
+    scaled = pivot.items() if factor == 1 else ((m, factor * c) for m, c in pivot.items())
+    for m, c in scaled:
+        if m in row:
+            c = row[m] - c
+            if c:
+                row[m] = c
+            else:
+                del row[m]
+        else:
+            row[m] = -c
 
 
 class WeilAlgebra:
@@ -422,7 +439,8 @@ class WeilAlgebra:
         basis, dim = self.basis, len(self.basis)
         # each distinct entry of N^2 once, without zero constants and in Fractions, as _reduce_rows divides
         entries = {e for row in self._table[1:] for e in row[1:] if e}
-        square = _reduce_rows({basis[k]: Fraction(c) for k, c in e if c} for e in entries)
+        rank = {m: mono_key(m) for m in basis}  # the labels come in any order
+        square = _reduce_rows(({basis[k]: Fraction(c) for k, c in e if c} for e in entries), rank)
         gens = dict.fromkeys(s for s in range(1, dim) if basis[s] not in square)
         layer, span, k = [{basis[s]: Fraction(1)} for s in gens], [], 1
         while layer and k < dim:  # a nilpotent N, of dimension dim - 1, has N^dim = 0
@@ -433,9 +451,9 @@ class WeilAlgebra:
             # b_s w for s in S and w in W_k, but not where b_s's table row vanishes on w's support
             products = (self._times([(index[m], c) for m, c in row.items()], s) for row in layer
                         for s in dict.fromkeys(s for m in row for s in nonzero[index[m]] if s in gens))
-            layer = list(_reduce_rows({basis[q]: v for q, v in p.items()} for p in products).values())
+            layer = list(_reduce_rows(({basis[q]: v for q, v in p.items()} for p in products), rank).values())
             k += 1
-        span = _reduce_rows(span)
+        span = _reduce_rows(span, rank)
         if layer or len(span) != dim - 1 or any(basis[0] in row for row in span.values()):
             raise ValueError("the nonunit basis elements are not nilpotent; not a Weil algebra")
         return gens
@@ -707,7 +725,7 @@ def truncated_algebra(n: int, order: int) -> WeilAlgebra:
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _truncated(n, order):
-    return _presentation(n, order, {}, ())
+    return _presentation(n, order, all_monomials(n, order), {}, ())
 
 
 def laplace_algebra(n: int) -> WeilAlgebra:
@@ -801,24 +819,24 @@ def quotient_algebra(n: int, degree_bound: int, relations) -> WeilAlgebra:
                 for i in range(n)]
 
     rows = [{m: c for m, c in r.terms.items() if mono_degree(m) <= degree_bound} for r in relations]
-    return _presentation(n, degree_bound, _reduce_rows(rows, times_generators), relations)
+    rank = {m: i for i, m in enumerate(all_monomials(n, degree_bound))}
+    return _presentation(n, degree_bound, rank, _reduce_rows(rows, rank, times_generators), relations)
 
 
-def _presentation(n, degree_bound, pivots, relations) -> WeilAlgebra:
+def _presentation(n, degree_bound, monos, pivots, relations) -> WeilAlgebra:
     """The quotient whose kernel in degrees <= degree_bound has the reduced
     echelon rows ``pivots`` (lead monomial -> row, as ``_reduce_rows``
-    returns them; {} for the truncated algebra): the monomials that lead no
-    row form the basis, and a lead's normal form is minus the tail of its
-    row.  The normal forms write the table and the generator classes."""
+    returns them; {} for the truncated algebra): the monomials of ``monos``
+    (every monomial up to the bound in basis order, as ``all_monomials``
+    lists them or a rank built from it) that lead no row form the basis,
+    and a lead's normal form is minus the tail of its row, sorted by basis
+    index.  The normal forms write the table and the generator classes."""
     assert unit_monomial(n) not in pivots, "zero-constant-term relations cannot kill the unit"
-    basis = [m for m in all_monomials(n, degree_bound) if m not in pivots]
+    basis = [m for m in monos if m not in pivots]
     index = {m: i for i, m in enumerate(basis)}
     nf = {m: _unit(i) for m, i in index.items()}
     for lead, row in pivots.items():
-        nf[lead] = _entry(
-            (index[m], -c) for m, c in sorted(row.items(), key=lambda kv: mono_key(kv[0]))
-            if m != lead
-        )
+        nf[lead] = _entry(sorted((index[m], -c) for m, c in row.items() if m != lead))
     dim = len(basis)
     table = [[None] * dim for _ in range(dim)]
     for i in range(dim):

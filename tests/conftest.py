@@ -154,6 +154,50 @@ def tensor_algebra_by_quotient(a, b):
     return c, embedding(a, 0), embedding(b, a.n)
 
 
+# -- exact row reduction by re-keying every step --
+
+def monomial_rank(n, degree):
+    """The ``rank`` argument of ``_reduce_rows`` for every monomial of degree
+    <= degree: its position in ``all_monomials``."""
+    return {m: i for i, m in enumerate(all_monomials(n, degree))}
+
+
+def reduce_rows_by_mono_key(rows, close=None):
+    """``_reduce_rows`` without a rank: each step takes
+    ``max(row, key=mono_key)`` over the whole row, and every new pivot row
+    is divided by its lead coefficient, 1 or not."""
+    pivots = {}
+    queue = list(rows)
+    for given in queue:
+        row = dict(given)
+        while row:
+            lead = max(row, key=mono_key)
+            if lead in pivots:
+                factor = row[lead]
+                for m, c in pivots[lead].items():
+                    row[m] = row.get(m, Fraction(0)) - factor * c
+                    if row[m] == 0:
+                        del row[m]
+            else:
+                inv = row[lead]
+                row = {m: c / inv for m, c in row.items()}
+                pivots[lead] = row
+                if close is not None:
+                    queue.extend(close(given))
+                break
+    for lead in sorted(pivots, key=mono_key):
+        row = pivots[lead]
+        for m in list(row):
+            if m != lead and m in pivots:
+                factor = row.pop(m)
+                for mm, cc in pivots[m].items():
+                    if mm != m:
+                        row[mm] = row.get(mm, Fraction(0)) + (-factor) * cc
+                        if row[mm] == 0:
+                            del row[mm]
+    return pivots
+
+
 # -- quotients by expanding every relation against every monomial --
 
 def quotient_algebra_by_expansion(n, degree_bound, relations):
@@ -173,7 +217,8 @@ def quotient_algebra_by_expansion(n, degree_bound, relations):
             }
             if truncated:
                 rows.append(truncated)
-    return _presentation(n, degree_bound, _reduce_rows(rows), relations)
+    rank = monomial_rank(n, degree_bound)
+    return _presentation(n, degree_bound, rank, _reduce_rows(rows, rank), relations)
 
 
 def all_monomials_by_sorting(n, max_degree):
@@ -410,7 +455,7 @@ def divided_derivatives_by_monomials(d):
 def subcoalgebra_by_solve(d):
     """``subcoalgebra_generated`` with each comultiplication row found by
     solving the dense system sum c_ij b_i(mu) b_j(nu) = comultiply(b)(mu, nu)."""
-    pivots = _reduce_rows([dict(dd.terms) for dd in divided_derivatives_by_monomials(d)])
+    pivots = _reduce_rows([dict(dd.terms) for dd in divided_derivatives_by_monomials(d)], monomial_rank(d.n, d.degree()))
     basis = [Distribution(d.n, pivots[lead]) for lead in sorted(pivots, key=mono_key)]
     support = sorted({m for b in basis for m in b.terms}, key=mono_key)
     pairs = [(mu, nu) for mu in support for nu in support]
@@ -429,6 +474,53 @@ def subcoalgebra_by_solve(d):
             raise AssertionError("comultiplication escaped the generated span")
         comult_rows.append({ij: c for ij, c in zip(columns, solution) if c != 0})
     return Subcoalgebra(d.n, tuple(basis), tuple(comult_rows))
+
+
+def subcoalgebra_by_mono_key(d):
+    """``subcoalgebra_generated`` without ranks: the closure by
+    ``reduce_rows_by_mono_key``, every derivative multiplied by its
+    exponent, and each table row filtered out of all of ``comultiply``."""
+    def partials(terms):
+        return [{m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i] for m, c in terms.items() if m[i]} for i in range(d.n)]
+
+    pivots = reduce_rows_by_mono_key([d.terms], partials)
+    leads = sorted(pivots, key=mono_key)
+    basis = [Distribution(d.n, pivots[lead]) for lead in leads]
+    index = {lead: i for i, lead in enumerate(leads)}
+    comult = tuple(
+        dict(sorted(((index[mu], index[nu]), c) for (mu, nu), c in comultiply(b).items() if mu in index and nu in index))
+        for b in basis
+    )
+    return Subcoalgebra(d.n, tuple(basis), comult)
+
+
+def dual_relations_by_scan(c):
+    """The relations ``dual_algebra`` records, built eagerly:
+    for each monomial up to the bound that leads no basis element, in
+    basis order, scan every pivot row for its coefficient."""
+    degree_bound = max(b.degree() for b in c.basis) + 1
+    pivots = reduce_rows_by_mono_key([b.terms for b in c.basis])
+    relations = []
+    for m in all_monomials(c.n, degree_bound):
+        if m in pivots:
+            continue
+        weight = _factorial(m)
+        terms = {m: Fraction(1)}
+        for lead, row in pivots.items():
+            coeff = row.get(m)
+            if coeff:
+                terms[lead] = -coeff * weight / _factorial(lead)
+        relations.append(Polynomial(c.n, terms))
+    return relations
+
+
+def dual_algebra_by_scan(c):
+    """``dual_algebra`` of a closed subcoalgebra from the relations of
+    ``dual_relations_by_scan``, reduced by ``reduce_rows_by_mono_key``."""
+    relations = dual_relations_by_scan(c)
+    degree_bound = max(b.degree() for b in c.basis) + 1
+    kernel = reduce_rows_by_mono_key([r.terms for r in relations])
+    return _presentation(c.n, degree_bound, all_monomials(c.n, degree_bound), kernel, relations)
 
 
 def dual_algebra_by_nullspace(c):

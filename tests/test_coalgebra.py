@@ -29,7 +29,10 @@ from nilgeom.weil import (
 )
 from conftest import (
     dual_algebra_by_nullspace,
+    dual_algebra_by_scan,
+    dual_relations_by_scan,
     random_polynomial,
+    subcoalgebra_by_mono_key,
     subcoalgebra_by_solve,
 )
 
@@ -343,9 +346,13 @@ def test_dual_rejects_linearly_dependent_basis():
 
 
 def test_dual_rejects_basis_without_counit():
-    sub = Subcoalgebra(1, (Distribution(1, {(2,): 1}),), ({},))
-    with pytest.raises(ValueError, match="counit"):
-        dual_algebra(sub)
+    # d1^2 lacks the counit, and 1 + d1 pairs to 1 with 1 but lacks its
+    # derivative 1: both spans miss the counit because they are not closed,
+    # as a nonzero closed span holds it (apply d^alpha, alpha a top term)
+    for symbol in ({(2,): 1}, {(0,): 1, (1,): 1}):
+        sub = Subcoalgebra(1, (Distribution(1, symbol),), ({},))
+        with pytest.raises(ValueError, match="not closed under comultiplication: its derivatives span 1, "):
+            dual_algebra(sub)
 
 
 def test_pipeline_refuses_too_many_monomials():
@@ -357,3 +364,36 @@ def test_pipeline_refuses_too_many_monomials():
     sub = Subcoalgebra(1, (dirac(1), Distribution(1, {(MAX_DIMENSION - 1,): 1})), ({}, {}))
     with pytest.raises(ValueError, match="MAX_DIMENSION"):
         dual_algebra(sub)
+
+
+# -- the pipeline against the reductions that re-key every step and scan for relations --------
+
+def _typed_terms(terms):
+    return {m: (type(c), c) for m, c in terms.items()}
+
+
+def _assert_matches_the_scanning_path(dist):
+    sub = subcoalgebra_generated(dist)
+    ref = subcoalgebra_by_mono_key(dist)
+    assert [_typed_terms(b.terms) for b in sub.basis] == [_typed_terms(b.terms) for b in ref.basis]
+    assert [_typed_terms(row) for row in sub.comult] == [_typed_terms(row) for row in ref.comult]
+    dual, scanned = dual_algebra(sub), dual_algebra_by_scan(ref)
+    typed_table = [[[(k, type(c), c) for k, c in entry] for entry in row] for row in dual._table]
+    assert typed_table == [[[(k, type(c), c) for k, c in entry] for entry in row] for row in scanned._table]
+    assert dual.basis == scanned.basis and dual.degree_bound == scanned.degree_bound
+    # relations are built on each read, equal every time and to the eager scan
+    relations = dual.relations
+    assert dual.relations == relations
+    assert [_typed_terms(r.terms) for r in relations] == [_typed_terms(r.terms) for r in dual_relations_by_scan(sub)]
+    assert all(b.apply(r) == 0 for b in sub.basis for r in relations)
+
+
+@PROPERTY
+@given(symbols())
+def test_pipeline_matches_the_scanning_path(dist):
+    _assert_matches_the_scanning_path(dist)
+
+
+@pytest.mark.parametrize("dist", NAMED_SYMBOLS, ids=repr)
+def test_pipeline_matches_the_scanning_path_on_named_symbols(dist):
+    _assert_matches_the_scanning_path(dist)

@@ -40,6 +40,7 @@ from conftest import (
     product_by_fraction_loop,
     quotient_algebra_by_expansion,
     random_point,
+    reduce_rows_by_mono_key,
     random_polynomial,
     tensor_algebra_by_quotient,
 )
@@ -809,10 +810,53 @@ def test_one_back_substitution_pass_leaves_no_pivot_in_any_tail():
             {m: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for m in rng.sample(monos, rng.randint(1, min(5, len(monos))))}
             for _ in range(rng.randint(1, 8))
         ]
-        pivots = _reduce_rows([{m: c for m, c in row.items() if c} for row in rows])
+        pivots = _reduce_rows([{m: c for m, c in row.items() if c} for row in rows], {m: i for i, m in enumerate(monos)})
         for lead, row in pivots.items():
             assert row[lead] == 1 and max(row, key=mono_key) == lead
             assert not any(m in pivots for m in row if m != lead)
+
+
+def _typed_rows(pivots):
+    """Pivot rows with each coefficient next to its type, in insertion order of the leads."""
+    return [(lead, {m: (type(c), c) for m, c in row.items()}) for lead, row in pivots.items()]
+
+
+@st.composite
+def reduction_inputs(draw):
+    """Rows of Fractions (1 and -1 among them, so unit leads occur) over the
+    monomials of degree <= 4 in n = 1..3 variables, and a closing map: none,
+    the derivatives d/dx_i with their exponent factors, or multiplication
+    by each generator with terms past degree 4 dropped."""
+    n = draw(st.integers(1, 3))
+    monos = all_monomials(n, 4)
+    coeffs = st.builds(Fraction, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+    rows = draw(st.lists(st.dictionaries(st.sampled_from(monos), coeffs, max_size=5), max_size=6))
+
+    def derivatives(row):
+        return [{m[:i] + (m[i] - 1,) + m[i + 1:]: c * m[i] for m, c in row.items() if m[i]} for i in range(n)]
+
+    def times_generators(row):
+        return [{m[:i] + (m[i] + 1,) + m[i + 1:]: c for m, c in row.items() if sum(m) < 4} for i in range(n)]
+
+    close = draw(st.sampled_from((None, derivatives, times_generators)))
+    return monos, rows, close
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(reduction_inputs())
+def test_ranked_reduction_matches_the_reduction_by_mono_key(inputs):
+    # the same pivots, in the same order, each coefficient of the same type
+    monos, rows, close = inputs
+    ranked = _reduce_rows(rows, {m: i for i, m in enumerate(monos)}, close)
+    assert _typed_rows(ranked) == _typed_rows(reduce_rows_by_mono_key(rows, close))
+    # any values that order as mono_key does serve as the rank
+    assert _typed_rows(_reduce_rows(rows, {m: mono_key(m) for m in monos}, close)) == _typed_rows(ranked)
+
+
+def test_a_unit_lead_is_not_divided():
+    row = {(2,): Fraction(1), (1,): Fraction(3, 2)}
+    pivots = _reduce_rows([row], {m: i for i, m in enumerate(all_monomials(1, 2))})
+    assert pivots[(2,)] == row and pivots[(2,)][(1,)] is row[(1,)]
 
 
 # -- structure constants in the product's own scalars ---------------------------------------
