@@ -15,13 +15,14 @@ yields G(x) and its first partials, and one square-root-free congruence
 C^T G(x) C = diag(d) yields G(x)^-1 = C diag(1/d) C^T and the Christoffel
 symbols.  Mirror images, affine combinations, isotropy and the Laplacian
 are intrinsic, the same in every geodesic chart, so this one serves them
-all.  A neighbor is isotropic exactly when its chart coordinates satisfy
-zeta_i zeta_j = lam (G(x)^-1)_ij for one lam, a test with no square root,
-so exact mode decides it on every nondegenerate metric.  The universal
-isotropic point has chart coordinates C Z, Z generating a weighted
-laplace_algebra (the plain one where G(x) = I), and a closed-form image
-on the manifold.  Averaging a function over it and its mirror image, the
-automorphism Z -> -Z, yields the Laplacian with no integration and no
+all.  A neighbor is isotropic exactly when its chart coordinates have
+zeta zeta^T = lam G(x)^-1 for one lam, that is eta eta^T = lam diag(d) in
+the congruence frame, eta = C^T G(x) zeta: a diagonal test with no square
+root, so exact mode decides it on every nondegenerate metric.  The
+universal isotropic point has chart coordinates C Z, Z generating a
+weighted laplace_algebra (the plain one where G(x) = I), and a closed-form
+image on the manifold.  Averaging a function over it and its mirror image,
+the automorphism Z -> -Z, yields the Laplacian with no integration and no
 divergence/gradient detour: the Q coordinate of one jet of f there."""
 
 from __future__ import annotations
@@ -120,9 +121,7 @@ class MetricField:
     def matrix_at(self, x, mode: str = EXACT):
         """Numeric G(x), entries only evaluated; raises GeometryError when singular."""
         check_mode(mode)
-        x = tuple(to_scalar(c, mode) for c in x)
-        if len(x) != self.n:
-            raise ValueError("point dimension does not match the metric")
+        x = _coordinates((to_scalar(c, mode) for c in x), self.n)
         g = [[None] * self.n for _ in range(self.n)]
         for (i, j), e in self._upper.items():
             g[i][j] = g[j][i] = _jet(e, x, mode)
@@ -143,14 +142,14 @@ def _congruence(g, x):
 # ---------------------------------------------------------------------------
 
 def make_point(base, offsets):
-    """Attach a real base point to nilpotent offsets."""
-    return tuple(w + b for w, b in zip(offsets, base))
+    """Attach a real base point to nilpotent offsets, one per coordinate."""
+    return tuple(w + b for w, b in zip(_coordinates(offsets, len(base), "base"), base))
 
 
 def point_offsets(point, base, eps=None):
     """Strip the base off a point model; offsets must come out nilpotent."""
     out = []
-    for p, b in zip(point, base):
+    for p, b in zip(_coordinates(point, len(base), "base"), base):
         w = p - b
         if not w.is_nilpotent(eps):
             raise GeometryError("point is not infinitesimally near the base")
@@ -158,6 +157,14 @@ def point_offsets(point, base, eps=None):
             w = w.nilpotent_part()
         out.append(w)
     return tuple(out)
+
+
+def _coordinates(v, n, against="metric"):
+    """The tuple of ``v``, which must have the n coordinates of the metric or the base."""
+    v = tuple(v)
+    if len(v) != n:
+        raise ValueError(f"point dimension does not match the {against}")
+    return v
 
 
 def _check_order(offsets, order, eps=None):
@@ -183,13 +190,13 @@ def g_eval(metric: MetricField, base, z, y=None, mode: str = EXACT) -> WeilEleme
     With y omitted this is the square distance from the base itself, which
     only sees the degree-zero part G(base).
     """
-    z = tuple(z)
+    z = _coordinates(z, metric.n)
     if z[0].algebra.degree_bound < 2:
         raise GeometryError("square distance needs an ambient algebra of order >= 2")
     if y is None:
         gm = metric.matrix_at(base, mode)
         return _in_mode(_square(z, {(i, j): gm[i][j] for i, j in metric._upper}), mode)
-    y = tuple(y)
+    y = _coordinates(y, metric.n)
     d = tuple(zz - yy for zz, yy in zip(z, y))
     return _in_mode(_square(d, {ij: jet_eval(e, base, y, mode) for ij, e in metric._upper.items()}), mode)
 
@@ -208,11 +215,11 @@ def gbar_eval(metric: MetricField, base, z, y=None, mode: str = EXACT) -> WeilEl
     this is (z-y)^T (G(p) + 1/2 D_{z-y}G(p)) (z-y) with p = base + y, since
     G(p + d) = G(p) + D_dG(p) + terms with two factors of d = z - y, which
     the two outer factors of d raise to four."""
-    z = tuple(z)
+    z = _coordinates(z, metric.n)
     algebra = z[0].algebra
     if algebra.degree_bound < 3:
         raise GeometryError("extended square distance needs an ambient algebra of order >= 3")
-    y = tuple(y) if y is not None else tuple(algebra.zero() for _ in z)
+    y = _coordinates(y, metric.n) if y is not None else tuple(algebra.zero() for _ in z)
     _check_order([zz - yy for zz, yy in zip(z, y)], 3, DEFAULT_EPS if mode == FLOAT else None)
     return (g_eval(metric, base, z, y, mode) + g_eval(metric, base, y, z, mode)) * Fraction(1, 2)
 
@@ -260,9 +267,7 @@ class GeodesicChart:
         check_mode(mode)
         n = metric.n
         self.metric, self.mode, self.eps = metric, mode, eps
-        self.base = x = tuple(to_scalar(c, mode) for c in x)
-        if len(x) != n:
-            raise ValueError("point dimension does not match the metric")
+        self.base = x = _coordinates((to_scalar(c, mode) for c in x), n)
         point = [z + b for z, b in zip(truncated_algebra(n, 1).generators(), x)]  # x + Z
         g = [[None] * n for _ in range(n)]
         lowered = [{} for _ in range(n)]  # lowered[l][j, k], j <= k
@@ -326,8 +331,8 @@ class GeodesicChart:
         return self._contract({(j, k): w[j] * w[k] for j, k in self._pairs})
 
     def push_offsets(self, zeta):
-        """Chart coordinates (nilpotent) -> manifold offsets from the base."""
-        return tuple(a - c for a, c in zip(zeta, self._half_gamma(zeta)))
+        """Chart coordinates (nilpotent, n of them) -> manifold offsets from the base."""
+        return tuple(a - c for a, c in zip(_coordinates(zeta, self.n), self._half_gamma(zeta)))
 
     def pull_offsets(self, w):
         """Manifold offsets from the base -> chart coordinates."""
@@ -483,31 +488,30 @@ def laplace_point(chart: GeodesicChart):
 
 def is_laplace_neighbor(metric: MetricField, x, z, mode: str = EXACT, eps: float = DEFAULT_EPS) -> bool:
     """Whether the point model z is an isotropic second-order neighbor of x:
-    square distance blind to every direction.  In the plain geodesic chart
-    that means coordinates with zeta_i zeta_j = lam (G(x)^-1)_ij for one
-    lam (``weil._satisfies_isotropy``), which needs no square root, so both
-    modes answer on every nondegenerate metric.
+    square distance blind to every direction, zeta zeta^T = lam G(x)^-1 for
+    one lam in the plain geodesic chart.  As C^T G(x) C = diag(d), exact
+    mode tests eta eta^T = lam diag(d) for eta = C^T (G(x) zeta) with
+    ``weil._satisfies_isotropy``: no square root, so both modes answer on
+    every nondegenerate metric.
 
     Float mode reads the residue per unit of lam, in an orthonormal frame
-    so that one tolerance fits every entry (those of G^-1 may differ by
-    orders of magnitude): it tests eta = |d|^(-1/2) C^T G(x) zeta, where
-    G^-1 becomes diag(sign d), scaled so that its largest square has
-    coordinates of size 1, against ``eps``.
-    """
+    so that one tolerance fits every entry (those of d may differ by orders
+    of magnitude): eta = |d|^(-1/2) C^T G(x) zeta with weights sign d,
+    scaled so that its largest square has coordinates of size 1, against
+    ``eps``."""
     chart = geodesic_chart(metric, x, mode, eps)
     tol = eps if mode == FLOAT else None
     zeta = chart.to_chart(z)
     _check_order(zeta, 2, tol)
-    if mode == EXACT:
-        return _satisfies_isotropy(zeta, chart.ginv)
     c, d = chart.frame
+    if mode == EXACT:
+        return _satisfies_isotropy(_apply(_linalg.transpose(c), _apply(chart.G0, zeta)), d)
     frame = _linalg.mat_mul(_linalg.transpose(c), chart.G0)
     eta = _apply([[f / math.sqrt(abs(dk)) for f in row] for row, dk in zip(frame, d)], zeta)
     unit = max(abs(v) for w in eta for v in (w * w).coords)
     if unit > 0:
         eta = [w * (1 / math.sqrt(unit)) for w in eta]
-    signs = [[math.copysign(1.0, dk) if i == k else 0.0 for k in range(len(d))] for i, dk in enumerate(d)]
-    return _satisfies_isotropy(eta, signs, tol)
+    return _satisfies_isotropy(eta, [math.copysign(1.0, dk) for dk in d], tol)
 
 
 def laplacian(metric: MetricField, f: Expr, x, mode: str = EXACT) -> Scalar:
@@ -545,7 +549,7 @@ def laplace_taylor(metric: MetricField, f: Expr, x, offsets, mode: str = EXACT) 
     n = metric.n
     (jet,), _ = _flat_laplace_jets(scalar_function(f, n), tuple(to_scalar(c, mode) for c in x), mode)
     value, *partials, q = jet.coords
-    offsets = tuple(offsets)
+    offsets = _coordinates(offsets, n)
     algebra = offsets[0].algebra
     out = algebra.scalar(value)
     for w, partial in zip(offsets, partials):

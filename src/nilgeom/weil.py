@@ -370,8 +370,8 @@ class WeilAlgebra:
     element is the shared ``_unit(k)``, other integral constants are
     ints, and ``generators`` turns them into ``Fraction``s.  Tables are
     checked where they come from outside: ``algebra_from_json`` checks
-    shape, symmetry, the unit row, associativity, the degree bound and the
-    labels (``_check_table``), while the library's own tables are right by
+    shape, symmetry, the unit row, the labels, the degree bound and
+    associativity (``_check_table``), while the library's own tables are right by
     construction and are not checked.
     """
 
@@ -391,12 +391,12 @@ class WeilAlgebra:
         return tuple(self._relations()) if callable(self._relations) else self._relations
 
     def _check_table(self):
-        """Reject repeated basis monomials, and a table (square over the
-        basis, as ``algebra_from_json`` has checked) that names a basis
-        index out of range, is not symmetric, has a wrong unit row, or fails
-        ``_filtration`` or ``_check_associative``; then a negative exponent,
-        or a label m of degree >= 2 with b_(m-e_g) b_(e_g) != b_m, g its
-        first nonzero index, so that by induction each label is its product."""
+        """Reject repeated basis monomials; a table (square, as checked by
+        ``algebra_from_json``) that names a basis index out of range, is not
+        symmetric or has a wrong unit row; a negative exponent, or a label m
+        of degree >= 2 with b_(m-e_g) b_(e_g) != b_m, g its first nonzero
+        index (by induction each label is then its product); then a table
+        that fails ``_filtration`` or ``_check_associative``."""
         table, basis, dim = self._table, self.basis, len(self.basis)
         index = {m: i for i, m in enumerate(basis)}
         if len(index) != dim:
@@ -409,8 +409,6 @@ class WeilAlgebra:
                     raise ValueError(f"multiplication table is not symmetric at ({i}, {j})")
             if table[0][i] != ((i, 1),):
                 raise ValueError(f"unit row of the table does not fix basis element {i}")
-        nonzero = [[k for k, entry in enumerate(row) if entry] for row in table]
-        self._check_associative(self._filtration(nonzero, index), nonzero)
         for i, m in enumerate(basis):
             if any(e < 0 for e in m):
                 raise ValueError(f"basis label {list(m)} has a negative exponent")
@@ -420,6 +418,8 @@ class WeilAlgebra:
                 unit, rest = index.get(e_g), index.get(m[:g] + (m[g] - 1,) + m[g + 1:])
                 if unit is None or rest is None or table[rest][unit] != ((i, 1),):
                     raise ValueError(f"basis label {list(m)} is not the product it names")
+        nonzero = [[k for k, entry in enumerate(row) if entry] for row in table]
+        self._check_associative(self._filtration(nonzero, index), nonzero)
 
     def _times(self, entry, k):
         """(basis index, constant) pairs times b_k, as {index: constant} without zeros."""
@@ -430,18 +430,15 @@ class WeilAlgebra:
         return {q: v for q, v in out.items() if v}
 
     def _filtration(self, nonzero, index):
-        """The indices of S, the nonunit basis elements that lead no row of
-        the reduced span of N^2 (N: the span of all nonunit ones), whatever
-        the labels say.  W_1 = span S, W_(k+1) = span(S W_k); ValueError when
-        W_(bound+1) or W_dim is not 0 or the W_k do not span N (by Nakayama,
-        N is then not nilpotent).  Once S passes ``_check_associative``, N^k
-        is the sum of the W_j, j >= k, so a bound that passes is honest."""
+        """The indices of S, the basis elements labelled e_g.  W_1 = span S,
+        W_(k+1) = span(S W_k), and b_m = b_(m-e_g) b_(e_g) lies in W_|m|, so
+        the W_k span N at least.  ValueError when W_(bound+1) or W_dim is not
+        0 or a W_k has a unit coordinate (N is not nilpotent).  Once S passes
+        ``_check_associative``, N^k is the sum of the W_j, j >= k, so a bound
+        that passes is honest."""
         basis, dim = self.basis, len(self.basis)
-        # each distinct entry of N^2 once, without zero constants and in Fractions, as _reduce_rows divides
-        entries = {e for row in self._table[1:] for e in row[1:] if e}
         rank = {m: mono_key(m) for m in basis}  # the labels come in any order
-        square = _reduce_rows(({basis[k]: Fraction(c) for k, c in e if c} for e in entries), rank)
-        gens = dict.fromkeys(s for s in range(1, dim) if basis[s] not in square)
+        gens = dict.fromkeys(s for s in range(1, dim) if sum(basis[s]) == 1)
         layer, span, k = [{basis[s]: Fraction(1)} for s in gens], [], 1
         while layer and k < dim:  # a nilpotent N, of dimension dim - 1, has N^dim = 0
             if k > self.degree_bound:
@@ -453,8 +450,7 @@ class WeilAlgebra:
                         for s in dict.fromkeys(s for m in row for s in nonzero[index[m]] if s in gens))
             layer = list(_reduce_rows(({basis[q]: v for q, v in p.items()} for p in products), rank).values())
             k += 1
-        span = _reduce_rows(span, rank)
-        if layer or len(span) != dim - 1 or any(basis[0] in row for row in span.values()):
+        if layer or any(basis[0] in row for row in span):
             raise ValueError("the nonunit basis elements are not nilpotent; not a Weil algebra")
         return gens
 
@@ -898,22 +894,20 @@ def tensor_algebra(a: WeilAlgebra, b: WeilAlgebra):
 def satisfies_laplace_relations(zs, eps=None) -> bool:
     """True iff the tuple of nilpotents satisfies the isotropy relations:
     all squares equal, distinct products vanish, and (one generator only)
-    the cube vanishes.  The G^-1 = I case of ``_satisfies_isotropy``."""
+    the cube vanishes.  The unit-weight case of ``_satisfies_isotropy``."""
     zs = list(zs)
-    n = len(zs)
-    return _satisfies_isotropy(zs, [[int(i == j) for j in range(n)] for i in range(n)], eps)
+    return _satisfies_isotropy(zs, [1] * len(zs), eps)
 
 
-def _satisfies_isotropy(zs, ginv, eps=None) -> bool:
-    """True iff z_i z_j = lam * ginv[i][j] for one lam (and, one generator
-    only, z^3 = 0): the coordinates of an isotropic neighbor in a chart
-    where the inverse metric is ``ginv``.  Tested by cross-multiplication
-    against the largest entry ginv[p][q], z_i z_j ginv[p][q] = z_p z_q
-    ginv[i][j], so nothing is divided; with ``eps`` each residue
-    coordinate is compared against it."""
+def _satisfies_isotropy(zs, weights, eps=None) -> bool:
+    """True iff z_i z_j = 0 for i < j and z_i^2 = lam weights[i] for one lam
+    (and, one generator only, z^3 = 0): an isotropic neighbor's coordinates
+    in a frame where the inverse metric is diag(weights).  The squares are
+    cross-multiplied against index 0, z_i^2 weights[0] = z_0^2 weights[i],
+    so nothing is divided; with ``eps`` each residue coordinate is compared
+    against it."""
     zs = list(zs)
-    n = len(zs)
-    if n == 0:
+    if not zs:
         raise ValueError("empty point")
     algebra = zs[0].algebra
     for z in zs:
@@ -921,16 +915,10 @@ def _satisfies_isotropy(zs, ginv, eps=None) -> bool:
             raise ValueError("point coordinates live in different algebras")
         if not z.is_nilpotent(eps):
             raise ValueError("point coordinates must be nilpotent")
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    p, q = max(pairs, key=lambda ij: abs(ginv[ij[0]][ij[1]]))
-    pivot, pivot_product = ginv[p][q], zs[p] * zs[q]
-    for i, j in pairs:
-        residue = zs[i] * zs[j] * pivot
-        if ginv[i][j] != 0:
-            residue = residue - pivot_product * ginv[i][j]
-        if not residue.is_zero(eps):
-            return False
-    return n > 1 or (zs[0] * zs[0] * zs[0]).is_zero(eps)
+    square = zs[0] * zs[0]
+    residues = (z * w if i < j else z * z * weights[0] - square * weights[i]
+                for i, z in enumerate(zs) for j, w in enumerate(zs[i:], i))
+    return all(r.is_zero(eps) for r in residues) and (len(zs) > 1 or (square * zs[0]).is_zero(eps))
 
 
 # ---------------------------------------------------------------------------
@@ -949,18 +937,18 @@ def algebra_to_json(a: WeilAlgebra) -> dict:
 
 
 def algebra_from_json(doc: dict) -> WeilAlgebra:
-    """The algebra of an ``algebra_to_json`` document.  The basis (at most
-    ``MAX_DIMENSION`` monomials, the unit first) and the table's shape (one
-    row per basis monomial, each as long as the basis) are checked before
-    any table entry is read; then ``_check_table``, which also refuses a
-    ``degree_bound`` below the table's own and a label that is not the
-    product it names.  Z_g's class is the element labelled e_g, 0 past the
+    """The algebra of an ``algebra_to_json`` document: n, the bound, each
+    exponent and index a JSON integer, each constant a string.  The basis
+    (at most ``MAX_DIMENSION`` monomials, the unit first) and the table's
+    shape (a row per basis monomial, each as long as the basis) are checked
+    before any table entry is read; then ``_check_table``, which refuses a
+    label that is not the product it names and a ``degree_bound`` below the
+    table's own.  Z_g's class is the element labelled e_g, 0 past the
     degree bound, and else not recorded."""
-    n = int(doc["n"])
-    bound = int(doc["degree_bound"])
+    n, bound = _json_field(doc["n"], int, "n"), _json_field(doc["degree_bound"], int, "degree_bound")
     if len(doc["basis"]) > MAX_DIMENSION:
         raise ValueError(f"serialized basis has {len(doc['basis'])} monomials > MAX_DIMENSION = {MAX_DIMENSION}")
-    basis = [tuple(int(e) for e in m) for m in doc["basis"]]
+    basis = [tuple(_json_field(e, int, "exponent") for e in m) for m in doc["basis"]]
     if not basis or basis[0] != unit_monomial(n):
         raise ValueError("serialized algebra has no unit monomial first")
     if any(len(m) != n for m in basis):
@@ -968,12 +956,20 @@ def algebra_from_json(doc: dict) -> WeilAlgebra:
     rows = doc["table"]
     if len(rows) != len(basis) or any(len(row) != len(basis) for row in rows):
         raise ValueError("multiplication table has wrong shape")
-    table = [[_entry((int(k), parse_rational(c)) for c, k in entry) for entry in row] for row in rows]
+    table = [[_entry((_json_field(k, int, "basis index"), parse_rational(_json_field(c, str, "constant")))
+                     for c, k in entry) for entry in row] for row in rows]
     units = {m.index(1): _unit(i) for i, m in enumerate(basis) if sum(m) == 1 and m.count(0) == n - 1}
     classes = [units.get(g, () if bound < 1 else None) for g in range(n)]
     algebra = WeilAlgebra(n, bound, basis, table, classes, ())
     algebra._check_table()
     return algebra
+
+
+def _json_field(value, kind, name):
+    """``value``, whose type must be exactly ``kind``: JSON true is no int."""
+    if type(value) is not kind:
+        raise ValueError(f"serialized {name} is {type(value).__name__}, not {kind.__name__}")
+    return value
 
 
 def algebra_isomorphism(src: WeilAlgebra, dst: WeilAlgebra):

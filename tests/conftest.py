@@ -939,3 +939,99 @@ def is_weil_document_by_brute_force(doc):
         if product != x:
             return False
     return True
+
+
+def satisfies_isotropy_by_ginv(zs, ginv, eps=None):
+    """True iff z_i z_j = lam * ginv[i][j] for one lam (and, one generator
+    only, z^3 = 0), for any symmetric ``ginv``: cross-multiplied against its
+    largest entry ginv[p][q], z_i z_j ginv[p][q] = z_p z_q ginv[i][j].  The
+    general-matrix test that ``weil._satisfies_isotropy`` ran until it took
+    the diagonal of the chart's congruence frame instead."""
+    zs = list(zs)
+    n = len(zs)
+    if n == 0:
+        raise ValueError("empty point")
+    for z in zs:
+        if z.algebra != zs[0].algebra:
+            raise ValueError("point coordinates live in different algebras")
+        if not z.is_nilpotent(eps):
+            raise ValueError("point coordinates must be nilpotent")
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    p, q = max(pairs, key=lambda ij: abs(ginv[ij[0]][ij[1]]))
+    pivot, pivot_product = ginv[p][q], zs[p] * zs[q]
+    for i, j in pairs:
+        residue = zs[i] * zs[j] * pivot
+        if ginv[i][j] != 0:
+            residue = residue - pivot_product * ginv[i][j]
+        if not residue.is_zero(eps):
+            return False
+    return n > 1 or (zs[0] * zs[0] * zs[0]).is_zero(eps)
+
+
+def is_laplace_neighbor_by_ginv(metric, x, z, mode=EXACT, eps=DEFAULT_EPS):
+    """``is_laplace_neighbor`` on the general matrices: exact mode tests the
+    plain chart coordinates against the chart's G(x)^-1, float mode the
+    orthonormal eta against diag(sign d) as a full matrix, both with
+    ``satisfies_isotropy_by_ginv``."""
+    chart = geodesic_chart(metric, x, mode, eps)
+    tol = eps if mode == FLOAT else None
+    zeta = chart.to_chart(z)
+    _check_order(zeta, 2, tol)
+    if mode == EXACT:
+        return satisfies_isotropy_by_ginv(zeta, chart.ginv)
+    c, d = chart.frame
+    frame = _linalg.mat_mul(_linalg.transpose(c), chart.G0)
+    eta = _apply([[f / math.sqrt(abs(dk)) for f in row] for row, dk in zip(frame, d)], zeta)
+    unit = max(abs(v) for w in eta for v in (w * w).coords)
+    if unit > 0:
+        eta = [w * (1 / math.sqrt(unit)) for w in eta]
+    signs = [[math.copysign(1.0, dk) if i == k else 0.0 for k in range(len(d))] for i, dk in enumerate(d)]
+    return satisfies_isotropy_by_ginv(eta, signs, tol)
+
+
+def check_table_by_square(algebra):
+    """``WeilAlgebra._check_table`` in its earlier order, with the
+    generators read off the table rather than the labels: the shape, index,
+    symmetry and unit-row checks; S, the nonunit basis elements that lead no
+    row of the reduced span of N^2, whatever the labels say; the layers
+    W_1 = span S, W_(k+1) = span(S W_k), against the degree bound, and then
+    their reduced span, which must be N; Light's test on S; the labels last."""
+    table, basis, dim = algebra._table, algebra.basis, len(algebra.basis)
+    index = {m: i for i, m in enumerate(basis)}
+    if len(index) != dim:
+        raise ValueError("basis monomials are not distinct")
+    for i, row in enumerate(table):
+        for j, entry in enumerate(row):
+            if any(not 0 <= k < dim for k, _ in entry):
+                raise ValueError(f"table entry ({i}, {j}) names a basis index outside 0..{dim - 1}")
+            if entry != table[j][i]:
+                raise ValueError(f"multiplication table is not symmetric at ({i}, {j})")
+        if table[0][i] != ((i, 1),):
+            raise ValueError(f"unit row of the table does not fix basis element {i}")
+    nonzero = [[k for k, entry in enumerate(row) if entry] for row in table]
+    rank = {m: mono_key(m) for m in basis}
+    entries = {e for row in table[1:] for e in row[1:] if e}
+    square = _reduce_rows(({basis[k]: Fraction(c) for k, c in e if c} for e in entries), rank)
+    gens = dict.fromkeys(s for s in range(1, dim) if basis[s] not in square)
+    layer, span, k = [{basis[s]: Fraction(1)} for s in gens], [], 1
+    while layer and k < dim:
+        if k > algebra.degree_bound:
+            raise ValueError(f"a product of {k} nonunit basis elements is not 0:"
+                             f" degree bound {algebra.degree_bound} is too small")
+        span += layer
+        products = (algebra._times([(index[m], c) for m, c in row.items()], s) for row in layer for s in gens)
+        layer = list(_reduce_rows(({basis[q]: v for q, v in p.items()} for p in products), rank).values())
+        k += 1
+    span = _reduce_rows(span, rank)
+    if layer or len(span) != dim - 1 or any(basis[0] in row for row in span.values()):
+        raise ValueError("the nonunit basis elements are not nilpotent; not a Weil algebra")
+    algebra._check_associative(gens, nonzero)
+    for i, m in enumerate(basis):
+        if any(e < 0 for e in m):
+            raise ValueError(f"basis label {list(m)} has a negative exponent")
+        if sum(m) > 1:
+            g = next(g for g, e in enumerate(m) if e)
+            e_g = tuple(int(h == g) for h in range(len(m)))
+            unit, rest = index.get(e_g), index.get(m[:g] + (m[g] - 1,) + m[g + 1:])
+            if unit is None or rest is None or table[rest][unit] != ((i, 1),):
+                raise ValueError(f"basis label {list(m)} is not the product it names")

@@ -982,6 +982,29 @@ def test_metrics_and_isotropy_algebras_refuse_more_than_the_cap_before_building(
     _check_laplace_dimension(MAX_DIMENSION - 2)  # 498 coordinates pass
 
 
+@pytest.mark.parametrize("size", [1, 3], ids=["short", "long"])
+def test_a_neighbor_of_another_length_than_its_base_is_refused(size):
+    # a third coordinate was dropped (is_laplace_neighbor said True, g_eval ignored Z3), and one was read as two
+    gens = truncated_algebra(3, 3).generators()  # order 3, as gbar_eval needs
+    z, right = tuple(gens[:size]), tuple(gens[:2])
+    chart = geodesic_chart(POLAR, (F(2), F(0)))
+    base = chart.base
+    calls = {
+        "base": [lambda: is_laplace_neighbor(FLAT2, ORIGIN2, z), lambda: is_laplace_neighbor(POLAR, base, z),
+                 lambda: is_laplace_neighbor(FLAT2, (0.0, 0.0), z, mode="float"), lambda: chart.to_chart(z),
+                 lambda: mirror(chart, z), lambda: point_offsets(z, ORIGIN2), lambda: make_point(ORIGIN2, z)],
+        "metric": [lambda: chart.from_chart(z), lambda: g_eval(POLAR, base, z), lambda: g_eval(POLAR, base, right, z),
+                   lambda: gbar_eval(POLAR, base, z), lambda: gbar_eval(POLAR, base, right, z),
+                   lambda: laplace_taylor(FLAT2, parse_expr("x1*x2"), ORIGIN2, z)],
+    }
+    for against, refused in calls.items():
+        for call in refused:
+            with pytest.raises(ValueError, match=f"^point dimension does not match the {against}$"):
+                call()
+    assert is_laplace_neighbor(FLAT2, ORIGIN2, truncated_algebra(3, 2).generators()[:2]) is False
+    assert g_eval(POLAR, base, right, right).is_zero() and gbar_eval(POLAR, base, right, right).is_zero()
+
+
 @pytest.mark.parametrize("point", [(F(1),), (F(1), F(2), F(3))], ids=["short", "long"])
 def test_a_point_of_another_dimension_than_the_metric_is_refused(point):
     for metric in (POLAR, FLAT2):

@@ -2,9 +2,11 @@
 
 A neighbor z of x is isotropic exactly when its plain-chart coordinates
 satisfy zeta_i zeta_j = lam (G(x)^-1)_ij for one lam; no square root is
-needed, so exact mode answers wherever the Laplacian does.  The references
-in conftest are the float normal-chart route (orthonormal chart, dense
-solves) and the extended square distance from symbolic partials.
+needed, so exact mode answers wherever the Laplacian does.  The library
+tests it on the diagonal of the chart's congruence frame.  The references
+in conftest are that test on the general G(x)^-1, the float normal-chart
+route (orthonormal chart, dense solves) and the extended square distance
+from symbolic partials.
 """
 
 import itertools
@@ -26,10 +28,12 @@ from nilgeom.geometry import (
     laplace_point,
     laplacian,
 )
+from nilgeom.scalars import DEFAULT_EPS
 from nilgeom.weil import Polynomial, _isotropy_algebra, all_monomials, tensor_algebra, truncated_algebra
 from conftest import (
     gbar_eval_by_diff,
     gbar_eval_by_tensor,
+    is_laplace_neighbor_by_ginv,
     is_laplace_neighbor_by_normal_chart,
     laplacian_by_trace,
     random_metric,
@@ -125,6 +129,38 @@ def test_universal_point_rotations_and_scalings_are_isotropic(case):
     for z, want in points:
         assert is_laplace_neighbor(metric, x, z) is want
         assert is_laplace_neighbor(metric, xf, _float_point(z), mode="float") is want
+
+
+GINV_CASES = Counter()
+
+
+@given(neighbor_cases(curved_metrics()), st.data())
+@PROPERTY
+def test_verdicts_match_the_general_inverse_metric_oracle(case, data):
+    # the diagonal test in the congruence frame and zeta zeta^T = lam G(x)^-1 itself: one verdict in both
+    # modes, at eps = 0 (float equality, where a changed bit would show) too; plus generic second-order points
+    metric, x, points = case
+    chart, ambient = geodesic_chart(metric, x), truncated_algebra(metric.n, 2)
+    for _ in range(2):
+        coeffs = data.draw(st.lists(st.integers(-2, 2), min_size=ambient.dimension - 1, max_size=ambient.dimension - 1))
+        zeta = ambient.element([F(0)] + [F(c) for c in coeffs])
+        points.append((chart.from_chart([zeta * (i + 1) + g for i, g in enumerate(ambient.generators())]), None))
+    xf = tuple(float(v) for v in x)
+    for z, want in points:
+        got = is_laplace_neighbor(metric, x, z)
+        assert got is is_laplace_neighbor_by_ginv(metric, x, z) and want in (None, got)
+        zf = _float_point(z)
+        for eps in (DEFAULT_EPS, 0.0):
+            assert (is_laplace_neighbor(metric, xf, zf, mode="float", eps=eps)
+                    is is_laplace_neighbor_by_ginv(metric, xf, zf, mode="float", eps=eps))
+        GINV_CASES[got] += 1
+
+
+def test_ginv_corpus_is_mixed():
+    # runs after the property above (file order): both verdicts well represented
+    if not GINV_CASES:
+        test_verdicts_match_the_general_inverse_metric_oracle()
+    assert GINV_CASES[True] >= 50 and GINV_CASES[False] >= 50
 
 
 ORACLE_CASES = Counter()

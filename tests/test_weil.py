@@ -6,6 +6,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -36,6 +37,7 @@ from nilgeom.weil import (
 from nilgeom.coalgebra import Distribution, dual_algebra, subcoalgebra_generated
 from conftest import (
     all_monomials_by_sorting,
+    check_table_by_square,
     is_weil_document_by_brute_force,
     product_by_fraction_loop,
     quotient_algebra_by_expansion,
@@ -584,9 +586,9 @@ def test_json_rejects_a_non_associative_table():
     doc = {"n": 1, "degree_bound": 3, "basis": [[0], [1], [2], [3]], "table": table}
     with pytest.raises(ValueError, match=r"^multiplication table is not associative on basis triple \(1, 1, 2\)$"):
         algebra_from_json(doc)
-    # basis 1, a, b, d, c with a*a = 0, b*b = d, b*d = d*d = c: a and b lead
-    # no row of N^2, so Light's test runs on both, and (b*b)*d = c while
-    # b*(b*d) = 0
+    # basis 1, a, b, d, c with a*a = 0, b*b = d, b*d = d*d = c, labelled
+    # 1, Z1, Z2, Z2^2, Z2^3: a and b are the generators the labels name, so
+    # Light's test runs on both, and (b*b)*d = c while b*(b*d) = 0
     other = [
         [one(0), one(1), one(2), one(3), one(4)],
         [one(1), [], [], [], []],
@@ -595,7 +597,8 @@ def test_json_rejects_a_non_associative_table():
         [one(4), [], [], [], []],
     ]
     with pytest.raises(ValueError, match=r"not associative on basis triple \(2, 2, 3\)$"):
-        algebra_from_json({"n": 1, "degree_bound": 4, "basis": [[0], [1], [2], [3], [4]], "table": other})
+        algebra_from_json({"n": 2, "degree_bound": 4, "basis": [[0, 0], [1, 0], [0, 1], [0, 2], [0, 3]],
+                           "table": other})
     # the first basis with b*b = 0 is the truncated algebra k[a]/(a^4)
     table[2][2] = []
     assert algebra_from_json(doc) == truncated_algebra(1, 3)
@@ -643,9 +646,40 @@ def test_labels_must_name_their_products():
     negative = {**algebra_to_json(truncated_algebra(2, 1)), "basis": [[0, 0], [2, -1], [0, 1]]}
     with pytest.raises(ValueError, match=r"^basis label \[2, -1\] has a negative exponent$"):
         algebra_from_json(negative)
-    # the table's own checks come first: this bound is refused before the labels are read
-    with pytest.raises(ValueError, match="degree bound 2 is too small$"):
+    # the labels are checked before the table's own tests: this bound is too small too, but the labels are read first
+    with pytest.raises(ValueError, match=r"^basis label \[2\] is not the product it names$"):
         algebra_from_json({**doc, "degree_bound": 2})
+
+
+def _with(doc, path, value):
+    """A copy of ``doc`` with the field at ``path`` (keys and indices) set to ``value``."""
+    doc = json.loads(json.dumps(doc))
+    *head, last = path
+    target = doc
+    for key in head:
+        target = target[key]
+    target[last] = value
+    return doc
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("basis", 1, 0), 1.7, "serialized exponent is float, not int"),
+    (("basis", 1, 0), True, "serialized exponent is bool, not int"),
+    (("degree_bound",), 2.9, "serialized degree_bound is float, not int"),
+    (("degree_bound",), "2", "serialized degree_bound is str, not int"),
+    (("n",), True, "serialized n is bool, not int"),
+    (("n",), 1.0, "serialized n is float, not int"),
+    (("table", 1, 1, 0, 1), 1.5, "serialized basis index is float, not int"),
+    (("table", 1, 1, 0, 1), "2", "serialized basis index is str, not int"),
+    (("table", 1, 1, 0, 0), 1, "serialized constant is int, not str"),
+    (("table", 0, 0, 0, 0), None, "serialized constant is NoneType, not str"),
+])
+def test_json_numbers_are_integers_and_constants_strings(path, value, message):
+    # each field once loaded truncated (1.7 as 1, "2" as 2, true as 1), and a numeric constant raised AttributeError
+    doc = algebra_to_json(truncated_algebra(1, 2))
+    assert algebra_from_json(doc) == truncated_algebra(1, 2)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        algebra_from_json(_with(doc, path, value))
 
 
 LIBRARY_KINDS = ("truncated", "Laplace", "weighted", "quotient", "tensor", "dual")
@@ -697,19 +731,22 @@ def _accepts(doc):
     return True
 
 
-def _documents(rng):
-    """A random quotient algebra on up to 10 monomials and (kind, document)
-    pairs: its own document, a lowered bound, one table entry and its mirror
-    replaced (a written zero constant included), two nonunit basis labels
-    swapped, with and without a lowered bound, and a nonunit label with a
-    negative exponent."""
-    n = rng.choice((1, 2, 3))
-    bound = rng.randint(1, {1: 5, 2: 3, 3: 2}[n])
-    relations = []
-    for _ in range(rng.randint(0, 3)):
-        p = random_polynomial(rng, n, bound, rng.randint(1, 3))
-        relations.append(Polynomial(n, {m: c for m, c in p.terms.items() if sum(m)}))
-    algebra = quotient_algebra(n, bound, relations)
+def _documents(rng, algebra=None):
+    """An algebra, by default a random quotient algebra on up to 10
+    monomials, and (kind, document) pairs: its own document, a lowered
+    bound, one table entry and its mirror replaced (a written zero constant
+    included), two nonunit basis labels swapped, with and without a lowered
+    bound, and a nonunit label with a negative exponent.  A bound of 0 is
+    "lowered" to 0."""
+    if algebra is None:
+        n = rng.choice((1, 2, 3))
+        bound = rng.randint(1, {1: 5, 2: 3, 3: 2}[n])
+        relations = []
+        for _ in range(rng.randint(0, 3)):
+            p = random_polynomial(rng, n, bound, rng.randint(1, 3))
+            relations.append(Polynomial(n, {m: c for m, c in p.terms.items() if sum(m)}))
+        algebra = quotient_algebra(n, bound, relations)
+    n, bound = algebra.n, max(algebra.degree_bound, 1)
     doc, dim = json.loads(json.dumps(algebra_to_json(algebra))), algebra.dimension
     documents = [("own", doc), ("lowered", {**doc, "degree_bound": rng.randint(0, bound - 1)})]
     if dim > 1:
@@ -743,6 +780,21 @@ def test_json_accepts_exactly_the_documents_of_weil_algebras(seed):
     assert _accepts(documents[0][1])
     for kind, doc in documents:
         assert _accepts(doc) == is_weil_document_by_brute_force(doc), kind
+
+
+def _accepts_by_square(doc):
+    with mock.patch.object(WeilAlgebra, "_check_table", check_table_by_square):
+        return _accepts(doc)
+
+
+@settings(DOCUMENTS, max_examples=60)
+@given(st.sampled_from(LIBRARY_KINDS), st.integers(0, 2**32 - 1))
+def test_json_accepts_what_the_generators_from_the_square_accept(kind, seed):
+    # S read off the labels, as the loader does, or off N^2 in the old check order: one verdict
+    rng = random.Random(seed)
+    for algebra in (None, _library_algebra(kind, rng)):
+        for name, doc in _documents(rng, algebra)[1]:
+            assert _accepts(doc) == _accepts_by_square(doc), (kind, name)
 
 
 @DOCUMENTS
