@@ -31,13 +31,15 @@ def transpose(a):
 
 
 def _pivot_row(rows, col, start, exact):
+    """From row ``start`` on: the first nonzero entry of column ``col`` when
+    exact, else the one largest in magnitude; None if there is none."""
+    if exact:
+        return next((r for r in range(start, len(rows)) if rows[r][col]), None)
     best, best_mag = None, 0
     for r in range(start, len(rows)):
         mag = abs(rows[r][col])
-        if mag > 0 and (exact or mag > best_mag):
+        if mag > best_mag:
             best, best_mag = r, mag
-            if exact:
-                break
     return best
 
 

@@ -67,8 +67,10 @@ class GeometryError(ArithmeticError):
 
 class MetricField:
     """Symmetric n x n matrix of expressions; only the upper triangle is
-    stored.  Mirrored entries must print alike (``format_expr``), so that
-    an asymmetric matrix is rejected rather than read by its upper half.
+    stored.  Mirrored entries must be one object or print alike
+    (``format_expr``), so that an asymmetric matrix is rejected rather than
+    read by its upper half.  An entry object that stands in several places
+    is searched for its variables once.
     n + 2, the dimension of the Laplacian's ``laplace_algebra(n)``, may not
     exceed ``MAX_DIMENSION``: checked before any entry is built or printed."""
 
@@ -82,14 +84,19 @@ class MetricField:
         if not all(isinstance(e, Expr) for row in entries for e in row):
             raise TypeError("metric entries must be expressions")
         self._upper, self._variables = {}, {}  # each upper entry, and the variables it uses
+        walked = {}  # id of an entry object -> its variables: a shared entry is walked once
         for i in range(n):
             for j in range(i, n):
                 e = entries[i][j]
-                self._variables[(i, j)] = used = variables(e)
-                bad = [v for v in used if v >= n]
-                if bad:
-                    raise ValueError(f"metric entry uses x{bad[0] + 1} beyond dimension {n}")
-                if i < j and format_expr(e) != format_expr(entries[j][i]):
+                used = walked.get(id(e))
+                if used is None:
+                    walked[id(e)] = used = variables(e)
+                    bad = [v for v in used if v >= n]
+                    if bad:
+                        raise ValueError(f"metric entry uses x{bad[0] + 1} beyond dimension {n}")
+                self._variables[(i, j)] = used
+                mirror = entries[j][i]
+                if i < j and mirror is not e and format_expr(e) != format_expr(mirror):
                     raise ValueError(
                         f"metric is not symmetric: entries ({i + 1}, {j + 1}) and ({j + 1}, {i + 1}) differ"
                     )
@@ -98,7 +105,8 @@ class MetricField:
     @classmethod
     def standard_flat(cls, n: int) -> "MetricField":
         _check_laplace_dimension(n)
-        return cls(n, [[Const(Fraction(1 if i == j else 0)) for j in range(n)] for i in range(n)])
+        one, zero = Const(Fraction(1)), Const(Fraction(0))  # shared: mirrored entries are one object
+        return cls(n, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @classmethod
     def from_strings(cls, rows) -> "MetricField":
@@ -462,7 +470,7 @@ def scalar_component(chart: GeodesicChart, z, t: TangentVector) -> WeilElement:
     acc = zeta[0].algebra.zero()
     for c, w in zip(gu, zeta):
         acc = acc + w * c
-    return acc * (1 / norm)  # all float in float mode: zeta comes from to_chart
+    return _in_mode(acc * (1 / norm), chart.mode)  # a sum skips zeros and keeps their type
 
 
 def orthogonal_projection(chart: GeodesicChart, z, t: TangentVector):

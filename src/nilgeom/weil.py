@@ -34,9 +34,10 @@ checks them, then looks in a cache of the last 16, which retains about
 and ``==`` tests identity first.
 
 Normal forms live only in ``_presentation``, which writes the table and
-the generator classes of truncated, quotient and dual algebras.
-``algebra_from_json`` refuses a degree bound that the table exceeds and a
-basis label Z^m that is not the product it names.
+the generator classes of truncated, quotient and dual algebras, and forms
+no product of two monomials whose degrees add up past the bound.
+``algebra_from_json`` refuses a negative degree bound, one that the table
+exceeds, and a basis label Z^m that is not the product it names.
 
 Structure constants are held in the scalars the product uses: a constant
 1 is the int 1, and every table shares one entry ((k, 1),) per basis
@@ -45,12 +46,16 @@ isotropy algebra holds its float weights.  Element arithmetic is
 coordinate vectors times these constants, with one path for every scalar
 (``int``, ``Fraction`` or ``float``): a scalar added or subtracted changes
 coordinate 0 only, multiplying by one touches only the nonzero
-coordinates, ``w + 0`` and ``w * 1`` return ``w`` itself, and products
-skip zero coordinates and vanishing table entries and add a * b itself
-where the constant is 1.  A float element may therefore hold exact zeros,
-and a float zero either sign; ``_in_mode`` makes every coordinate of a
-float-mode result a float where it leaves the library.  Every coordinate
-the library writes in exact mode is a ``Fraction``, never an int.
+coordinates, and ``w + 0`` and ``w * 1`` return ``w`` itself.  Sums and
+differences of two elements skip zeros: where one operand's coordinate is
+0 the other's is taken as it is (negated, for 0 - b), and negation leaves
+a zero alone.  Products skip zero coordinates and vanishing table entries
+and add a * b itself where the constant is 1.  A float element may
+therefore hold exact coordinates, and a float zero either sign, which it
+keeps until ``format_scalar`` prints it as 0; ``_in_mode`` makes every
+coordinate of a float-mode result a float where it leaves the library.
+Every coordinate the library writes in exact mode is a ``Fraction``, never
+an int.
 
 Everything is immutable after construction and safe to share.
 """
@@ -109,9 +114,11 @@ with: C(n + k, k) for n generators up to degree k (``truncated_algebra``,
 ``quotient_algebra``, ``subcoalgebra_generated``, ``dual_algebra``, which
 also refuse n >= MAX_DIMENSION at degree 0) and n + 2 for
 ``laplace_algebra``.  A multiplication table holds the square of the
-dimension, and so does the cost of building it: at the cap a truncated
-algebra builds in 0.6-1.2 s and the Laplace algebra in about 0.3 s
-(2-core VM, Python 3.11).
+dimension, but only the pairs whose degrees stay within the bound cost a
+product of monomials: at the cap a truncated algebra builds in 0.01-0.05 s
+(``truncated_algebra(498, 1)`` 0.024 s, ``(1, 499)`` 0.049 s, both 2.7 s
+and 0.09 s while every pair was multiplied) and the Laplace algebra in
+about 0.01 s (2-core VM, Python 3.11).
 
 ``truncated_algebra`` and ``laplace_algebra`` each keep the last
 ``_CACHE_SIZE`` = 16 algebras they built, keyed by their arguments.  One
@@ -548,7 +555,11 @@ class WeilElement:
     Every scalar operand (``int``, ``Fraction`` or ``float``) takes one
     path: adding or subtracting it changes coordinate 0 only, multiplying
     by it touches only the nonzero coordinates, and ``w + 0``, ``w - 0`` and
-    ``w * 1`` return ``w`` itself (elements are immutable).  Products of two
+    ``w * 1`` return ``w`` itself (elements are immutable).  Sums and
+    differences of two elements take a coordinate as it is where the other
+    operand's is zero (a + 0 is a, 0 - b is -b), and negation leaves zeros
+    alone, so -0.0 + 0.0 stays -0.0 and a float zero may keep its sign
+    until ``format_scalar`` prints it as 0.  Products of two
     elements skip zero coordinates on both sides and table entries that
     vanish, add a * b itself where the constant is 1, and write the first
     term t of an output coordinate as ``Fraction(0) + t`` leaves it (a
@@ -556,6 +567,13 @@ class WeilElement:
     int as a ``Fraction``); a coordinate no term reaches is ``Fraction(0)``.
     A coordinate no operation touched keeps its type, so float mode fixes
     its results with ``_in_mode``.
+
+    Every operation collects its coordinates in a list, never a generator.
+    ``tuple()`` of a generator builds an oversized tuple and shrinks it,
+    which bypasses CPython's per-size cache of freed tuples, yet the tuple
+    enters that cache when it is freed; so the caches filled up to 2000
+    tuples of each algebra dimension, about 1 MB in the jet-orders
+    benchmark.  A tuple made from a list is taken from the cache.
     """
 
     __slots__ = ("algebra", "coords")
@@ -584,7 +602,8 @@ class WeilElement:
         other = self._match(other)
         if other is NotImplemented:
             return NotImplemented
-        return WeilElement(self.algebra, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return WeilElement(self.algebra, [(a + b if a else b) if b else a
+                                          for a, b in zip(self.coords, other.coords)])
 
     __radd__ = __add__
 
@@ -594,19 +613,20 @@ class WeilElement:
         other = self._match(other)
         if other is NotImplemented:
             return NotImplemented
-        return WeilElement(self.algebra, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return WeilElement(self.algebra, [(a - b if a else -b) if b else a
+                                          for a, b in zip(self.coords, other.coords)])
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return WeilElement(self.algebra, tuple(-a for a in self.coords))
+        return WeilElement(self.algebra, [-a if a else a for a in self.coords])
 
     def __mul__(self, other):
         if isinstance(other, _SCALARS):
             if other == 1:
                 return self
-            return WeilElement(self.algebra, tuple(a * other if a else a for a in self.coords))
+            return WeilElement(self.algebra, [a * other if a else a for a in self.coords])
         other = self._match(other)
         if other is NotImplemented:
             return NotImplemented
@@ -695,7 +715,7 @@ def _in_mode(w: WeilElement, mode: str) -> WeilElement:
     if mode != FLOAT:
         return w
     try:
-        return WeilElement(w.algebra, tuple(map(float, w.coords)))
+        return WeilElement(w.algebra, list(map(float, w.coords)))
     except OverflowError:
         raise ValueError("an exact coordinate lies outside the float range") from None
 
@@ -826,7 +846,9 @@ def _presentation(n, degree_bound, monos, pivots, relations) -> WeilAlgebra:
     (every monomial up to the bound in basis order, as ``all_monomials``
     lists them or a rank built from it) that lead no row form the basis,
     and a lead's normal form is minus the tail of its row, sorted by basis
-    index.  The normal forms write the table and the generator classes."""
+    index.  The normal forms write the table and the generator classes; a
+    pair whose degrees add up past the bound is 0 without its product being
+    formed, since ``nf`` holds no monomial past the bound."""
     assert unit_monomial(n) not in pivots, "zero-constant-term relations cannot kill the unit"
     basis = [m for m in monos if m not in pivots]
     index = {m: i for i, m in enumerate(basis)}
@@ -834,10 +856,13 @@ def _presentation(n, degree_bound, monos, pivots, relations) -> WeilAlgebra:
     for lead, row in pivots.items():
         nf[lead] = _entry(sorted((index[m], -c) for m, c in row.items() if m != lead))
     dim = len(basis)
-    table = [[None] * dim for _ in range(dim)]
+    deg = [sum(m) for m in basis]
+    table = [[()] * dim for _ in range(dim)]
     for i in range(dim):
+        room = degree_bound - deg[i]
         for j in range(i, dim):
-            table[i][j] = table[j][i] = nf.get(mono_mul(basis[i], basis[j]), ())
+            if deg[j] <= room:
+                table[i][j] = table[j][i] = nf.get(mono_mul(basis[i], basis[j]), ())
     classes = {m.index(1): entry for m, entry in nf.items() if sum(m) == 1}  # past the bound, Z_g is 0
     return WeilAlgebra(n, degree_bound, basis, table, [classes.get(g, ()) for g in range(n)], relations)
 
@@ -938,7 +963,8 @@ def algebra_to_json(a: WeilAlgebra) -> dict:
 
 def algebra_from_json(doc: dict) -> WeilAlgebra:
     """The algebra of an ``algebra_to_json`` document: n, the bound, each
-    exponent and index a JSON integer, each constant a string.  The basis
+    exponent and index a JSON integer, each constant a string, and the
+    bound at least 0, as every constructor requires.  The basis
     (at most ``MAX_DIMENSION`` monomials, the unit first) and the table's
     shape (a row per basis monomial, each as long as the basis) are checked
     before any table entry is read; then ``_check_table``, which refuses a
@@ -946,6 +972,8 @@ def algebra_from_json(doc: dict) -> WeilAlgebra:
     table's own.  Z_g's class is the element labelled e_g, 0 past the
     degree bound, and else not recorded."""
     n, bound = _json_field(doc["n"], int, "n"), _json_field(doc["degree_bound"], int, "degree_bound")
+    if bound < 0:
+        raise ValueError("degree bound must be >= 0")
     if len(doc["basis"]) > MAX_DIMENSION:
         raise ValueError(f"serialized basis has {len(doc['basis'])} monomials > MAX_DIMENSION = {MAX_DIMENSION}")
     basis = [tuple(_json_field(e, int, "exponent") for e in m) for m in doc["basis"]]

@@ -48,7 +48,7 @@ from nilgeom.geometry import (
 from nilgeom.scalars import DEFAULT_EPS, EXACT, FLOAT, scalars_equal, to_scalar
 from nilgeom.weil import _in_mode, _isotropy_algebra, laplace_algebra, tensor_algebra, truncated_algebra
 from nilgeom.weil import Polynomial, WeilAlgebra, WeilElement, _reduce_rows, all_monomials, mono_key, quotient_algebra, satisfies_laplace_relations
-from nilgeom.weil import _presentation, mono_degree, mono_mul
+from nilgeom.weil import _entry, _unit, mono_degree, mono_mul
 
 
 def random_polynomial(rng: random.Random, n: int, degree: int, terms: int = 5) -> Polynomial:
@@ -119,6 +119,40 @@ def nilpotent_part_dense(w):
 def apply_dense(m, v):
     """The matrix m times the vector v, every entry multiplied and summed."""
     return tuple(sum(mij * vj for mij, vj in zip(row, v)) for row in m)
+
+
+# -- sums of two elements coordinate by coordinate: the reference for the zero-skipping sums --
+
+def add_dense(x, y):
+    """x + y with every coordinate pair added, zeros included."""
+    return WeilElement(x.algebra, tuple(a + b for a, b in zip(x.coords, y.coords)))
+
+
+def sub_dense(x, y):
+    return WeilElement(x.algebra, tuple(a - b for a, b in zip(x.coords, y.coords)))
+
+
+def neg_dense(x):
+    return WeilElement(x.algebra, tuple(-a for a in x.coords))
+
+
+# -- the presentation of every pair: the reference for the one that skips pairs past the bound --
+
+def presentation_all_pairs(n, degree_bound, monos, pivots, relations):
+    """``_presentation`` with every pair of basis monomials multiplied and
+    its product looked up among the normal forms, past the bound or not."""
+    basis = [m for m in monos if m not in pivots]
+    index = {m: i for i, m in enumerate(basis)}
+    nf = {m: _unit(i) for m, i in index.items()}
+    for lead, row in pivots.items():
+        nf[lead] = _entry(sorted((index[m], -c) for m, c in row.items() if m != lead))
+    dim = len(basis)
+    table = [[None] * dim for _ in range(dim)]
+    for i in range(dim):
+        for j in range(i, dim):
+            table[i][j] = table[j][i] = nf.get(mono_mul(basis[i], basis[j]), ())
+    classes = {m.index(1): entry for m, entry in nf.items() if sum(m) == 1}
+    return WeilAlgebra(n, degree_bound, basis, table, [classes.get(g, ()) for g in range(n)], relations)
 
 
 # -- tensor products by elimination: the reference for the product of tables --
@@ -218,7 +252,7 @@ def quotient_algebra_by_expansion(n, degree_bound, relations):
             if truncated:
                 rows.append(truncated)
     rank = monomial_rank(n, degree_bound)
-    return _presentation(n, degree_bound, rank, _reduce_rows(rows, rank), relations)
+    return presentation_all_pairs(n, degree_bound, rank, _reduce_rows(rows, rank), relations)
 
 
 def all_monomials_by_sorting(n, max_degree):
@@ -520,7 +554,7 @@ def dual_algebra_by_scan(c):
     relations = dual_relations_by_scan(c)
     degree_bound = max(b.degree() for b in c.basis) + 1
     kernel = reduce_rows_by_mono_key([r.terms for r in relations])
-    return _presentation(c.n, degree_bound, all_monomials(c.n, degree_bound), kernel, relations)
+    return presentation_all_pairs(c.n, degree_bound, all_monomials(c.n, degree_bound), kernel, relations)
 
 
 def dual_algebra_by_nullspace(c):
@@ -537,6 +571,19 @@ def dual_algebra_by_nullspace(c):
 
 
 # -- dense solves, the Laplacian as a trace, and Christoffel symbols by the full loop --
+
+def pivot_row_by_magnitude(rows, col, start, exact):
+    """``_linalg._pivot_row`` as every magnitude is compared: the first row
+    with |a| > 0 when exact, else the first of largest |a|."""
+    best, best_mag = None, 0
+    for r in range(start, len(rows)):
+        mag = abs(rows[r][col])
+        if mag > 0 and (exact or mag > best_mag):
+            best, best_mag = r, mag
+            if exact:
+                break
+    return best
+
 
 def solve(a, b):
     """Solve a @ x = b for square a by Gauss-Jordan; b is a vector.  Raises

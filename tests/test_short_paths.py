@@ -1,9 +1,10 @@
 """Short paths of Weil arithmetic against the coordinate-by-coordinate oracles.
 
 Scalar operands, exact or float, touch one coordinate or only the nonzero
-ones, and ``_apply`` skips zero matrix entries; every form must equal the
-dense computation in ``conftest``, hash like it and keep exact coordinates
-exact.  Where a float is involved, an untouched coordinate keeps its exact
+ones, sums of two elements skip zero coordinates, and ``_apply`` skips zero
+matrix entries; every form must equal the dense computation in
+``conftest``, hash like it and keep exact coordinates exact.  Tables skip
+the products past the degree bound and must equal the all-pairs ones.  Where a float is involved, an untouched coordinate keeps its exact
 type and a float zero may have either sign, so both sides are compared as
 float mode returns them: every coordinate a float (``weil._in_mode``).
 """
@@ -11,25 +12,41 @@ float mode returns them: every coordinate a float (``weil._in_mode``).
 import pickle
 import random
 from fractions import Fraction
+from unittest import mock
+
+import pytest
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from nilgeom import _linalg
-from nilgeom.expr import Var, format_expr
+from nilgeom import _linalg, geometry, weil
+from nilgeom.expr import Const, Var, format_expr, variables
 from nilgeom.geometry import MetricField, _apply, geodesic_chart, make_point, point_offsets
 from nilgeom.scalars import FLOAT
-from nilgeom.weil import _in_mode, laplace_algebra, tensor_algebra, truncated_algebra
+from nilgeom.weil import (
+    Polynomial,
+    _in_mode,
+    all_monomials,
+    laplace_algebra,
+    quotient_algebra,
+    tensor_algebra,
+    truncated_algebra,
+)
 from conftest import (
+    add_dense,
     add_scalar_dense,
     apply_dense,
     half_gamma_all_terms,
     half_gamma_dense_first_kind,
     mul_scalar_dense,
+    neg_dense,
     nilpotent_part_dense,
+    pivot_row_by_magnitude,
+    presentation_all_pairs,
     random_metric,
     random_point,
     rsub_scalar_dense,
+    sub_dense,
     sub_scalar_dense,
 )
 
@@ -59,9 +76,10 @@ scalars = st.one_of(
 
 
 @st.composite
-def elements(draw):
-    """An exact, a float or a mixed element (float mode mixes the two)."""
-    algebra = draw(st.sampled_from(ALGEBRAS))
+def elements(draw, algebra=None):
+    """An exact, a float or a mixed element (float mode mixes the two), in
+    ``algebra`` or one drawn from ``ALGEBRAS``."""
+    algebra = algebra or draw(st.sampled_from(ALGEBRAS))
     kind = draw(st.sampled_from(("exact", "float", "mixed")))
     coord = {"exact": fractions, "float": floats, "mixed": st.one_of(fractions, floats)}[kind]
     # sparse as jets are: most coordinates zero
@@ -133,6 +151,29 @@ def test_scalar_operations_equal_the_dense_oracle(w, s):
         if all(map(_is_exact, w.coords)) and _is_exact(s):
             assert all(map(_is_exact, got.coords)), (w, s, got)
     _same(w.nilpotent_part(), nilpotent_part_dense(w))
+
+
+element_pairs = st.sampled_from(ALGEBRAS).flatmap(lambda a: st.tuples(elements(a), elements(a)))
+
+
+@PROPERTY
+@given(element_pairs)
+def test_sums_of_elements_equal_the_dense_oracle(pair):
+    """Sums, differences and negation skip zero coordinates; the dense
+    oracle adds every pair.  Exact results are equal, coordinate types
+    included.  Where a float is involved a skipped coordinate keeps its
+    type and its sign: -0.0 + 0.0 stays -0.0 where the oracle gives 0.0, and
+    0.0 + 1/2 stays 1/2.  So float results are compared as float mode returns
+    them (``_in_mode``), where they are equal and only the sign of a zero may
+    differ; ``format_scalar`` prints a zero of either sign as 0."""
+    x, y = pair
+    exact = not (_holds_float(x) or _holds_float(y))
+    for got, want in ((x + y, add_dense(x, y)), (y + x, add_dense(y, x)), (x - y, sub_dense(x, y)),
+                      (y - x, sub_dense(y, x)), (-x, neg_dense(x)), (-y, neg_dense(y))):
+        _same(got, want)
+        if exact:
+            assert not _holds_float(got), (x, y, got)
+            assert [type(c) for c in got.coords] == [type(c) for c in want.coords], (got.coords, want.coords)
 
 
 @PROPERTY
@@ -257,3 +298,66 @@ def test_exact_scalar_arithmetic_on_generators_stays_sparse():
     w = (z[1] + 3) * F(2, 5) - 1
     assert w.coords == (F(1, 5), 0, F(2, 5), 0, 0, 0)
     assert all(isinstance(c, Fraction) for c in w.coords)
+
+
+def _same_presentation(got, want):
+    assert (got.n, got.degree_bound, got.basis) == (want.n, want.degree_bound, want.basis)
+    assert got._table == want._table and got._classes == want._classes
+
+
+def test_tables_skip_only_the_products_past_the_bound():
+    """``_presentation`` writes 0 for a pair whose degrees add up past the
+    bound without multiplying it; every pair multiplied gives the same table."""
+    rng = random.Random(26)
+    for n, bound in [(n, k) for n in (1, 2, 3) for k in range(5)] + [(4, 2), (1, 9)]:
+        want = presentation_all_pairs(n, bound, all_monomials(n, bound), {}, ())
+        weil._truncated.cache_clear()  # built here, not read from the cache
+        _same_presentation(truncated_algebra(n, bound), want)
+        nonunit = all_monomials(n, bound)[1:]
+        for _ in range(3):
+            relations = [Polynomial(n, {m: F(rng.randint(-3, 3)) for m in rng.sample(nonunit, min(2, len(nonunit)))})
+                         for _ in range(rng.randint(1, 3))]
+            got = quotient_algebra(n, bound, relations)
+            with mock.patch.object(weil, "_presentation", presentation_all_pairs):
+                _same_presentation(got, quotient_algebra(n, bound, relations))
+
+
+def test_mirrored_entries_that_are_distinct_objects_are_still_compared():
+    refused = [[Const(F(1)), Const(F(2))], [Const(F(3)), Const(F(1))]]
+    with pytest.raises(ValueError, match=r"^metric is not symmetric: entries \(1, 2\) and \(2, 1\) differ$"):
+        MetricField(2, refused)
+    # distinct objects of one value pass, as the one object the flat metric shares does
+    assert MetricField(2, [[Const(F(1)), Const(F(2))], [Const(F(2)), Const(F(1))]]).entry(1, 0).value == 2
+    flat = MetricField.standard_flat(3)
+    assert flat.entry(0, 1) is flat.entry(1, 2) and flat.is_standard_flat()
+
+
+def test_a_shared_metric_entry_is_walked_once_and_still_checked():
+    counted = []
+
+    def walk(e):
+        counted.append(e)
+        return variables(e)
+
+    with mock.patch.object(geometry, "variables", walk):
+        flat = MetricField.standard_flat(6)
+        assert len(counted) == 2 and flat.is_standard_flat()  # one Const(1), one Const(0)
+        x2 = Var(1)
+        metric = MetricField(2, [[x2, x2], [x2, Const(F(1))]])
+        assert [metric._variables[k] for k in ((0, 0), (0, 1), (1, 1))] == [{1}, {1}, set()]
+    beyond = Var(2)
+    with pytest.raises(ValueError, match=r"^metric entry uses x3 beyond dimension 2$"):
+        MetricField(2, [[Const(F(1)), beyond], [beyond, Const(F(1))]])
+
+
+column_entries = st.one_of(st.just(F(0)), fractions), st.one_of(st.sampled_from([0.0, -0.0]), floats)
+
+
+@PROPERTY
+@given(st.sampled_from(column_entries).flatmap(lambda entry: st.lists(entry, max_size=6)), st.integers(0, 6))
+def test_the_pivot_search_equals_the_magnitude_scan(column, start):
+    """An exact pivot is the first nonzero entry, found without forming
+    |a|; a float one is the first of largest magnitude."""
+    rows = [[a] for a in column]
+    exact = not any(isinstance(a, float) for a in column)
+    assert _linalg._pivot_row(rows, 0, start, exact) == pivot_row_by_magnitude(rows, 0, start, exact)

@@ -622,6 +622,15 @@ def test_a_bound_below_the_table_is_refused():
         algebra_from_json({"n": 1, "degree_bound": 10**9, "basis": [[0], [1], [2]], "table": table})
 
 
+def test_a_negative_bound_is_refused_before_the_table_is_read():
+    # a one-element basis has no product to contradict it; the constructors refuse it all the same
+    doc = {"n": 1, "degree_bound": -5, "basis": [[0]], "table": [[[["1", 0]]]]}
+    for bad in (doc, {**doc, "basis": "not read", "table": "not read"}, {**doc, "degree_bound": -1}):
+        with pytest.raises(ValueError, match="^degree bound must be >= 0$"):
+            algebra_from_json(bad)
+    assert algebra_from_json({**doc, "degree_bound": 0}) == truncated_algebra(1, 0)
+
+
 def test_a_relabelled_document_at_the_cap_is_refused_in_seconds():
     # the labels of Z and Z^2 swapped: b_1, labelled Z^2, is not b_2 b_2 = Z^4
     algebra = truncated_algebra(1, MAX_DIMENSION - 2)
