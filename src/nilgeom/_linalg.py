@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .weil import _ONE
+
 
 def identity(n, one=Fraction(1)):
     zero = one - one
@@ -68,16 +70,21 @@ def congruence(a):
     elimination with no square root, so exact stays exact and a may be
     indefinite.  A zero pivot a_kk (in float mode, one below half of the
     largest a_jk under it) takes +-column j, the sign making a_kk grow by
-    2|a_kj| + |a_jj| (to 2 a_kj when a_kk = a_jj = 0)."""
+    2|a_kj| + |a_jj| (to 2 a_kj when a_kk = a_jj = 0).  An exact C starts
+    from the shared ``weil._ONE``, which Weil products take as a structural
+    1, and an exact column addition skips the entries whose source is 0,
+    since x + t * 0 is x; a float one adds them all, keeping the sign of
+    each zero."""
     n = len(a)
     exact = not any(isinstance(x, float) for row in a for x in row)
     m = [list(row) for row in a]
-    c = identity(n, Fraction(1) if exact else 1.0)
+    c = identity(n, _ONE if exact else 1.0)
 
     def add_column(dst, src, t):  # column and row dst += t * src in m; column in c
         for row in (*m, *c):
-            row[dst] += t * row[src]
-        m[dst] = [x + t * y for x, y in zip(m[dst], m[src])]
+            if row[src] or not exact:  # an exact x + t * 0 is x
+                row[dst] += t * row[src]
+        m[dst] = [x + t * y if y or not exact else x for x, y in zip(m[dst], m[src])]
 
     for k in range(n):
         j = _pivot_row(m, k, k + 1, exact)

@@ -16,7 +16,7 @@ import sys
 
 from .scalars import DEFAULT_EPS, EXACT, FLOAT, format_scalar, parse_rational, scalars_equal
 from .weil import algebra_to_json, laplace_algebra, quotient_algebra, truncated_algebra
-from .expr import expr_to_polynomial, parse_expr, parse_function
+from .expr import Add, Const, Div, Mul, Pow, Sub, Var, expr_to_polynomial, parse_expr, parse_function
 from .coalgebra import Distribution, distribution_report
 from .geometry import (
     MetricField,
@@ -56,6 +56,47 @@ def _parse_point(text: str, mode: str):
         except OverflowError:
             raise ValueError(f"point {text!r} lies outside the float range") from None
     return tuple(coords)
+
+
+def _degree(e) -> int:
+    """A syntactic bound on the degree of e: a variable 1, a constant 0, a
+    sum or difference the larger of its sides', a product or quotient the
+    sum of both sides', a power k times its base's, a primitive its
+    argument's."""
+    if isinstance(e, Var):
+        return 1
+    if isinstance(e, Const):
+        return 0
+    if isinstance(e, (Add, Sub)):
+        return max(_degree(e.left), _degree(e.right))
+    if isinstance(e, (Mul, Div)):
+        return _degree(e.left) + _degree(e.right)
+    if isinstance(e, Pow):
+        return e.exponent * _degree(e.base)
+    return _degree(e.arg)
+
+
+def _metric_degree(metric: MetricField) -> int:
+    """The largest ``_degree`` of the metric's entries, each distinct entry object once."""
+    return max(map(_degree, {id(e): e for e in metric._upper.values()}.values()), default=0)
+
+
+def _check_point_size(point, degree: int, mode: str) -> None:
+    """Refuse an exact point whose literals are too long for the result to
+    be printed, before any jet: the result's numerators and denominators
+    may need up to ``degree`` (at least 1, the point itself is printed)
+    times the bit length of the point's longest numerator or denominator,
+    and Python prints no integer past ``sys.get_int_max_str_digits()``
+    digits.  The bound is syntactic, so it may refuse a result that
+    cancels down to a printable size."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if mode != EXACT or not limit:
+        return
+    bits = max(max(c.numerator.bit_length(), c.denominator.bit_length()) for c in point)
+    degree = max(degree, 1)
+    if degree * bits * math.log10(2) > limit:
+        raise ValueError(f"point literals of {bits} bits at degree bound {degree} could give an exact result"
+                         f" past the {limit}-digit limit on printed integers")
 
 
 def _load_metric(path: str | None, n: int) -> MetricField:
@@ -118,6 +159,7 @@ def cmd_laplacian(args) -> dict:
     point = _parse_point(args.point, args.mode)
     metric = _load_metric(args.metric, len(point))
     fn = parse_expr(args.fn, n=metric.n)
+    _check_point_size(point, max(_degree(fn), _metric_degree(metric)), args.mode)
     value = laplacian(metric, fn, point, mode=args.mode)
     doc = {"value": _encode(value), "function": args.fn, "point": _encode(point)}
     doc.update(_mode_fields(args))
@@ -135,6 +177,8 @@ def cmd_check(args) -> dict:
         fmap = parse_function(args.map, n=n)
         src = _load_metric(args.metric, n)
         dst = _load_metric(args.dst_metric, fmap.n_out)
+        degree = max(map(_degree, fmap.components))  # H is evaluated at f(x)
+        _check_point_size(point, max(degree, _metric_degree(src), degree * _metric_degree(dst)), args.mode)
         report = conformal_check(fmap, src, dst, point, mode=args.mode, eps=args.epsilon)
         doc.update(
             conformal=report.conformal,
@@ -146,6 +190,7 @@ def cmd_check(args) -> dict:
             raise ValueError("check harmonic needs --fn")
         metric = _load_metric(args.metric, n)
         fn = parse_expr(args.fn, n=n)
+        _check_point_size(point, max(_degree(fn), _metric_degree(metric)), args.mode)
         value = laplacian(metric, fn, point, mode=args.mode)
         doc.update(
             harmonic=scalars_equal(value, 0, args.epsilon if args.mode == FLOAT else None),
@@ -156,6 +201,7 @@ def cmd_check(args) -> dict:
         )
     elif args.kind == "cr":
         fmap = parse_function(args.map, n=2)
+        _check_point_size(point, max(map(_degree, fmap.components)), args.mode)
         report = cr_check(fmap, point, mode=args.mode, eps=args.epsilon)
         doc.update(
             holomorphic=report.holomorphic,
@@ -177,10 +223,12 @@ def cmd_check(args) -> dict:
             offsets.append(ambient.from_polynomial(poly))
         if len(offsets) != n:
             raise ValueError("need one coordinate expression per dimension")
+        _check_point_size(point, _metric_degree(metric), args.mode)
         z = make_point(point, offsets)
         doc["l_neighbor"] = is_laplace_neighbor(metric, point, z, mode=args.mode, eps=args.epsilon)
     elif args.kind == "preserves-l":
         fmap = parse_function(args.map, n=n)
+        _check_point_size(point, max(map(_degree, fmap.components)), args.mode)
         doc["preserves_l"] = preserves_laplace_neighbors(fmap, point, mode=args.mode, eps=args.epsilon)
     else:
         raise ValueError(f"unknown check kind {args.kind!r}")

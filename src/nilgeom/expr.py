@@ -286,7 +286,10 @@ def _jet(e, point, mode):
     if isinstance(e, Sub):
         return _jet(e.left, point, mode) - _jet(e.right, point, mode)
     if isinstance(e, Mul):
-        return _jet(e.left, point, mode) * _jet(e.right, point, mode)
+        left, right = _jet(e.left, point, mode), _jet(e.right, point, mode)
+        if right.__class__ is WeilElement and left.__class__ is not WeilElement:
+            return right * left  # the product left * right forms, with no NotImplemented from the scalar
+        return left * right
     if isinstance(e, Div):
         num, den = _jet(e.left, point, mode), _jet(e.right, point, mode)
         if isinstance(den, WeilElement):

@@ -110,12 +110,20 @@ class MetricField:
 
     @classmethod
     def from_strings(cls, rows) -> "MetricField":
-        """Rows of expression strings; a row that is no list is refused, not read per character."""
+        """Rows of expression strings; a row that is no list is refused, not
+        read per character.  Each distinct string is parsed once and its
+        expression, which is immutable, shared: mirrored entries written
+        alike are then one object, which the symmetry check accepts at once."""
         n = len(rows)
         _check_laplace_dimension(n)
         if not all(isinstance(row, (list, tuple)) and all(isinstance(s, str) for s in row) for row in rows):
             raise TypeError("metric rows must be lists of expression strings")
-        return cls(n, [[parse_expr(s, n=n) for s in row] for row in rows])
+        parsed = {}
+        for row in rows:
+            for s in row:
+                if s not in parsed:
+                    parsed[s] = parse_expr(s, n=n)
+        return cls(n, [[parsed[s] for s in row] for row in rows])
 
     def entry(self, i, j) -> Expr:
         return self._upper[(i, j) if i <= j else (j, i)]
@@ -252,22 +260,28 @@ class GeodesicChart:
     Each upper entry of G that has variables (``MetricField`` records them)
     is jetted at x + Z, Z the generators of ``truncated_algebra(n, 1)``,
     which yields G(x) (``G0``) and its first partials; an entry without
-    variables is only evaluated.  The Christoffel symbols are kept in one
-    form, of the first kind, Gamma_l,jk = 1/2 (d_j G_lk + d_k G_lj - d_l G_jk):
-    ``_lowered[l]`` lists (j, k, c) for j <= k in increasing order, c the
-    coefficient of w_j w_k in 1/2 Gamma_l(w, w).  Each nonzero partial
-    d_m G_ab is added into the three places where it occurs and a sum that
-    cancels is dropped, so a metric of constants lists no terms.  One
+    variables is only evaluated.  x + Z is built lazily, at the first entry
+    that has variables, so a metric of constants builds no Weil element.
+    The Christoffel symbols are kept in one form, of the first kind,
+    Gamma_l,jk = 1/2 (d_j G_lk + d_k G_lj - d_l G_jk): ``_lowered[l]``
+    lists (j, k, c) for j <= k in increasing order, c the coefficient of
+    w_j w_k in 1/2 Gamma_l(w, w).  Each nonzero partial d_m G_ab is added
+    into the three places where it occurs and a sum that cancels is
+    dropped, so a metric of constants lists no terms.  One
     ``_linalg.congruence`` yields ``frame`` = (C, d) with C^T G(x) C =
     diag(d), the weights of ``laplace_point``; ``ginv`` = G(x)^-1 =
     C diag(1/d) C^T is accumulated column by column of C, in increasing k,
-    over the rows where column k is nonzero (n terms when C = I).  The
-    transport of a general point (``push_offsets``, ``pull_offsets``)
-    applies it to the lowered sums (``_half_gamma``); that of the universal
-    isotropic point is push(s C Z) = s C Z - s^2 d_1 b Q in closed form
-    (``laplace_offsets``), b^i = 1/2 G^jk Gamma^i_jk.  The second-kind
-    ``gamma`` is built only when read.  Nothing that depends on the metric
-    or the point is cached, only the shape-keyed algebra of the jets."""
+    over the rows where column k is nonzero (n terms when C = I), on and
+    above the diagonal and mirrored below it (``_inverse``).  An exact
+    frame starts from the shared ``weil._ONE``, so an entry of C that stays
+    1 costs no product here, in ``laplace_offsets`` or in the jet of f at
+    the Laplacian's point.  The transport of a general point
+    (``push_offsets``, ``pull_offsets``) applies G(x)^-1 to the lowered
+    sums (``_half_gamma``); that of the universal isotropic point is
+    push(s C Z) = s C Z - s^2 d_1 b Q in closed form (``laplace_offsets``),
+    b^i = 1/2 G^jk Gamma^i_jk.  The second-kind ``gamma`` is built only when
+    read.  Nothing that depends on the metric or the point is cached, only
+    the shape-keyed algebra of the jets."""
 
     __slots__ = ("metric", "base", "mode", "eps", "G0", "ginv", "frame", "_lowered", "_pairs")
 
@@ -276,11 +290,13 @@ class GeodesicChart:
         n = metric.n
         self.metric, self.mode, self.eps = metric, mode, eps
         self.base = x = _coordinates((to_scalar(c, mode) for c in x), n)
-        point = [z + b for z, b in zip(truncated_algebra(n, 1).generators(), x)]  # x + Z
+        point = None  # x + Z, built for the first entry that has variables
         g = [[None] * n for _ in range(n)]
         lowered = [{} for _ in range(n)]  # lowered[l][j, k], j <= k
         for (a, b), e in metric._upper.items():
             if metric._variables[a, b]:
+                if point is None:
+                    point = [z + v for z, v in zip(truncated_algebra(n, 1).generators(), x)]
                 g[a][b], *partials = _in_mode(_jet(e, point, mode), mode).coords
             else:
                 g[a][b], partials = _jet(e, x, mode), ()
@@ -295,16 +311,10 @@ class GeodesicChart:
                     places = ((a, m, b, p / 2), (b, m, a, p / 2), (m, a, b, -p / 2))
                 for l, j, k, v in places:
                     key = (j, k) if j <= k else (k, j)
-                    lowered[l][key] = lowered[l].get(key, 0) + v
+                    terms = lowered[l]  # a first term is v itself, not 0 + v
+                    terms[key] = terms[key] + v if key in terms else v
         c, d = _congruence(g, x)
-        zero = d[0] - d[0]
-        ginv = [[zero] * n for _ in range(n)]
-        for k in range(n):
-            rows = [i for i in range(n) if c[i][k]]
-            for i in rows:
-                for j in rows:
-                    ginv[i][j] = ginv[i][j] + c[i][k] * c[j][k] / d[k]
-        self.G0, self.ginv, self.frame = g, ginv, (c, d)
+        self.G0, self.ginv, self.frame = g, _inverse(c, d), (c, d)
         self._lowered = [sorted((j, k, v) for (j, k), v in terms.items() if v != 0) for terms in lowered]
         self._pairs = sorted({(j, k) for terms in self._lowered for j, k, _ in terms})
 
@@ -329,8 +339,10 @@ class GeodesicChart:
     def _contract(self, products):
         """G(x)^-1 applied to the lowered sums, each component's terms
         summed in their order over ``products`` {(j, k): w_j w_k}, one per
-        pair that a lowered term needs; a metric of constants gives scalar
-        zeros."""
+        pair that a lowered term needs; a metric of constants has no such
+        pair and gives int zeros, with no arithmetic."""
+        if not self._pairs:
+            return (0,) * self.n
         return _apply(self.ginv, [sum(products[j, k] * c for j, k, c in terms) for terms in self._lowered])
 
     def _half_gamma(self, w):
@@ -350,10 +362,15 @@ class GeodesicChart:
         """push(s C Z) = (0, s C_i1 .. s C_in, -s^2 d_1 b_i) for each s in
         ``scales`` (C Z: ``laplace_point``), with no Weil product; a zero Q
         coordinate is +0.  d_1 b is formed once from d_1 G^jk, summed over a
-        of C_ja C_ka d_1/d_a as zeta_j zeta_k sums it: ``push_offsets``'s bits."""
+        of C_ja C_ka d_1/d_a as zeta_j zeta_k sums it: ``push_offsets``'s bits.
+        A factor 1 of such a term multiplies nothing (``_times``), and d_1/d_1
+        is divided once, for every d_a equal to d_1."""
         c, d = self.frame
-        weights = [d[0] / v for v in d]  # in the mode's scalars; a float quotient is correctly rounded
-        h = self._contract({(j, k): sum(p * q * v for p, q, v in zip(c[j], c[k], weights) if p and q)
+        d1 = d[0]
+        one = d1 / d1  # the weight of each d_a equal to d_1, divided once
+        weights = [one if v == d1 else d1 / v for v in d]  # a float quotient is correctly rounded
+        h = self._contract({(j, k): sum(_times(_times(p, q), v) for p, q, v in zip(c[j], c[k], weights)
+                                        if p and q)
                             for j, k in self._pairs})
         algebra, zero = _isotropy_algebra(weights), Fraction(0)
         out = []
@@ -371,6 +388,40 @@ class GeodesicChart:
         for w in offsets:  # float mode: refuse an exact coordinate beyond the float range; check, not convert
             _in_mode(w, self.mode)
         return tuple(_in_mode(w, self.mode) for w in self.pull_offsets(offsets))
+
+
+def _times(a, b):
+    """a * b, where a factor 1 multiplies nothing (bit for bit so in float
+    mode, since x * 1.0 is x)."""
+    return b if a == 1 else a if b == 1 else a * b
+
+
+def _inverse(c, d):
+    """G(x)^-1 = C diag(1/d) C^T from the frame C^T G(x) C = diag(d): each
+    entry on and above the diagonal sums c_ik c_jk / d_k in increasing k,
+    over the k where both factors are nonzero, and the entry below it is
+    the same object.  An entry starts as the zero of d's type; a factor 1
+    multiplies nothing, a d_k of 1 divides nothing, and the first term t of
+    an entry is taken as zero + t leaves it: t itself, or that zero if t
+    is a zero (a float product may underflow to -0.0)."""
+    n = len(d)
+    zero = d[0] - d[0]
+    ginv = [[zero] * n for _ in range(n)]
+    for k in range(n):
+        dk = d[k]
+        column = [(i, c[i][k]) for i in range(n) if c[i][k]]
+        for p, (i, ci) in enumerate(column):
+            row = ginv[i]
+            for j, cj in column[p:]:
+                t = _times(ci, cj)
+                if dk != 1:
+                    t = t / dk
+                o = row[j]
+                row[j] = o + t if o is not zero else t if t else zero
+    for i in range(n):
+        for j in range(i):
+            ginv[i][j] = ginv[j][i]
+    return ginv
 
 
 def _apply(m, v):
@@ -539,7 +590,8 @@ def laplacian(metric: MetricField, f: Expr, x, mode: str = EXACT) -> Scalar:
     chart = geodesic_chart(metric, x, mode=mode)
     (offsets,) = chart.laplace_offsets()
     f_z = jet_eval(f, chart.base, offsets, mode)
-    return 2 * f_z.coords[metric.n + 1] / chart.frame[1][0]
+    value, d1 = 2 * f_z.coords[metric.n + 1], chart.frame[1][0]
+    return value if d1 == 1 else value / d1
 
 
 def laplace_taylor(metric: MetricField, f: Expr, x, offsets, mode: str = EXACT) -> WeilElement:
@@ -632,17 +684,24 @@ def conformal_check(
     Both modes take the least-squares k = sum m_ij g_ij / sum g_ij^2 over
     the upper triangle and require the residual max |m_ij - k g_ij| to
     vanish (within ``eps`` in float mode) and k > 0.  When m is a multiple
-    of g, k is that multiple exactly."""
+    of g, k is that multiple exactly.
+
+    J is read off the jets of f's components at the universal first-order
+    point x + Z of ``truncated_algebra(n, 1)``.  In exact mode f(x), where H
+    is evaluated, is the unit coordinate of those jets, the same rational
+    as f evaluated at x; float mode evaluates f at x (``evaluate``), since
+    a jet's division and powers round differently from the scalar ones."""
     check_mode(mode)
     if f.n_in != f.n_out:
         raise ValueError("conformality needs a map between spaces of one dimension")
     if f.n_in != g_src.n or f.n_out != g_dst.n:
         raise ValueError("map dimensions do not match the metrics")
     x = tuple(to_scalar(c, mode) for c in x)
-    jac = f.jacobian(x, mode)
+    jets = f.jet(x, truncated_algebra(f.n_in, 1).generators(), mode)  # as ``FunctionModel.jacobian``
+    jac = [list(w.coords[1:f.n_in + 1]) for w in jets]
     if _linalg.det(jac) == 0:
         raise GeometryError("map is singular at the base point")
-    fx = f.evaluate(x, mode)
+    fx = tuple(w.coords[0] for w in jets) if mode == EXACT else f.evaluate(x, mode)
     h = g_dst.matrix_at(fx, mode)
     g = g_src.matrix_at(x, mode)
     m = _linalg.mat_mul(_linalg.transpose(jac), _linalg.mat_mul(h, jac))

@@ -27,11 +27,14 @@ def check_mode(mode: str) -> str:
 
 
 def to_scalar(value, mode: str = EXACT) -> Scalar:
-    """Coerce a number or numeric string into the given scalar domain."""
+    """Coerce a number or numeric string into the given scalar domain.  An
+    exact ``Fraction`` is immutable and is returned as it is, not copied."""
     if mode == FLOAT:
         if isinstance(value, str):
             value = parse_rational(value)
         return float(value)
+    if value.__class__ is Fraction:
+        return value
     if isinstance(value, float):
         if not value.is_integer():
             raise ValueError(

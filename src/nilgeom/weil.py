@@ -57,6 +57,17 @@ coordinate of a float-mode result a float where it leaves the library.
 Every coordinate the library writes in exact mode is a ``Fraction``, never
 an int.
 
+A structural 1 is one shared object, ``_ONE`` = Fraction(1), next to the
+product's ``_ZERO``: ``generators()`` and ``basis_element`` write their
+coordinate 1 as ``_ONE``, and so does the exact frame of a geodesic chart
+(``_linalg.congruence``).  A product of two elements takes the other factor
+of ``_ONE`` as it is, a scalar product writes the scalar itself where a
+coordinate is ``_ONE`` (an int as a ``Fraction``), and a scalar added to an
+element whose unit coordinate is an exact zero becomes that coordinate as
+it is.  Only identity is tested, so a 1 that arithmetic produced is
+multiplied like any other coordinate; every skip leaves the value, the
+type and, in float mode, the bits (x * 1.0 is x) of the full operation.
+
 Everything is immutable after construction and safe to share.
 """
 
@@ -138,6 +149,7 @@ n^3 exponents, afresh; the algebra does not keep them."""
 _CACHE_SIZE = 16
 
 _ZERO = Fraction(0)  # an untouched coordinate of a product
+_ONE = Fraction(1)  # a structural 1: products and scalar products take the other factor as it is
 
 _UNITS = tuple(((k, 1),) for k in range(MAX_DIMENSION))
 """The table entry ((k, 1),) of each basis index k below ``MAX_DIMENSION``,
@@ -498,8 +510,8 @@ class WeilAlgebra:
         return self.element(coords)
 
     def basis_element(self, i):
-        coords = [Fraction(0)] * self.dimension
-        coords[i] = Fraction(1)
+        coords = [_ZERO] * self.dimension
+        coords[i] = _ONE
         return self.element(coords)
 
     def generators(self):
@@ -512,9 +524,9 @@ class WeilAlgebra:
             for i, entry in enumerate(self._classes):
                 if entry is None:  # a deserialized algebra without the label e_i
                     raise ValueError(f"serialized algebra does not record the class of generator Z{i + 1}")
-                coords = [Fraction(0)] * self.dimension
-                for k, c in entry:  # an int constant becomes a Fraction, as in a product
-                    coords[k] = Fraction(c) if isinstance(c, int) else c
+                coords = [_ZERO] * self.dimension
+                for k, c in entry:  # an int constant becomes a Fraction, as in a product; 1 is ``_ONE``
+                    coords[k] = _ONE if c == 1 else Fraction(c) if isinstance(c, int) else c
                 gens.append(self.element(coords))
             self._gens = tuple(gens)
         return list(self._gens)
@@ -566,7 +578,10 @@ class WeilElement:
     ``Fraction`` as it is, a float as t + 0.0, so -0.0 becomes +0.0, an
     int as a ``Fraction``); a coordinate no term reaches is ``Fraction(0)``.
     A coordinate no operation touched keeps its type, so float mode fixes
-    its results with ``_in_mode``.
+    its results with ``_in_mode``.  A coordinate that is the shared
+    ``_ONE`` (a generator's, a basis element's, an exact chart frame's)
+    costs no product: a * b is b where a is ``_ONE``, and a scalar s times
+    it is s itself, an int s as a ``Fraction``.
 
     Every operation collects its coordinates in a list, never a generator.
     ``tuple()`` of a generator builds an oversized tuple and shrinks it,
@@ -590,11 +605,19 @@ class WeilElement:
         return NotImplemented
 
     def _shift(self, value):
-        """Self plus the scalar ``value``: coordinate 0 only."""
+        """Self plus the scalar ``value``: coordinate 0 only.  An exact zero
+        there takes a ``Fraction`` or float ``value`` itself, as 0 + value
+        leaves it (value is nonzero); an int is still added, so it becomes
+        a ``Fraction``."""
         if not value:
             return self
         coords = self.coords
-        return WeilElement(self.algebra, (coords[0] + value,) + coords[1:])
+        unit = coords[0]
+        if unit.__class__ is Fraction and not unit and value.__class__ in (Fraction, float):
+            unit = value
+        else:
+            unit = unit + value
+        return WeilElement(self.algebra, (unit,) + coords[1:])
 
     def __add__(self, other):
         if isinstance(other, _SCALARS):
@@ -626,7 +649,10 @@ class WeilElement:
         if isinstance(other, _SCALARS):
             if other == 1:
                 return self
-            return WeilElement(self.algebra, [a * other if a else a for a in self.coords])
+            # a coordinate _ONE becomes other itself, as _ONE * other leaves it (an int as a Fraction)
+            one = other if other.__class__ in (Fraction, float) else _ONE * other
+            return WeilElement(self.algebra, [(one if a is _ONE else a * other) if a else a
+                                              for a in self.coords])
         other = self._match(other)
         if other is NotImplemented:
             return NotImplemented
@@ -641,7 +667,7 @@ class WeilElement:
                 entry = row[j]
                 if not entry:  # the two basis monomials multiply to 0
                     continue
-                ab = a * b
+                ab = b if a is _ONE else a if b is _ONE else a * b
                 for k, c in entry:
                     t = ab if c == 1 else ab * c
                     o = out[k]

@@ -884,6 +884,83 @@ def ginv_by_rows(c, d):
     return out
 
 
+def ginv_by_columns(c, d):
+    """G(x)^-1 = C diag(1/d) C^T as ``GeodesicChart`` accumulated it before
+    ``geometry._inverse``: every entry, below the diagonal too, starts from
+    the zero of d's type and adds c_ik * c_jk / d_k in increasing k over the
+    rows where column k of C is nonzero, with no factor or divisor 1
+    skipped."""
+    n = len(d)
+    zero = d[0] - d[0]
+    ginv = [[zero] * n for _ in range(n)]
+    for k in range(n):
+        rows = [i for i in range(n) if c[i][k]]
+        for i in rows:
+            for j in rows:
+                ginv[i][j] = ginv[i][j] + c[i][k] * c[j][k] / d[k]
+    return ginv
+
+
+def congruence_dense(a):
+    """``_linalg.congruence`` as it was before it skipped zero source
+    entries: the frame starts from a fresh ``Fraction(1)`` (1.0 in float
+    mode), and ``add_column`` adds t * y to every entry of the column and
+    the row, y = 0 included."""
+    n = len(a)
+    exact = not any(isinstance(x, float) for row in a for x in row)
+    m = [list(row) for row in a]
+    c = _linalg.identity(n, Fraction(1) if exact else 1.0)
+
+    def add_column(dst, src, t):
+        for row in (*m, *c):
+            row[dst] += t * row[src]
+        m[dst] = [x + t * y for x, y in zip(m[dst], m[src])]
+
+    for k in range(n):
+        j = _linalg._pivot_row(m, k, k + 1, exact)
+        if j is not None and abs(m[k][k]) <= (0 if exact else abs(m[j][k]) / 2):
+            add_column(k, j, -1 if m[k][j] * m[j][j] < 0 else 1)
+        elif m[k][k] == 0:
+            raise ZeroDivisionError("singular matrix")
+        for j in range(k + 1, n):
+            if m[k][j] != 0:
+                add_column(j, k, -m[k][j] / m[k][k])
+    return c, [m[k][k] for k in range(n)]
+
+
+def product_without_one_test(x, y):
+    """``WeilElement.__mul__`` before it took the other factor of
+    ``weil._ONE`` as it is.  A scalar y: x itself for y == 1, else a * y
+    for every nonzero coordinate a.  An element y: every pair of nonzero
+    coordinates forms a * b; the rest is as there (constants 1 add a * b
+    itself, the first term of a coordinate as ``Fraction(0) + t`` leaves
+    it)."""
+    if not isinstance(y, WeilElement):
+        return x if y == 1 else WeilElement(x.algebra, [a * y if a else a for a in x.coords])
+    table = x.algebra._table
+    out = [None] * x.algebra.dimension
+    right = [(j, b) for j, b in enumerate(y.coords) if b]
+    for i, a in enumerate(x.coords):
+        if not a:
+            continue
+        row = table[i]
+        for j, b in right:
+            entry = row[j]
+            if not entry:
+                continue
+            ab = a * b
+            for k, c in entry:
+                t = ab if c == 1 else ab * c
+                out[k] = Fraction(0) + t if out[k] is None else out[k] + t
+    return WeilElement(x.algebra, [Fraction(0) if o is None else o for o in out])
+
+
+def shift_by_addition(w, s):
+    """w + s for a scalar s as ``WeilElement._shift`` formed it before an
+    exact zero unit coordinate took s as it is: coordinate 0 plus s."""
+    return w if not s else WeilElement(w.algebra, (w.coords[0] + s,) + w.coords[1:])
+
+
 def check_order_all_sequences(offsets, order, eps=None):
     """Whether every ordered (order+1)-fold product of the offsets, started
     from the unit, vanishes."""

@@ -6,8 +6,11 @@ stderr (argparse's usage block on exit 2 aside).
 option values that start with '-', expressions past ``MAX_DEPTH`` and
 ``MAX_EXPONENT``, hostile metric JSON, and every kind of ``--epsilon``.
 Algebra sizes are small or over ``MAX_DIMENSION``, which is refused at
-once; point literals have at most 41 digits, since the cost of an exact
-power grows with the digits of its base.
+once.  Point literals run up to the CLI's size bound and past it: an exact
+point whose bit length times the degree bound of what it is put into could
+print past ``sys.get_int_max_str_digits()`` digits is refused before any
+jet, so 1e1000 under x1^1000 exits 2 at once, while 1e4 under it (14 bits
+times 1000) is still computed.
 """
 
 import contextlib
@@ -75,7 +78,7 @@ GOOD = {
             "x1^2, x2", "0, 0"],
     "z": ["d1, d2", "-d1, d2", "d1^2, d2", "d1*d2, -d2", "d1 - d2^2, d2"],
     "dist": ["d1^2+d2^2", "-d1", "d1^6", "d1^2*d2 - 3*d2", "d1/2", "3"],
-    "point": ["0,0", "1,0", "-1,0", "0.9,0.4", "1/3,2/7", "-7/3,1/2"],
+    "point": ["0,0", "1,0", "-1,0", "0.9,0.4", "1/3,2/7", "-7/3,1/2", "1e4,0", "1/12345,-3"],
     "n": ["1", "2", "3"],
     "k": ["0", "1", "2", "3"],
     "order": ["0", "1", "2", "3"],
@@ -86,7 +89,8 @@ EXPRESSIONS = ["x1^1001", "(x1^40)^40", "7^1001", DEEP, "-" * 101 + "x1", "", "x
 BAD = {
     "fn": EXPRESSIONS, "rel": EXPRESSIONS, "map": EXPRESSIONS, "z": EXPRESSIONS,
     "dist": EXPRESSIONS + ["0", "d1^1001", "d1/d2"],
-    "point": ["1e40,0", "1", "0,0,0", "1/0,1", "abc", "", ",", "-", "nan,0", "--1"],
+    "point": ["1e40,0", "1e1000,0", "1e4400,1", "-" + "3" * 700 + "/7,1", "1/" + "9" * 4000 + ",0",
+              "1", "0,0,0", "1/0,1", "abc", "", ",", "-", "nan,0", "--1"],
     "n": ["0", "-1", "x", "600", "100000"],
     "k": ["-1", "x", "600", "100000"],
     "order": ["-1", "600"],
@@ -182,3 +186,34 @@ def test_every_command_line_keeps_the_exit_code_contract(paths, data):
         assert err.count("\n") >= 2 and "error: " in err.splitlines()[-1]
     else:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+PAST_THE_BOUND = ["1e1000,0", "1e4400,1", "-" + "3" * 700 + "/7,1", "1/" + "9" * 4000 + ",0", "1e15,1e15"]
+
+
+@pytest.mark.parametrize("point", PAST_THE_BOUND, ids=lambda p: p[:12])
+@pytest.mark.parametrize("argv", [
+    ["laplacian", "--fn", "x1^1000"],
+    ["check", "harmonic", "--fn", "x1^1000"],
+    ["check", "cr", "--map", "x1^1000, x2"],
+    ["check", "preserves-l", "--map", "x2, x1^1000"],
+    ["check", "conformal", "--map", "x1^1000, x2"],
+], ids=lambda argv: argv[-3] if argv[0] == "check" else argv[0])
+def test_point_literals_past_the_bound_exit_2_at_once(argv, point):
+    start = time.perf_counter()
+    code, out, err = _run(argv + ["--point", point])
+    assert time.perf_counter() - start < 1.0
+    # check prints the point first: a literal past the print limit itself fails there, also at once
+    assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+    assert "point literals of " in err or "Exceeds the limit" in err
+
+
+@pytest.mark.parametrize("point", PAST_THE_BOUND, ids=lambda p: p[:12])
+def test_point_literals_past_the_bound_keep_the_contract_at_degree_one(paths, point):
+    (_, good), _ = paths
+    for argv in (["laplacian", "--fn", "x1+x2"], ["check", "l-neighbor", "--z", "d1, d2", "--metric", good[0]],
+                 ["--mode", "float", "laplacian", "--fn", "x1^1000"]):
+        start = time.perf_counter()
+        code, out, err = _run(argv + ["--point", point])
+        assert time.perf_counter() - start < 2.0
+        assert code in (0, 2) and "Traceback" not in err and err.count("\n") <= 1
