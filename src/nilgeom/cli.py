@@ -169,7 +169,7 @@ def cmd_laplacian(args) -> dict:
 def cmd_check(args) -> dict:
     point = _parse_point(args.point, args.mode)
     n = len(point)
-    doc = {"kind": args.kind, "point": _encode(point)}
+    doc = {"kind": args.kind}
     doc.update(_mode_fields(args))
     if args.kind in ("conformal", "cr", "preserves-l") and not args.map:
         raise ValueError(f"check {args.kind} needs --map")
@@ -232,7 +232,7 @@ def cmd_check(args) -> dict:
         doc["preserves_l"] = preserves_laplace_neighbors(fmap, point, mode=args.mode, eps=args.epsilon)
     else:
         raise ValueError(f"unknown check kind {args.kind!r}")
-    return doc
+    return dict(doc, point=_encode(point))  # last, once every input check has passed; sort_keys orders the keys
 
 
 def cmd_coalgebra(args) -> dict:

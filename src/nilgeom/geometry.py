@@ -184,10 +184,13 @@ def _coordinates(v, n, against="metric"):
 
 
 def _check_order(offsets, order, eps=None):
-    """Verify that all (order+1)-fold products of the offsets vanish.  The
-    algebras are commutative, so only nondecreasing index sequences are
-    multiplied: one product per multiset of factors."""
+    """Verify that all (order+1)-fold products of the offsets vanish: at once
+    where each unit coordinate is exactly 0 and the degree bound b <= order
+    (N^(b+1) = 0), else by one product per multiset of factors (they commute)."""
     elems = list(offsets)
+    algebra = elems[0].algebra
+    if algebra.degree_bound <= order and all(w.algebra is algebra and w.coords[0] == 0 for w in elems):
+        return
     frontier = list(enumerate(elems))  # (index of the last factor, product)
     for _ in range(order):
         frontier = [(j, p * elems[j]) for i, p in frontier for j in range(i, len(elems))]
@@ -278,7 +281,7 @@ class GeodesicChart:
     the Laplacian's point.  The transport of a general point
     (``push_offsets``, ``pull_offsets``) applies G(x)^-1 to the lowered
     sums (``_half_gamma``); that of the universal isotropic point is
-    push(s C Z) = s C Z - s^2 d_1 b Q in closed form (``laplace_offsets``),
+    push(C Z) = C Z - d_1 b Q in closed form (``laplace_offsets``),
     b^i = 1/2 G^jk Gamma^i_jk.  The second-kind ``gamma`` is built only when
     read.  Nothing that depends on the metric or the point is cached, only
     the shape-keyed algebra of the jets."""
@@ -358,13 +361,13 @@ class GeodesicChart:
         """Manifold offsets from the base -> chart coordinates."""
         return tuple(a + c for a, c in zip(w, self._half_gamma(w)))
 
-    def laplace_offsets(self, scales=(1,)):
-        """push(s C Z) = (0, s C_i1 .. s C_in, -s^2 d_1 b_i) for each s in
-        ``scales`` (C Z: ``laplace_point``), with no Weil product; a zero Q
-        coordinate is +0.  d_1 b is formed once from d_1 G^jk, summed over a
-        of C_ja C_ka d_1/d_a as zeta_j zeta_k sums it: ``push_offsets``'s bits.
-        A factor 1 of such a term multiplies nothing (``_times``), and d_1/d_1
-        is divided once, for every d_a equal to d_1."""
+    def laplace_offsets(self):
+        """push(C Z) = (0, C_i1 .. C_in, -d_1 b_i) (C Z: ``laplace_point``),
+        with no Weil product; a zero Q coordinate is +0.  d_1 b is formed
+        from d_1 G^jk, summed over a of C_ja C_ka d_1/d_a as zeta_j zeta_k
+        sums it: ``push_offsets``'s bits.  A factor 1 of such a term
+        multiplies nothing (``_times``), and d_1/d_1 is divided once, for
+        every d_a equal to d_1; push(t C Z) is this point ``_scaled`` by t."""
         c, d = self.frame
         d1 = d[0]
         one = d1 / d1  # the weight of each d_a equal to d_1, divided once
@@ -373,12 +376,7 @@ class GeodesicChart:
                                         if p and q)
                             for j, k in self._pairs})
         algebra, zero = _isotropy_algebra(weights), Fraction(0)
-        out = []
-        for s in scales:
-            rows = c if s == 1 else [[v * s if v else v for v in row] for row in c]
-            out.append(tuple(WeilElement(algebra, (zero, *row, -(s * s) * hi if hi else zero))
-                             for row, hi in zip(rows, h)))
-        return out
+        return tuple(WeilElement(algebra, (zero, *row, -hi if hi else zero)) for row, hi in zip(c, h))
 
     def from_chart(self, zeta):
         return tuple(_in_mode(w, self.mode) for w in make_point(self.base, self.push_offsets(zeta)))
@@ -541,8 +539,7 @@ def laplace_point(chart: GeodesicChart):
     no direction, pushed in closed form to x + C Z - d_1 b Q, b = 1/2
     Gamma-bar (``GeodesicChart.laplace_offsets``).  An identity verified on
     this single point holds for every isotropic neighbor."""
-    (offsets,) = chart.laplace_offsets()
-    return tuple(_in_mode(w, chart.mode) for w in make_point(chart.base, offsets))
+    return tuple(_in_mode(w, chart.mode) for w in make_point(chart.base, chart.laplace_offsets()))
 
 
 def is_laplace_neighbor(metric: MetricField, x, z, mode: str = EXACT, eps: float = DEFAULT_EPS) -> bool:
@@ -588,8 +585,7 @@ def laplacian(metric: MetricField, f: Expr, x, mode: str = EXACT) -> Scalar:
     step compares against a tolerance, so there is no ``eps``.
     """
     chart = geodesic_chart(metric, x, mode=mode)
-    (offsets,) = chart.laplace_offsets()
-    f_z = jet_eval(f, chart.base, offsets, mode)
+    f_z = jet_eval(f, chart.base, chart.laplace_offsets(), mode)
     value, d1 = 2 * f_z.coords[metric.n + 1], chart.frame[1][0]
     return value if d1 == 1 else value / d1
 
@@ -626,33 +622,34 @@ def is_harmonic_at(metric: MetricField, f: Expr, x, mode: str = EXACT, eps: floa
     return scalars_equal(lap, 0, eps if mode == FLOAT else None)
 
 
+def _scaled(w: WeilElement, t) -> WeilElement:
+    """sigma_t(w), w in an isotropy algebra: Z coordinates times t, Q times t^2, zeros kept."""
+    unit, *linear, q = w.coords
+    return WeilElement(w.algebra, [unit, *(t * c if c else c for c in linear), t * t * q if q else q])
+
+
 AFFINE_SCALES = (Fraction(-1), Fraction(2), Fraction(1, 2))
 
 
 def preserves_affine_combinations(metric: MetricField, f: Expr, x, mode: str = EXACT,
                                   eps: float = DEFAULT_EPS) -> bool:
     """Whether the expression f has f(s*x + (1-s)*z) = s*f(x) + (1-s)*f(z)
-    at the universal isotropic point (the one ``laplacian`` averages over),
-    for each s in ``AFFINE_SCALES``.  Equivalent to harmonicity.  z and
-    s*x + (1-s)*z are x + t C Z - t^2 d_1 b Q, t = 1 and 1 - s, from one
-    ``GeodesicChart.laplace_offsets`` call.  The residue's Q coordinate is
-    read per unit of g(x, z)/n = d_1 Q, as in an orthonormal chart, before
-    the float tolerance applies.  f(x) is the unit coordinate of the jet
-    f(z); each scaled point takes a jet of its own, so this check stays
-    independent of ``laplacian``.  ``eps`` is only that tolerance, the
-    chart takes none.  In float mode eps = 0 means exact float equality;
-    the scales are dyadic, so the residue's unit coordinate
-    f(x) - (1-s) f(x) - s f(x) is an exact 0."""
+    at the universal isotropic point z (the one ``laplacian`` averages
+    over), for each s in ``AFFINE_SCALES``.  Equivalent to harmonicity.
+    s*x + (1-s)*z is push(t C Z), t = 1 - s, the image of z under sigma_t:
+    Z -> t Z, Q -> t^2 Q, an endomorphism of the isotropy algebra that the
+    chart map and the jet commute with, so f there is ``_scaled``(f(z), t).
+    The residue's Q coordinate is read per unit of d_1 Q = g(x, z)/n before
+    ``eps``, the float tolerance (0: exact float equality), applies.  The
+    scales are dyadic: sigma_t rounds as a jet at the scaled point would,
+    barring overflow and underflow, and the residue's unit coordinate is 0."""
     chart = geodesic_chart(metric, x, mode=mode)
     x, d1 = chart.base, chart.frame[1][0]
     tol = eps if mode == FLOAT else None
-    scales = [to_scalar(s, mode) for s in AFFINE_SCALES]
-    unit, *scaled = chart.laplace_offsets((1, *(1 - s for s in scales)))
-    f_z = jet_eval(f, x, unit, mode)
+    f_z = jet_eval(f, x, chart.laplace_offsets(), mode)
     f_x = f_z.coords[0]
-    for s, offsets in zip(scales, scaled):
-        lhs = jet_eval(f, x, offsets, mode)
-        *low, q = (lhs - f_z * (1 - s) - f_x * s).coords
+    for s, t in [(to_scalar(s, mode), to_scalar(1 - s, mode)) for s in AFFINE_SCALES]:
+        *low, q = (_scaled(f_z, t) - f_z * t - f_x * s).coords
         if not all(scalars_equal(c, 0, tol) for c in (*low, q / d1)):
             return False
     return True
@@ -704,13 +701,15 @@ def conformal_check(
     fx = tuple(w.coords[0] for w in jets) if mode == EXACT else f.evaluate(x, mode)
     h = g_dst.matrix_at(fx, mode)
     g = g_src.matrix_at(x, mode)
-    m = _linalg.mat_mul(_linalg.transpose(jac), _linalg.mat_mul(h, jac))
     n = g_src.n
-    pairs = [(m[i][j], g[i][j]) for i in range(n) for j in range(i, n)]
-    denom = sum(gv * gv for _, gv in pairs)
+    columns = _linalg.transpose(jac)
+    upper = [_apply(columns[: j + 1], _apply(h, columns[j])) for j in range(n)]  # (J^T H J)_ij = upper[j][i], i <= j
+    pairs = [(upper[j][i], g[i][j]) for i in range(n) for j in range(i, n)]
+    (m0, g0), *rest = pairs
+    denom = sum((gv * gv for _, gv in rest), g0 * g0)
     if denom == 0:
         raise GeometryError("source metric vanishes identically at the point")
-    k = sum(mv * gv for mv, gv in pairs) / denom
+    k = sum((mv * gv for mv, gv in rest), m0 * g0) / denom
     tol = eps if mode == FLOAT else None
     ok = scalars_equal(max(abs(mv - k * gv) for mv, gv in pairs), 0, tol) and k > 0
     return ConformalReport(ok, k if ok else None, ok and scalars_equal(k, 1, tol), mode, tol)

@@ -35,12 +35,12 @@ from nilgeom.expr import (
     taylor_coefficients,
 )
 from nilgeom.geometry import (
+    AFFINE_SCALES,
     ConformalReport,
     CRReport,
     GeometryError,
     MetricField,
     _apply,
-    _check_order,
     _square,
     geodesic_chart,
     is_harmonic_at,
@@ -668,7 +668,8 @@ def inverse_model(chart):
 
 def _weighted_point(c, d):
     """Chart coordinates C Z of the universal isotropic point of diag(d),
-    by Weil products: the route ``GeodesicChart.laplace_offsets`` replaced."""
+    by Weil products: the route ``GeodesicChart.laplace_offsets`` replaced.
+    Its algebra has exact weights d_1/d_i, also in float mode."""
     return _apply(c, _isotropy_algebra([Fraction(d[0]) / Fraction(v) for v in d]).generators())
 
 
@@ -680,18 +681,26 @@ def _universal_point(metric, x, mode, eps):
     return chart, _weighted_point(*chart.frame), chart.frame[1][0]
 
 
+def scaled_laplace_offsets(chart, t):
+    """push(t C Z), the universal isotropic point scaled by t, by
+    ``push_offsets`` on the Weil-route chart coordinates t C Z
+    (``_weighted_point``), its coordinates in the chart's mode: the scaled
+    points that ``GeodesicChart.laplace_offsets`` built in closed form
+    before the affine detector read them off one jet."""
+    zeta = [g * t for g in _weighted_point(*chart.frame)]
+    return tuple(_in_mode(w, chart.mode) for w in chart.push_offsets(zeta))
+
+
 def laplacian_by_mirror_average(metric, f, x, mode=EXACT, eps=DEFAULT_EPS):
     """``laplacian`` as the paper defines it: f at the universal isotropic
     point z and at its mirror image z', f(x) evaluated on its own, and
     f(z) + f(z') - 2 f(x) checked to have nothing but a Q coordinate, which
-    over d_1 is the result.  z and z' = -z are pushed by the closed form
-    that ``laplacian`` uses (``GeodesicChart.laplace_offsets``): the subject
-    here is the mirror; the transport is checked against
-    ``_universal_point``."""
+    over d_1 is the result.  z and z' are push(C Z) and push(-C Z), both by
+    ``scaled_laplace_offsets``."""
     chart = geodesic_chart(metric, x, mode=mode, eps=eps)
     x, d1 = chart.base, chart.frame[1][0]
     n = metric.n
-    z, z_mirror = chart.laplace_offsets((1, -1))
+    z, z_mirror = (scaled_laplace_offsets(chart, t) for t in (1, -1))
     f_z = jet_eval(f, x, z, mode)
     f_mirror = jet_eval(f, x, z_mirror, mode)
     combined = f_z + f_mirror - evaluate_by_tree(f, x, mode) * 2
@@ -700,6 +709,24 @@ def laplacian_by_mirror_average(metric, f, x, mode=EXACT, eps=DEFAULT_EPS):
         if not scalars_equal(c, 0, tol):
             raise GeometryError("mirror average has a non-isotropic residue; chart is not geodesic")
     return combined.coords[n + 1] / d1
+
+
+def preserves_affine_combinations_by_four_jets(metric, f, x, mode=EXACT, eps=DEFAULT_EPS):
+    """``preserves_affine_combinations`` with a jet of f at each point: at
+    z = push(C Z) and at each s*x + (1-s)*z = push((1-s) C Z), s in
+    ``AFFINE_SCALES``, all four built by ``scaled_laplace_offsets``."""
+    chart = geodesic_chart(metric, x, mode=mode)
+    x, d1 = chart.base, chart.frame[1][0]
+    tol = eps if mode == FLOAT else None
+    f_z = jet_eval(f, x, scaled_laplace_offsets(chart, 1), mode)
+    f_x = f_z.coords[0]
+    for s in AFFINE_SCALES:
+        s = to_scalar(s, mode)
+        lhs = jet_eval(f, x, scaled_laplace_offsets(chart, 1 - s), mode)
+        *low, q = (lhs - f_z * (1 - s) - f_x * s).coords
+        if not all(scalars_equal(c, 0, tol) for c in (*low, q / d1)):
+            return False
+    return True
 
 
 # -- metric derivatives by symbolic diff, isotropy in a float normal chart --
@@ -764,8 +791,31 @@ def is_laplace_neighbor_by_normal_chart(metric, x, z, eps=DEFAULT_EPS):
     a_inv = invert([[v / math.sqrt(dj) for v, dj in zip(row, d)] for row in c])
     zero = zeta[0].algebra.zero()
     eta = [sum((w * a for a, w in zip(row, zeta)), start=zero) for row in a_inv]
-    _check_order(eta, 2, eps)
+    check_order_by_multisets(eta, 2, eps)
     return satisfies_laplace_relations(eta, eps)
+
+
+def conformal_check_by_mat_mul(f, g_src, g_dst, x, mode=EXACT, eps=DEFAULT_EPS):
+    """``conformal_check`` with the pullback J^T H J by ``_linalg.mat_mul``
+    and the least-squares sums started from the int 0."""
+    x = tuple(to_scalar(c, mode) for c in x)
+    jets = f.jet(x, truncated_algebra(f.n_in, 1).generators(), mode)
+    jac = [list(w.coords[1:f.n_in + 1]) for w in jets]
+    if _linalg.det(jac) == 0:
+        raise GeometryError("map is singular at the base point")
+    fx = tuple(w.coords[0] for w in jets) if mode == EXACT else f.evaluate(x, mode)
+    h = g_dst.matrix_at(fx, mode)
+    g = g_src.matrix_at(x, mode)
+    m = _linalg.mat_mul(_linalg.transpose(jac), _linalg.mat_mul(h, jac))
+    n = g_src.n
+    pairs = [(m[i][j], g[i][j]) for i in range(n) for j in range(i, n)]
+    denom = sum(gv * gv for _, gv in pairs)
+    if denom == 0:
+        raise GeometryError("source metric vanishes identically at the point")
+    k = sum(mv * gv for mv, gv in pairs) / denom
+    tol = eps if mode == FLOAT else None
+    ok = scalars_equal(max(abs(mv - k * gv) for mv, gv in pairs), 0, tol) and k > 0
+    return ConformalReport(ok, k if ok else None, ok and scalars_equal(k, 1, tol), mode, tol)
 
 
 def conformal_check_by_ratio(f, g_src, g_dst, x):
@@ -961,6 +1011,19 @@ def shift_by_addition(w, s):
     return w if not s else WeilElement(w.algebra, (w.coords[0] + s,) + w.coords[1:])
 
 
+def check_order_by_multisets(offsets, order, eps=None):
+    """``_check_order`` forming every product, whatever the degree bound:
+    each (order+1)-fold product of the offsets over a nondecreasing index
+    sequence must vanish, else GeometryError."""
+    elems = list(offsets)
+    frontier = list(enumerate(elems))  # (index of the last factor, product)
+    for _ in range(order):
+        frontier = [(j, p * elems[j]) for i, p in frontier for j in range(i, len(elems))]
+    for _, p in frontier:
+        if not p.is_zero(eps):
+            raise GeometryError(f"point is not an order-{order} neighbor of the base")
+
+
 def check_order_all_sequences(offsets, order, eps=None):
     """Whether every ordered (order+1)-fold product of the offsets, started
     from the unit, vanishes."""
@@ -1100,7 +1163,7 @@ def is_laplace_neighbor_by_ginv(metric, x, z, mode=EXACT, eps=DEFAULT_EPS):
     chart = geodesic_chart(metric, x, mode, eps)
     tol = eps if mode == FLOAT else None
     zeta = chart.to_chart(z)
-    _check_order(zeta, 2, tol)
+    check_order_by_multisets(zeta, 2, tol)
     if mode == EXACT:
         return satisfies_isotropy_by_ginv(zeta, chart.ginv)
     c, d = chart.frame

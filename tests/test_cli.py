@@ -268,11 +268,14 @@ def test_singular_metric_names_the_point_in_numbers(tmp_path, capsys, mode, wher
         (["check", "cr", "--map", "x1^2-x2^2,2*x1*x2", "--point", "1,2,3"], "base point has 3 coordinates for 2 offsets"),
         (["algebra", "dk", "--n", "1000", "--k", "0"], "1000 generators are more than MAX_DIMENSION - 1 = 499"),
         (["algebra", "quotient", "--n", "1000", "--bound", "0"], "1000 generators are more than MAX_DIMENSION - 1 = 499"),
+        (["check", "harmonic", "--point", "1e4400,1"], "check harmonic needs --fn"),
+        (["check", "conformal", "--point", "1e4400,1"], "check conformal needs --map"),
     ],
     ids=["conformal-no-map", "dl-no-n", "quotient-no-bound", "point-beyond-metric", "harmonic-point-below-metric",
          "l-neighbor-point-beyond-metric", "harmonic-no-fn",
          "l-neighbor-no-z", "l-neighbor-constant-term", "l-neighbor-too-few", "zero-distribution",
-         "cr-point-beyond-plane", "dk-1000-generators", "quotient-1000-generators"],
+         "cr-point-beyond-plane", "dk-1000-generators", "quotient-1000-generators",
+         "harmonic-no-fn-unprintable-point", "conformal-no-map-unprintable-point"],
 )
 def test_missing_map_exits_2(capsys, polar_file, argv, message):
     code, out, err = run(capsys, *(a.replace("{polar}", polar_file) for a in argv))

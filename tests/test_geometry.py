@@ -48,6 +48,7 @@ from nilgeom.geometry import (
 from nilgeom.weil import Polynomial, laplace_algebra, satisfies_laplace_relations, tensor_algebra, truncated_algebra
 from conftest import (
     compose,
+    conformal_check_by_mat_mul,
     conformal_check_by_ratio,
     diff,
     forward_model,
@@ -825,6 +826,44 @@ def test_exact_conformal_check_equals_the_first_ratio_route(case):
     assert got == _outcome(conformal_check_by_ratio, *case)
     if not isinstance(got, str) and got.conformal:
         assert isinstance(got.factor, Fraction)
+
+
+def _report_bits(report):
+    """A report with a float factor as its hex digits, so that == compares bits."""
+    if isinstance(report, str) or not isinstance(report.factor, float):
+        return report
+    return (report.conformal, report.factor.hex(), report.isometry, report.mode, report.eps)
+
+
+@given(conformal_cases(), st.sampled_from(("exact", "float")))
+@settings(max_examples=120, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+def test_conformal_check_equals_the_mat_mul_route(case, mode):
+    # the pullback skips zero entries and takes an entry 1 as the other
+    # factor: the same verdict and factor, in float mode the same bits
+    f, src, dst, x = case
+    if mode == "float":
+        x = tuple(map(float, x))
+    got = _outcome(conformal_check, f, src, dst, x, mode)
+    assert _report_bits(got) == _report_bits(_outcome(conformal_check_by_mat_mul, f, src, dst, x, mode))
+    if mode == "exact" and not isinstance(got, str) and got.conformal:
+        assert isinstance(got.factor, Fraction)
+
+
+@pytest.mark.parametrize("text", ["1e200*x1, 1e200*x2", "1e200*x1^2, x2", "x1*1e-200, x2*1e-200",
+                                  "x1*1e-170, 1e200*x2"])
+def test_float_conformal_check_past_the_float_range_equals_the_mat_mul_route(text):
+    # products that overflow to inf or underflow to 0 leave the verdict as the dense route gives it
+    def outcome(check, *args):
+        try:
+            return _report_bits(check(*args))
+        except ArithmeticError as exc:
+            return type(exc), str(exc)
+
+    f = parse_function(text, n=2)
+    for dst in (FLAT2, POLAR):
+        for x in ((0.5, 0.25), (1.0, 0.0)):
+            got = outcome(conformal_check, f, FLAT2, dst, x, "float")
+            assert got == outcome(conformal_check_by_mat_mul, f, FLAT2, dst, x, "float")
 
 
 def test_isotropy_preservation_examples():

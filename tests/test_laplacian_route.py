@@ -21,14 +21,16 @@ from nilgeom.geometry import (
     GeodesicChart,
     GeometryError,
     MetricField,
+    _scaled,
     christoffel,
     geodesic_chart,
+    is_harmonic_at,
     is_laplace_neighbor,
     laplacian,
     make_point,
     preserves_affine_combinations,
 )
-from nilgeom.scalars import DEFAULT_EPS, EXACT, FLOAT
+from nilgeom.scalars import DEFAULT_EPS, EXACT, FLOAT, to_scalar
 from nilgeom.weil import Polynomial, all_monomials, laplace_algebra, truncated_algebra
 from conftest import (
     _universal_point,
@@ -36,10 +38,12 @@ from conftest import (
     half_gamma_all_terms,
     laplacian_by_mirror_average,
     laplacian_by_trace,
+    preserves_affine_combinations_by_four_jets,
     push_offsets_all_terms,
     random_metric,
     random_point,
     random_poly_expr,
+    scaled_laplace_offsets,
 )
 
 F = Fraction
@@ -354,8 +358,78 @@ def test_float_affine_detector_ignores_the_scale_of_g11():
     assert preserves_affine_combinations(big, h, (0.0, 0.0), mode="float") is True
 
 
+# -- one jet for the affine detector: s*x + (1-s)*z is sigma_t(z), t = 1 - s ----------------
 
-# -- the universal point in closed form: push(s C Z) = s C Z - s^2 d_1 b Q ----------------
+TRANSCENDENTAL = "sin(x1)*exp(x{n}/3) + sqrt(2 + x1^2) + 1/(3 + x{n}^2)"
+
+
+@st.composite
+def affine_problems(draw):
+    """A ``chart_problems`` metric (flat ones too) at its point, and a
+    polynomial f."""
+    if draw(st.integers(0, 3)):
+        metric, x = draw(chart_problems())
+    else:
+        n = draw(st.integers(1, 4))
+        metric, x = MetricField.standard_flat(n), tuple(F(draw(st.integers(-4, 4)), 3) for _ in range(n))
+    return metric, x, _polynomial(draw, metric.n)
+
+
+@given(affine_problems(), st.sampled_from((EXACT, FLOAT)))
+@PROPERTY
+def test_scaled_jet_equals_the_jet_at_the_scaled_point(problem, mode):
+    # exact mode: equal values and types; float mode: t is +-2^k, so equal
+    # bits wherever a coordinate is not zero (the sign of a zero may differ)
+    metric, x, f = problem
+    if mode == FLOAT:
+        x = tuple(map(float, x))
+        f = f + parse_expr(TRANSCENDENTAL.format(n=metric.n), n=metric.n)
+    try:
+        chart = geodesic_chart(metric, x, mode)
+    except GeometryError:
+        assume(False)
+    f_z = jet_eval(f, chart.base, chart.laplace_offsets(), mode)
+    for s in AFFINE_SCALES:
+        t = 1 - to_scalar(s, mode)
+        got = _scaled(f_z, t).coords
+        want = jet_eval(f, chart.base, scaled_laplace_offsets(chart, t), mode).coords
+        if mode == EXACT:
+            assert got == want and list(map(type, got)) == list(map(type, want))
+        else:
+            assert all(isinstance(c, float) for c in got)
+            assert [a.hex() for a, b in zip(got, want) if a or b] == [b.hex() for a, b in zip(got, want) if a or b]
+
+
+@given(affine_problems())
+@PROPERTY
+def test_one_jet_affine_detector_equals_the_four_jet_route(problem):
+    # on f and on a harmonic f - c h, in both modes, and in float mode also
+    # with sin, exp and division terms: the four-jet verdict, which is
+    # vanishing of the Laplacian
+    metric, x, f = problem
+    n = metric.n
+    try:
+        lap = laplacian(metric, f, x)
+    except GeometryError:
+        assume(False)
+    probes = (parse_expr(text, n=n) for text in ("x1^2", f"x{n}^2", f"x1*x{n}", "x1^3"))
+    lap_h, h = next(((v, h) for h in probes for v in (laplacian(metric, h, x),) if v != 0), (0, None))
+    assume(h is not None)
+    harmonic = f - Const(lap / lap_h) * h
+    floats = tuple(map(float, x))
+    extra = parse_expr(TRANSCENDENTAL.format(n=n), n=n)
+    cases = [(EXACT, x, f), (EXACT, x, harmonic), (FLOAT, floats, f), (FLOAT, floats, harmonic),
+             (FLOAT, floats, f + extra), (FLOAT, floats, harmonic + extra)]
+    verdicts = []
+    for mode, point, g in cases:
+        want = preserves_affine_combinations_by_four_jets(metric, g, point, mode)
+        assert preserves_affine_combinations(metric, g, point, mode=mode) is want
+        assert is_harmonic_at(metric, g, point, mode=mode) is want
+        verdicts.append(want)
+    assert verdicts[:2] == [lap == 0, True]
+
+
+# -- the universal point in closed form: push(t C Z) = t C Z - t^2 d_1 b Q ----------------
 
 CLOSED_FORM_SCALES = (1, *(1 - s for s in AFFINE_SCALES))
 
@@ -378,8 +452,9 @@ def test_closed_form_offsets_equal_the_weil_route(problem, mode):
         chart, gens, d1 = _universal_point(metric, x, mode, DEFAULT_EPS)
     except GeometryError:
         assume(False)
-    got = chart.laplace_offsets(CLOSED_FORM_SCALES)
-    want = [chart.push_offsets([g * s for g in gens]) for s in CLOSED_FORM_SCALES]
+    unit = chart.laplace_offsets()
+    got = [tuple(_scaled(w, t) for w in unit) for t in CLOSED_FORM_SCALES]
+    want = [chart.push_offsets([g * t for g in gens]) for t in CLOSED_FORM_SCALES]
     if mode == EXACT:
         assert got == want
         assert all(isinstance(c, Fraction) for offsets in got for w in offsets for c in w.coords)
@@ -395,7 +470,7 @@ def test_isotropy_weights_are_in_the_mode_s_scalars():
     # float mode multiplies float weights, not Fractions with 2^52 denominators
     metric = MetricField.from_strings([["1+x2^2", "x1"], ["x1", "2+x1*x2"]])
     for mode, x, kind in ((FLOAT, (0.5, 0.3), float), (EXACT, (F(1, 2), F(1, 3)), (int, Fraction))):
-        (offsets,) = geodesic_chart(metric, x, mode).laplace_offsets()
+        offsets = geodesic_chart(metric, x, mode).laplace_offsets()
         ((q, weight),) = offsets[0].algebra._table[2][2]
         assert q == 3 and isinstance(weight, kind) and weight != 1
 
@@ -413,7 +488,7 @@ def test_q_coordinate_is_the_classical_formula(seed, n):
         chart = geodesic_chart(metric, x)
     except GeometryError:
         assume(False)
-    (offsets,) = chart.laplace_offsets()
+    offsets = chart.laplace_offsets()
     q = jet_eval(f, chart.base, offsets).coords[n + 1]
     algebra = truncated_algebra(n, 2)
     jet = dict(zip(algebra.basis, jet_eval(f, x, algebra.generators()).coords))

@@ -10,6 +10,7 @@ universal isotropic point.  Each shortcut must equal the route it replaces,
 kept in ``conftest``.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -42,6 +43,7 @@ from nilgeom.weil import (
 )
 from conftest import (
     check_order_all_sequences,
+    check_order_by_multisets,
     christoffel_by_loop,
     cr_check_by_laplacians,
     generators_from_normal_forms,
@@ -329,6 +331,36 @@ def test_order_check_over_multisets_equals_every_sequence(seed):
     floats = [WeilElement(algebra, [float(c) * rng.choice((1.0, 1e-6)) for c in w.coords]) for w in offsets]
     for elems, eps in ((offsets, None), (floats, DEFAULT_EPS), (floats, 0.0)):
         assert _order_verdict(elems, order, eps) == check_order_all_sequences(elems, order, eps)
+
+
+def _loop_verdict(offsets, order, eps):
+    try:
+        check_order_by_multisets(offsets, order, eps)
+    except GeometryError:
+        return False
+    return True
+
+
+@PROPERTY
+@given(seeds)
+def test_order_check_past_the_degree_bound_equals_the_product_loop(seed):
+    # an order at or past the degree bound passes offsets with the unit
+    # coordinate 0 at once; a unit coordinate only within eps of 0, or inf
+    # or nan, takes the product loop, as does an order below the bound
+    rng = random.Random(seed)
+    n = rng.randint(1, 3)
+    algebra = rng.choice((truncated_algebra(n, rng.randint(1, 3)), laplace_algebra(n),
+                          _isotropy_algebra((1.0, -2.5, 1 / 3)[:n])))
+    order = max(1, algebra.degree_bound + rng.randint(-1, 1))
+    units = (0, 0, 0, F(1, 10**15), F(1, 2))
+    values = (0, 0, F(3, 2), F(-1, 7), F(1, 10**15))
+    offsets = [algebra.element([rng.choice(units)] + [rng.choice(values) for _ in range(algebra.dimension - 1)])
+               for _ in range(n)]
+    specials = (0.0, -0.0, 1e300, math.inf, -math.inf, math.nan)
+    floats = [WeilElement(algebra, [float(c) if rng.random() < 0.8 else rng.choice(specials) for c in w.coords])
+              for w in offsets]
+    for elems, eps in ((offsets, None), (floats, None), (floats, DEFAULT_EPS), (floats, 0.0)):
+        assert _order_verdict(elems, order, eps) == _loop_verdict(elems, order, eps)
 
 
 # -- one jet per plane-map detector ---------------------------------------------------
